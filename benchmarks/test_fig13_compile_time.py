@@ -26,7 +26,6 @@ from _harness import Q1_DIMS, load_table_for, panel_capacity, print_panel
 
 from repro.core import (
     Cluster,
-    ParallelConfig,
     RLDConfig,
     RLDOptimizer,
     exhaustive_physical,
@@ -124,14 +123,17 @@ def _parallel_scenario():
     return query, estimate, cluster
 
 
-def _parallel_solution_key(solution):
-    """The deterministic face of an RLD compile (no timings)."""
+def _parallel_solution_key(solution, point_optimizer):
+    """The deterministic face of an RLD compile (no timings), plus the
+    calls charged to the caller's point optimizer."""
     table = solution.load_table
     return (
+        point_optimizer.call_count,
         solution.logical.plans,
         solution.logical.discoveries,
         solution.partitioning.optimizer_calls,
         tuple(table.weight_of(plan) for plan in table.plans),
+        table.load_matrix.tobytes(),
         solution.physical.physical_plan,
         solution.physical.supported_plans,
         solution.physical.score,
@@ -151,24 +153,22 @@ def test_parallel_compile_jobs_sweep():
     rows = []
     keys = []
     for jobs in PARALLEL_JOBS:
-        config = RLDConfig(
-            epsilon=PARALLEL_EPSILON, parallel=ParallelConfig(jobs=jobs)
-        )
+        config = RLDConfig(epsilon=PARALLEL_EPSILON, jobs=jobs)
+        point_optimizer = DPOptimizer(query)
         optimizer = RLDOptimizer(
-            query, cluster, config=config, point_optimizer=DPOptimizer(query)
+            query, cluster, config=config, point_optimizer=point_optimizer
         )
         start = time.perf_counter()
         solution = optimizer.solve(estimate)
         elapsed = time.perf_counter() - start
-        keys.append(_parallel_solution_key(solution))
+        keys.append(_parallel_solution_key(solution, point_optimizer))
         rows.append(
             {
                 "jobs": jobs,
                 "compile seconds": elapsed,
                 "worker busy seconds": solution.stage_seconds.get(
                     "workers:partitioning", 0.0
-                )
-                + solution.stage_seconds.get("workers:physical", 0.0),
+                ),
                 "optimizer calls": solution.partitioning.optimizer_calls,
             }
         )

@@ -30,7 +30,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.core import Cluster, ParallelConfig, RLDConfig, RLDOptimizer, ParameterSpace
+from repro.core import Cluster, RLDConfig, RLDOptimizer, ParameterSpace
 from repro.core.diagram import compute_plan_diagram
 from repro.engine.faults import FaultSchedule
 from repro.query import make_optimizer
@@ -70,7 +70,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         config = RLDConfig(
             epsilon=args.epsilon,
             physical_algorithm=args.algorithm,
-            parallel=ParallelConfig(jobs=args.jobs),
+            jobs=args.jobs,
         )
     except ValueError as exc:
         raise SystemExit(str(exc)) from exc
@@ -123,8 +123,9 @@ def _print_profile(solution) -> None:
         stage = name.removeprefix("workers:")
         label = f"worker busy ({stage})"
         print(f"  {label:<30} {seconds * 1000:>10.2f} ms  (concurrent)")
-    tensor_ms = solution.logical.tensor_build_seconds * 1000
-    print(f"  {'cost-tensor build (within robustness)':<40} {tensor_ms:.2f} ms")
+    if solution.logical.cost_tensor_built:
+        tensor_ms = solution.logical.tensor_build_seconds * 1000
+        print(f"  {'cost-tensor build (within robustness)':<40} {tensor_ms:.2f} ms")
 
 
 def _cmd_diagram(args: argparse.Namespace) -> int:
@@ -301,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the parallel compile pipeline "
-        "(default 1 = serial; any value yields bitwise-identical "
-        "solutions — see docs/architecture.md 'Parallel compile')",
+        help="worker processes pre-solving ERP corners (default 1 = "
+        "serial; any value yields bitwise-identical solutions — see "
+        "docs/architecture.md 'Parallel compile')",
     )
     p_compile.set_defaults(handler=_cmd_compile)
 

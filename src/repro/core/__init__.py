@@ -32,13 +32,7 @@ from repro.core.optprune import (
     opt_prune,
     opt_prune_heterogeneous,
 )
-from repro.core.parallel import (
-    CornerPrefetcher,
-    ParallelConfig,
-    ParallelContext,
-    SharedArray,
-    SpeculativeOptimizer,
-)
+from repro.core.parallel import CornerPrefetcher
 from repro.core.parameter_space import Dimension, ParameterSpace, Region
 from repro.core.partitioning import (
     EarlyTerminatedRobustPartitioning,
@@ -97,11 +91,7 @@ __all__ = [
     "InfeasiblePlacementError",
     "CornerPrefetcher",
     "NormalOccurrenceModel",
-    "ParallelConfig",
-    "ParallelContext",
     "ParameterSpace",
-    "SharedArray",
-    "SpeculativeOptimizer",
     "PartitioningResult",
     "PhysicalPlan",
     "PhysicalPlanResult",

@@ -143,6 +143,11 @@ class CostTensorCache:
         return self._ranks
 
     @property
+    def built(self) -> bool:
+        """True once any cost or load tensor has been computed."""
+        return self._cost_tensor is not None or bool(self._load_tensors)
+
+    @property
     def build_seconds(self) -> float:
         """Wall-clock seconds spent building tensors so far."""
         return self._build_seconds

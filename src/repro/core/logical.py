@@ -134,6 +134,14 @@ class RobustLogicalSolution:
         return self._tensor_cache
 
     @property
+    def cost_tensor_built(self) -> bool:
+        """True once a dense cost or load tensor has been computed.
+
+        The sampled-grid path on large spaces never computes one.
+        """
+        return self._tensor_cache is not None and self._tensor_cache.built
+
+    @property
     def tensor_build_seconds(self) -> float:
         """Seconds spent building dense cost/load tensors so far.
 

@@ -23,12 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.greedy_phy import greedy_phy, largest_load_first
-from repro.core.parallel import (
-    ParallelContext,
-    candidates_by_first,
-    parallel_opt_prune_hetero_search,
-    parallel_opt_prune_search,
-)
 from repro.core.physical import (
     Cluster,
     PhysicalPlan,
@@ -132,11 +126,7 @@ def _rebalanced(
 
 
 def opt_prune(
-    table: PlanLoadTable,
-    cluster: Cluster,
-    *,
-    rebalance: bool = True,
-    parallel: ParallelContext | None = None,
+    table: PlanLoadTable, cluster: Cluster, *, rebalance: bool = True
 ) -> PhysicalPlanResult:
     """OptPrune (Algorithm 5): the optimal robust physical plan.
 
@@ -152,11 +142,6 @@ def opt_prune(
     of every supported plan) but the load is spread evenly, which
     matters for runtime queueing.  Score and supported plans — the
     quantities Figures 13–14 compare — are identical either way.
-
-    With an enabled ``parallel`` context the branch-and-bound tree is
-    sharded across worker processes (see :mod:`repro.core.parallel`);
-    the result is bitwise-identical to the serial search except for the
-    ``nodes_explored`` diagnostic.
     """
     watch = Stopwatch()
     capacity = cluster.uniform_capacity
@@ -174,8 +159,12 @@ def opt_prune(
 
     # Per "first operator" candidate lists, largest configurations first
     # (Algorithm 5 sorts configurations by operator count descending).
-    # Shared with the parallel shard workers so candidate indices agree.
-    by_first = candidates_by_first(configs.items(), len(ops))
+    by_first: dict[int, list[tuple[int, int]]] = {i: [] for i in range(len(ops))}
+    for subset, mask in configs.items():
+        first = (subset & -subset).bit_length() - 1
+        by_first[first].append((subset, mask))
+    for candidates in by_first.values():
+        candidates.sort(key=lambda item: (-bin(item[0]).count("1"), item[0]))
 
     def search(remaining: int, used: int, mask: int, chosen: list[int]) -> bool:
         """DFS over canonical partitions; True aborts (perfect score)."""
@@ -208,24 +197,7 @@ def opt_prune(
             chosen.pop()
         return False
 
-    if configs and parallel is not None and parallel.enabled:
-        best_score, assignment, parallel_mask, nodes_explored = (
-            parallel_opt_prune_search(
-                table,
-                configs,
-                by_first,
-                n_nodes=n_nodes,
-                n_ops=len(ops),
-                all_ops_mask=all_ops_mask,
-                greedy_score=best_score,
-                full_score=full_score,
-                context=parallel,
-            )
-        )
-        if assignment is not None:
-            best_assignment = list(assignment)
-            best_mask = parallel_mask
-    elif configs:
+    if configs:
         search(all_ops_mask, 0, table.full_mask, [])
 
     elapsed = watch.seconds
@@ -263,10 +235,7 @@ def opt_prune(
 
 
 def opt_prune_heterogeneous(
-    table: PlanLoadTable,
-    cluster: Cluster,
-    *,
-    parallel: ParallelContext | None = None,
+    table: PlanLoadTable, cluster: Cluster
 ) -> PhysicalPlanResult:
     """Optimal robust physical plan for *heterogeneous* clusters.
 
@@ -348,21 +317,7 @@ def opt_prune_heterogeneous(
             node_masks[node] = saved_mask
         return False
 
-    if parallel is not None and parallel.enabled and ops and n_nodes:
-        best_score, hetero_assignment, parallel_mask, nodes_explored = (
-            parallel_opt_prune_hetero_search(
-                table,
-                capacities=capacities,
-                greedy_score=best_score,
-                full_score=full_score,
-                context=parallel,
-            )
-        )
-        if hetero_assignment is not None:
-            best_assignment = [frozenset(node) for node in hetero_assignment]
-            best_mask = parallel_mask
-    else:
-        search(0)
+    search(0)
     elapsed = watch.seconds
     if best_assignment is None:
         return PhysicalPlanResult(

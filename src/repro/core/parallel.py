@@ -1,356 +1,113 @@
-"""Multiprocess compile pipeline with bitwise-serial determinism.
+"""ERP corner prefetch across worker processes, bitwise-identical to serial.
 
-The two compile-time hot spots of Figures 12–13 — ERP's weighted space
-partitioning and OptPrune's branch-and-bound — are embarrassingly
-parallel *except* for their sequential control decisions (the aging
-counter, the incumbent bound, call accounting).  This module shards the
-expensive leaf work across a process pool while replaying every control
-decision exactly as the serial algorithms would, so ``--jobs N`` is
-guaranteed to produce bit-for-bit the same :class:`RLDSolution` as
-``--jobs 1`` for every ``N``.
+ERP's cost on optimizer-bound compiles is the black-box optimizer call
+at each region corner (a Held–Karp search takes ~30 ms on a 12-way
+join).  :class:`CornerPrefetcher` pre-solves corners the serial loop is
+about to visit on a process pool and hands each answer to the region's
+:class:`~repro.core.robustness.RobustnessChecker` with
+:meth:`~repro.core.robustness.RobustnessChecker.prefetch`.  The serial
+loop then runs unchanged: when it asks for a corner the checker charges
+the optimizer call to the caller's optimizer at that moment, so call
+budgets, discovery ``at_call`` stamps and the aging counter fire at
+exactly the serial step.  Speculation can only waste worker time, never
+change an answer.
 
-**ERP — speculative corner prefetch.**  ERP's cost is dominated by
-black-box optimizer calls at region corners.  Workers *pre-solve*
-corner points (fed the read-only ``grid_matrix`` through
-``multiprocessing.shared_memory``, so no worker rebuilds the grid) and
-the results are installed into a :class:`SpeculativeOptimizer` wrapping
-the real optimizer.  The serial loop then runs unchanged: when it asks
-for a corner the wrapper serves the precomputed plan but still charges
-the optimizer call at that moment, so call budgets, discovery logs,
-and the aging counter fire at exactly the serial step.  Speculation can
-only waste worker time, never change an answer.
-
-**OptPrune — path-ranked prefix sharding.**  The serial DFS visits
-completions in lexicographic order of their candidate-index paths, and
-its outcome is a pure function of that ordered completion sequence
-(strictly-improving completions are recorded; the first recorded
-completion reaching the perfect-score threshold aborts).  We expand the
-root into DFS prefixes (each tagged with its path), shard them across
-workers that replicate the serial candidate loop, and merge every
-recorded completion back in path order through the *same*
-record/abort scan — yielding the serial incumbent exactly.  Workers
-share the incumbent bound through a ``multiprocessing.Value`` (fork
-start method) and prune with strict ``<`` only, which cannot eliminate
-any completion the merge scan needs:
-
-* a completion with the global maximum score is never pruned (the
-  shared bound never exceeds the maximum, and the comparison is
-  strict), and
-* scores at or above the perfect-score threshold are never published,
-  so threshold-crossing completions are never pruned either.
-
-Feasible-configuration tables travel to workers as packed int64 arrays
-in shared memory; per-worker busy seconds are returned with each chunk
-and folded into the compile :class:`~repro.util.timing.StageTimer` as
-``workers:<stage>`` entries.
+Workers receive the exact corner points (``space.point_at(index)`` as a
+plain dict of floats — pickling floats is exact), solve them with the
+uncounted :meth:`~repro.query.optimizer.PointOptimizer.peek`, and return
+the plan orders plus their busy seconds.  A wave is tens of small
+points, so nothing grid-sized ever crosses the process boundary.
 """
 
 from __future__ import annotations
 
-import ctypes
 import multiprocessing
-import multiprocessing.shared_memory
-from dataclasses import dataclass
-from multiprocessing.pool import Pool
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence, cast
 
-import numpy as np
-
 from repro.core.parameter_space import GridIndex, ParameterSpace, Region
-from repro.core.physical import PlanLoadTable
 from repro.query.optimizer import PointOptimizer
 from repro.query.plans import LogicalPlan
 from repro.query.statistics import StatPoint
 from repro.util.timing import Stopwatch
-from repro.util.types import AnyArray
 
 if TYPE_CHECKING:
     from repro.core.robustness import RobustnessChecker
 
-__all__ = [
-    "ParallelConfig",
-    "ParallelContext",
-    "SharedArray",
-    "SpeculativeOptimizer",
-    "CornerPrefetcher",
-    "candidates_by_first",
-    "parallel_opt_prune_search",
-    "parallel_opt_prune_hetero_search",
-]
+__all__ = ["CornerPrefetcher"]
 
-#: DFS-prefix fan-out per worker for the OptPrune tree shard: expansion
-#: stops once the frontier holds this many prefixes per job.
-_PREFIXES_PER_JOB = 8
-
-#: Worker search nodes between locked refreshes of the shared bound.
-_BOUND_REFRESH_NODES = 256
+#: Pool-map chunks per worker: each wave is split into
+#: ``jobs * _CHUNKS_PER_JOB`` chunks so stragglers rebalance, and covers
+#: that many queued regions beyond the popped one.
+_CHUNKS_PER_JOB = 2
 
 
-@dataclass(frozen=True)
-class ParallelConfig:
-    """Worker-pool settings for the parallel compile pipeline.
-
-    ``jobs`` is the number of worker processes; ``1`` disables the pool
-    entirely and runs the untouched serial path.  ``start_method``
-    overrides the multiprocessing start method (``None`` prefers
-    ``fork`` where available — the incumbent-bound ``Value`` can only
-    be shared under ``fork``; other methods stay deterministic but
-    prune with the static greedy bound only).  ``chunks_per_job``
-    controls task granularity: each pool map splits its work into
-    ``jobs * chunks_per_job`` chunks so stragglers rebalance.
-    """
-
-    jobs: int = 1
-    start_method: str | None = None
-    chunks_per_job: int = 2
-
-    def __post_init__(self) -> None:
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.chunks_per_job < 1:
-            raise ValueError(
-                f"chunks_per_job must be >= 1, got {self.chunks_per_job}"
-            )
-        if self.start_method is not None:
-            available = multiprocessing.get_all_start_methods()
-            if self.start_method not in available:
-                raise ValueError(
-                    f"start_method {self.start_method!r} not available; "
-                    f"choose from {available}"
-                )
-
-    @property
-    def enabled(self) -> bool:
-        """True when a worker pool would actually be used."""
-        return self.jobs > 1
+def _start_method() -> str:
+    """``fork`` where the platform has it, else the platform default."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return "fork"
+    return multiprocessing.get_start_method()
 
 
-@dataclass(frozen=True)
-class SharedArraySpec:
-    """Pickle-friendly handle a worker needs to attach a shared array."""
-
-    name: str
-    shape: tuple[int, ...]
-    dtype: str
-
-
-class SharedArray:
-    """A read-only ndarray in POSIX shared memory.
-
-    The parent :meth:`create`\\ s the segment (copying the source array
-    in once); workers :meth:`attach` by name and receive a read-only
-    view, so large precomputed tensors — the parameter-space
-    ``grid_matrix``, OptPrune's packed feasible-configuration table —
-    cross the process boundary without per-task pickling.  Only the
-    owner unlinks the segment on :meth:`close`.
-    """
-
-    def __init__(
-        self,
-        shm: multiprocessing.shared_memory.SharedMemory,
-        array: AnyArray,
-        spec: SharedArraySpec,
-        *,
-        owner: bool,
-    ) -> None:
-        self._shm = shm
-        self._array = array
-        self._spec = spec
-        self._owner = owner
-        self._closed = False
-
-    @classmethod
-    def create(cls, source: AnyArray) -> "SharedArray":
-        """Copy ``source`` into a fresh shared-memory segment."""
-        arr = np.ascontiguousarray(source)
-        shm = multiprocessing.shared_memory.SharedMemory(
-            create=True, size=max(int(arr.nbytes), 1)
-        )
-        view: AnyArray = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-        view[...] = arr
-        view.setflags(write=False)
-        spec = SharedArraySpec(shm.name, tuple(arr.shape), arr.dtype.str)
-        return cls(shm, view, spec, owner=True)
-
-    @classmethod
-    def attach(cls, spec: SharedArraySpec) -> "SharedArray":
-        """Attach to an existing segment; the view is read-only."""
-        shm = multiprocessing.shared_memory.SharedMemory(name=spec.name)
-        # Pool workers share the parent's resource-tracker process, and
-        # its name cache is a set — the worker-side register is
-        # idempotent and the parent's unlink clears the entry exactly
-        # once, so no bpo-38119 unregister workaround is needed here.
-        view: AnyArray = np.ndarray(
-            spec.shape, dtype=np.dtype(spec.dtype), buffer=shm.buf
-        )
-        view.setflags(write=False)
-        return cls(shm, view, spec, owner=False)
-
-    @property
-    def array(self) -> AnyArray:
-        """The shared, read-only ndarray view."""
-        return self._array
-
-    @property
-    def spec(self) -> SharedArraySpec:
-        """The handle workers use to attach."""
-        return self._spec
-
-    def close(self) -> None:
-        """Detach; the owning side also unlinks the segment."""
-        if self._closed:
-            return
-        self._closed = True
-        self._shm.close()
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass
-
-
-def _split_chunks(items: Sequence[Any], n_chunks: int) -> list[list[Any]]:
-    """Round-robin ``items`` into at most ``n_chunks`` non-empty lists.
-
-    Round-robin keeps each chunk sorted whenever ``items`` is sorted —
-    the property the OptPrune merge relies on for path-ordered worker
-    chains — and spreads expensive early items across workers.
-    """
-    count = min(len(items), n_chunks)
-    return [list(items[i::count]) for i in range(count)]
-
-
-# ---------------------------------------------------------------------------
-# Worker-process state.
-#
-# Pool workers receive their immutable inputs once, through the pool
-# initializer, and stash them in this per-process slot; each map task
-# then carries only its small work list.  The dict is written exactly
-# once per worker process, before any task runs.
+# Pool workers receive the optimizer once, through the pool initializer,
+# and stash it in this per-process slot; each map task then carries only
+# its chunk of points.  The dict is written exactly once per worker
+# process, before any task runs.
 _WORKER_STATE: dict[str, Any] = {}  # repro-lint: disable=no-module-mutable-state -- per-worker-process slot filled once by the pool initializer before any task executes; never shared across processes
 
 
-def _erp_worker_init(
-    optimizer: PointOptimizer, names: tuple[str, ...], spec: SharedArraySpec
-) -> None:
-    """Pool initializer for ERP corner prefetch workers."""
-    _WORKER_STATE["erp_optimizer"] = optimizer
-    _WORKER_STATE["erp_names"] = names
-    _WORKER_STATE["erp_grid"] = SharedArray.attach(spec)
+def _worker_init(optimizer: PointOptimizer) -> None:
+    """Pool initializer: install the optimizer workers search with."""
+    _WORKER_STATE["optimizer"] = optimizer
 
 
-def _erp_solve_chunk(
-    flats: Sequence[int],
-) -> tuple[list[tuple[int, tuple[int, ...]]], float]:
-    """Solve one chunk of grid points; returns (flat, order) pairs + busy s.
-
-    Points are rebuilt from shared ``grid_matrix`` rows, whose values
-    are bitwise-identical to ``Dimension.value`` by construction, so
-    the worker optimizes exactly the point the serial path would.
-    ``peek`` leaves call accounting untouched — the parent charges the
-    call when (and only when) the serial loop requests the corner.
-    """
+def _solve_chunk(
+    points: Sequence[Mapping[str, float]],
+) -> tuple[list[tuple[int, ...]], float]:
+    """Plan orders for one chunk of points, plus the worker's busy seconds."""
     watch = Stopwatch()
-    optimizer = cast(PointOptimizer, _WORKER_STATE["erp_optimizer"])
-    names = cast("tuple[str, ...]", _WORKER_STATE["erp_names"])
-    grid = cast(SharedArray, _WORKER_STATE["erp_grid"]).array
-    results: list[tuple[int, tuple[int, ...]]] = []
-    for flat in flats:
-        row = grid[flat]
-        point = StatPoint(
-            {name: float(value) for name, value in zip(names, row)}
-        )
-        results.append((flat, optimizer.peek(point).order))
-    return results, watch.seconds
-
-
-class SpeculativeOptimizer(PointOptimizer):
-    """Serves prefetched plans with serial-identical call accounting.
-
-    Wraps the real optimizer of a partitioning run.  ``optimize`` is
-    inherited from :class:`PointOptimizer`, so every lookup still
-    charges exactly one optimizer call at the moment the serial
-    algorithm asks — budgets, discovery ``at_call`` stamps, and the
-    aging counter are untouched.  Only the *work* of ``_find_best`` is
-    replaced: a store hit returns the worker-computed plan, a miss
-    falls through to the real search.
-    """
-
-    def __init__(self, inner: PointOptimizer) -> None:
-        super().__init__(inner.query, memoize=False)
-        self._inner = inner
-        self._store: dict[StatPoint, LogicalPlan] = {}
-        self._prefetch_hits = 0
-        self._prefetch_misses = 0
-
-    @property
-    def inner(self) -> PointOptimizer:
-        """The real optimizer (also the one shipped to workers)."""
-        return self._inner
-
-    @property
-    def prefetch_hits(self) -> int:
-        """Calls answered from the prefetch store."""
-        return self._prefetch_hits
-
-    @property
-    def prefetch_misses(self) -> int:
-        """Calls that fell through to the real search."""
-        return self._prefetch_misses
-
-    def install(self, point: StatPoint, plan: LogicalPlan) -> None:
-        """Record a worker-computed plan for ``point``."""
-        self._store.setdefault(point, plan)
-
-    def _find_best(self, point: Mapping[str, float]) -> LogicalPlan:
-        key = point if isinstance(point, StatPoint) else StatPoint(point)
-        stored = self._store.get(key)
-        if stored is not None:
-            self._prefetch_hits += 1
-            return stored
-        self._prefetch_misses += 1
-        return self._inner.peek(point)
+    optimizer = cast(PointOptimizer, _WORKER_STATE["optimizer"])
+    orders = [optimizer.peek(StatPoint(point)).order for point in points]
+    return orders, watch.seconds
 
 
 class CornerPrefetcher:
     """Wave-based speculative evaluation of ERP region corners.
 
-    When the serial loop pops a region whose corners are not yet known,
-    one *wave* pre-solves every still-unknown corner of that region and
-    of the next :attr:`wave_regions` queued regions in a single pool
-    map — the corners the serial run is about to visit.  The cap keeps
-    speculation demand-matched: ERP's aging stop routinely abandons the
-    queue's tail, so prefetching the whole queue would burn worker time
-    on corners no one will ever ask for.  Waves are keyed by sorted
-    flat grid index, and results are installed into the
-    :class:`SpeculativeOptimizer` keyed by the exact ``point_at``
-    point, so replay is bitwise-deterministic regardless of worker
-    scheduling.
+    Owns a pool of ``jobs`` worker processes for one partitioning run;
+    :meth:`close` it (the partitioner does so in a ``finally``).  When
+    the serial loop pops a region with a corner not yet known to the
+    checker, one *wave* pre-solves every still-unknown corner of that
+    region and of the next :attr:`wave_regions` queued regions in a
+    single pool map — the corners the serial run is about to visit.
+    The cap keeps speculation demand-matched: ERP's aging stop routinely
+    abandons the queue's tail, so prefetching the whole queue would burn
+    worker time on corners no one will ever ask for.
     """
 
     def __init__(
-        self,
-        context: "ParallelContext",
-        space: ParameterSpace,
-        optimizer: SpeculativeOptimizer,
+        self, space: ParameterSpace, optimizer: PointOptimizer, jobs: int
     ) -> None:
-        self._context = context
         self._space = space
-        self._optimizer = optimizer
-        self._fetched: set[GridIndex] = set()
+        self._n_chunks = jobs * _CHUNKS_PER_JOB
+        context = multiprocessing.get_context(_start_method())
+        self._pool = context.Pool(
+            jobs, initializer=_worker_init, initargs=(optimizer,)
+        )
+        self._busy_seconds = 0.0
 
     @property
     def wave_regions(self) -> int:
-        """How many queued regions (beyond the popped one) to cover per
-        wave — one chunk's worth of regions per worker."""
-        return self._context.n_chunks()
+        """Queued regions (beyond the popped one) each wave covers."""
+        return self._n_chunks
+
+    @property
+    def busy_seconds(self) -> float:
+        """Worker busy seconds summed over every wave so far."""
+        return self._busy_seconds
 
     @staticmethod
     def _corners(region: Region) -> tuple[GridIndex, ...]:
         return (region.lo,) if region.is_cell else (region.lo, region.hi)
-
-    def _needs(self, index: GridIndex, checker: "RobustnessChecker") -> bool:
-        return index not in self._fetched and not checker.has_cached(index)
 
     def ensure(
         self,
@@ -359,754 +116,26 @@ class CornerPrefetcher:
         checker: "RobustnessChecker",
     ) -> None:
         """Prefetch the wave covering ``region`` if any corner is unknown."""
-        if not any(self._needs(c, checker) for c in self._corners(region)):
+        if all(checker.has_cached(c) for c in self._corners(region)):
             return
-        wanted: dict[GridIndex, None] = {}
-        for corner in self._corners(region):
-            if self._needs(corner, checker):
-                wanted[corner] = None
-        for other in queued:
-            for corner in self._corners(other):
-                if self._needs(corner, checker):
-                    wanted[corner] = None
-        flats = sorted(self._space.flat_index(index) for index in wanted)
-        for flat, order in self._context.erp_map(
-            self._space, self._optimizer.inner, flats
-        ):
-            index = self._space.index_of_flat(flat)
-            self._optimizer.install(
-                self._space.point_at(index), LogicalPlan(tuple(order))
+        wanted: set[GridIndex] = set()
+        for other in (region, *queued):
+            wanted.update(
+                c for c in self._corners(other) if not checker.has_cached(c)
             )
-            self._fetched.add(index)
-
-
-class ParallelContext:
-    """Per-compile owner of worker pools, shared memory, and timings.
-
-    One context lives for the duration of one ``RLDOptimizer.solve``
-    (or one standalone partitioning/OptPrune call) and must be
-    :meth:`close`\\ d — it owns the ERP worker pool, the shared
-    ``grid_matrix`` segment, and the accumulated per-stage worker busy
-    seconds that the compiler folds into its ``StageTimer`` profile.
-    Usable as a context manager.
-    """
-
-    def __init__(self, config: ParallelConfig | None = None) -> None:
-        self._config = config or ParallelConfig()
-        if self._config.start_method is not None:
-            self._start_method = self._config.start_method
-        else:
-            methods = multiprocessing.get_all_start_methods()
-            self._start_method = (
-                "fork" if "fork" in methods else multiprocessing.get_start_method()
-            )
-        self._mp = multiprocessing.get_context(self._start_method)
-        self._erp_pool: Pool | None = None
-        self._erp_space: ParameterSpace | None = None
-        self._erp_optimizer: PointOptimizer | None = None
-        self._erp_shared: SharedArray | None = None
-        self._worker_seconds: dict[str, float] = {}
-        self._closed = False
-
-    @property
-    def config(self) -> ParallelConfig:
-        """The pool settings this context was created with."""
-        return self._config
-
-    @property
-    def jobs(self) -> int:
-        """Worker process count."""
-        return self._config.jobs
-
-    @property
-    def enabled(self) -> bool:
-        """True when worker pools are in use (``jobs > 1``)."""
-        return self._config.enabled
-
-    @property
-    def start_method(self) -> str:
-        """The resolved multiprocessing start method."""
-        return self._start_method
-
-    @property
-    def worker_seconds(self) -> dict[str, float]:
-        """Accumulated worker busy seconds per compile stage."""
-        return dict(self._worker_seconds)
-
-    def add_worker_seconds(self, stage: str, seconds: float) -> None:
-        """Credit ``seconds`` of worker busy time to ``stage``."""
-        self._worker_seconds[stage] = (
-            self._worker_seconds.get(stage, 0.0) + seconds
+        indices = sorted(wanted)
+        n_chunks = min(len(indices), self._n_chunks)
+        chunks = [indices[i::n_chunks] for i in range(n_chunks)]
+        results = self._pool.map(
+            _solve_chunk,
+            [[dict(self._space.point_at(i)) for i in chunk] for chunk in chunks],
         )
-
-    def pool(self, initializer: Any, initargs: tuple[Any, ...]) -> Pool:
-        """A fresh worker pool with this context's start method."""
-        return self._mp.Pool(
-            self.jobs, initializer=initializer, initargs=initargs
-        )
-
-    def shared_double(self, initial: float) -> Any | None:
-        """A lock-guarded shared double, or ``None`` off ``fork``.
-
-        Synchronized values cannot be pickled to spawned workers; under
-        non-fork start methods the OptPrune shard falls back to the
-        static greedy bound (weaker pruning, identical results).
-        """
-        if self._start_method != "fork":
-            return None
-        return self._mp.Value(ctypes.c_double, initial, lock=True)
-
-    def n_chunks(self) -> int:
-        """Target chunk count for one pool map."""
-        return self.jobs * self._config.chunks_per_job
-
-    def erp_map(
-        self,
-        space: ParameterSpace,
-        optimizer: PointOptimizer,
-        flats: Sequence[int],
-    ) -> list[tuple[int, tuple[int, ...]]]:
-        """Solve grid points across the (lazily created) ERP pool."""
-        if not flats:
-            return []
-        worker_pool = self._ensure_erp_pool(space, optimizer)
-        chunks = _split_chunks(list(flats), self.n_chunks())
-        results: list[tuple[int, tuple[int, ...]]] = []
-        busy = 0.0
-        for pairs, seconds in worker_pool.map(_erp_solve_chunk, chunks):
-            results.extend(pairs)
-            busy += seconds
-        self.add_worker_seconds("partitioning", busy)
-        return results
-
-    def _ensure_erp_pool(
-        self, space: ParameterSpace, optimizer: PointOptimizer
-    ) -> Pool:
-        if self._closed:
-            raise RuntimeError("ParallelContext is closed")
-        if self._erp_pool is not None:
-            if self._erp_space is not space or self._erp_optimizer is not optimizer:
-                raise RuntimeError(
-                    "ParallelContext's ERP pool is bound to a different "
-                    "space/optimizer; use one context per compile"
-                )
-            return self._erp_pool
-        self._erp_shared = SharedArray.create(space.grid_matrix())
-        self._erp_space = space
-        self._erp_optimizer = optimizer
-        self._erp_pool = self.pool(
-            _erp_worker_init,
-            (optimizer, space.names, self._erp_shared.spec),
-        )
-        return self._erp_pool
+        for chunk, (orders, seconds) in zip(chunks, results):
+            self._busy_seconds += seconds
+            for index, order in zip(chunk, orders):
+                checker.prefetch(index, LogicalPlan(order))
 
     def close(self) -> None:
-        """Terminate pools and release shared memory (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._erp_pool is not None:
-            self._erp_pool.terminate()
-            self._erp_pool.join()
-            self._erp_pool = None
-        if self._erp_shared is not None:
-            self._erp_shared.close()
-            self._erp_shared = None
-
-    def __enter__(self) -> "ParallelContext":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-# ---------------------------------------------------------------------------
-# OptPrune tree sharding.
-
-
-def candidates_by_first(
-    pairs: Iterable[tuple[int, int]], n_ops: int
-) -> dict[int, list[tuple[int, int]]]:
-    """Feasible configs grouped by lowest operator, largest-first.
-
-    The canonical candidate ordering of Algorithm 5's DFS: every
-    configuration is filed under its lowest-indexed operator and each
-    bucket is sorted by descending operator count, then ascending
-    subset mask.  Serial search and worker shards build this table with
-    the same function so candidate *indices* — the path coordinates the
-    deterministic merge sorts on — agree across processes.
-    """
-    by_first: dict[int, list[tuple[int, int]]] = {i: [] for i in range(n_ops)}
-    for subset, mask in pairs:
-        first = (subset & -subset).bit_length() - 1
-        by_first[first].append((subset, mask))
-    for candidates in by_first.values():
-        candidates.sort(key=lambda item: (-bin(item[0]).count("1"), item[0]))
-    return by_first
-
-
-@dataclass(frozen=True)
-class _Prefix:
-    """One DFS subtree root: the serial search state at its path."""
-
-    path: tuple[int, ...]
-    remaining: int
-    used: int
-    mask: int
-    score: float
-    chosen: tuple[int, ...]
-
-
-@dataclass
-class _Completion:
-    """A recorded completion: score plus its DFS path and assignment."""
-
-    score: float
-    path: tuple[int, ...]
-    chosen: tuple[Any, ...]
-
-
-@dataclass
-class _MergeOutcome:
-    """Result of replaying completions through the serial scan."""
-
-    score: float
-    completion: _Completion | None = None
-
-
-def _merge_completions(
-    completions: Iterable[_Completion],
-    greedy_score: float,
-    threshold: float,
-) -> _MergeOutcome:
-    """Replay recorded completions in DFS path order, serial-style.
-
-    The serial DFS records a completion iff it strictly improves on the
-    incumbent and aborts at the first recorded completion reaching the
-    perfect-score ``threshold``.  Every candidate here is a genuine
-    completion with score ≤ the serial incumbent at its path position
-    (shards prune *at most* as aggressively as the serial search), and
-    the shard construction guarantees the serial winner is present —
-    so this scan terminates on exactly the completion the serial DFS
-    returns.
-    """
-    outcome = _MergeOutcome(score=greedy_score)
-    for completion in sorted(completions, key=lambda c: c.path):
-        if completion.score > outcome.score:
-            outcome.score = completion.score
-            outcome.completion = completion
-            if outcome.score >= threshold:
-                break
-    return outcome
-
-
-def _optprune_worker_init(
-    table: PlanLoadTable,
-    spec: SharedArraySpec,
-    n_ops: int,
-    n_nodes: int,
-    greedy_score: float,
-    full_score: float,
-    shared_bound: Any | None,
-) -> None:
-    """Pool initializer for homogeneous OptPrune shard workers."""
-    shared = SharedArray.attach(spec)
-    packed = shared.array
-    pairs = [
-        (int(packed[0, i]), int(packed[1, i])) for i in range(packed.shape[1])
-    ]
-    _WORKER_STATE["optprune_shared"] = shared
-    _WORKER_STATE["optprune"] = _HomogeneousShard(
-        table,
-        candidates_by_first(pairs, n_ops),
-        n_nodes,
-        greedy_score,
-        full_score,
-        shared_bound,
-    )
-
-
-def _optprune_solve_chunk(
-    prefixes: Sequence[_Prefix],
-) -> tuple[list[_Completion], int, float]:
-    """Search one chunk of DFS prefixes; returns its improving chain."""
-    watch = Stopwatch()
-    shard = cast("_HomogeneousShard", _WORKER_STATE["optprune"])
-    chain, explored = shard.run(prefixes)
-    return chain, explored, watch.seconds
-
-
-class _BoundMixin:
-    """Shared incumbent-bound plumbing for shard workers.
-
-    The shared double only ever carries scores *strictly below* the
-    perfect-score threshold, and consumers prune with strict ``<``
-    against it — together these keep the bound from eliminating any
-    completion the deterministic merge scan depends on (see the module
-    docstring's determinism argument).
-    """
-
-    _shared: Any | None
-    _threshold: float
-
-    def _read_bound(self) -> float:
-        if self._shared is None:
-            return float("-inf")
-        with self._shared.get_lock():
-            return float(self._shared.value)
-
-    def _publish_bound(self, score: float) -> None:
-        if self._shared is None or score >= self._threshold:
-            return
-        with self._shared.get_lock():
-            if score > self._shared.value:
-                self._shared.value = score
-
-
-class _HomogeneousShard(_BoundMixin):
-    """Worker-side DFS over assigned prefixes of Algorithm 5's tree.
-
-    Mirrors the serial ``search`` closure in ``opt_prune`` line for
-    line; the only additions are the path bookkeeping, the strict-``<``
-    shared-bound prune, and chain recording (the serial path records
-    implicitly by mutating its incumbent).
-    """
-
-    def __init__(
-        self,
-        table: PlanLoadTable,
-        by_first: dict[int, list[tuple[int, int]]],
-        n_nodes: int,
-        greedy_score: float,
-        full_score: float,
-        shared_bound: Any | None,
-    ) -> None:
-        self._table = table
-        self._by_first = by_first
-        self._n_nodes = n_nodes
-        self._greedy_score = greedy_score
-        self._threshold = full_score * (1 - 1e-12)
-        self._shared = shared_bound
-
-    def run(
-        self, prefixes: Sequence[_Prefix]
-    ) -> tuple[list[_Completion], int]:
-        best_score = self._greedy_score
-        chain: list[_Completion] = []
-        explored = 0
-        floor = self._read_bound()
-        since_refresh = 0
-        aborted = False
-
-        def search(
-            remaining: int,
-            used: int,
-            mask: int,
-            chosen: tuple[int, ...],
-            path: tuple[int, ...],
-        ) -> bool:
-            nonlocal best_score, explored, floor, since_refresh
-            first = (remaining & -remaining).bit_length() - 1
-            for index, (subset, config_mask) in enumerate(self._by_first[first]):
-                if subset & ~remaining:
-                    continue
-                new_mask = mask & config_mask
-                if new_mask == 0:
-                    continue
-                new_score = self._table.score(new_mask)
-                if new_score <= best_score:
-                    continue
-                if new_score < floor:
-                    continue
-                explored += 1
-                since_refresh += 1
-                if since_refresh >= _BOUND_REFRESH_NODES:
-                    since_refresh = 0
-                    floor = self._read_bound()
-                    if new_score < floor:
-                        continue
-                new_remaining = remaining & ~subset
-                new_chosen = chosen + (subset,)
-                new_path = path + (index,)
-                if new_remaining == 0:
-                    best_score = new_score
-                    chain.append(_Completion(new_score, new_path, new_chosen))
-                    self._publish_bound(new_score)
-                    if new_score >= self._threshold:
-                        return True
-                elif used + 1 < self._n_nodes:
-                    if search(
-                        new_remaining, used + 1, new_mask, new_chosen, new_path
-                    ):
-                        return True
-            return False
-
-        for prefix in prefixes:
-            if aborted:
-                break
-            floor = self._read_bound()
-            since_refresh = 0
-            if prefix.score <= best_score or prefix.score < floor:
-                # Every score below this subtree is <= the prefix score
-                # (Lemma 1), so the whole shard is prunable at once.
-                continue
-            aborted = search(
-                prefix.remaining,
-                prefix.used,
-                prefix.mask,
-                prefix.chosen,
-                prefix.path,
-            )
-        return chain, explored
-
-
-def parallel_opt_prune_search(
-    table: PlanLoadTable,
-    configs: Mapping[int, int],
-    by_first: Mapping[int, Sequence[tuple[int, int]]],
-    *,
-    n_nodes: int,
-    n_ops: int,
-    all_ops_mask: int,
-    greedy_score: float,
-    full_score: float,
-    context: ParallelContext,
-) -> tuple[float, tuple[int, ...] | None, int, int]:
-    """Sharded Algorithm 5 search, bitwise-identical to the serial DFS.
-
-    Returns ``(best_score, best_assignment, best_mask, nodes_explored)``
-    with ``best_assignment`` ``None`` when nothing beat GreedyPhy —
-    exactly the serial incumbent state after ``search`` returns.
-    ``nodes_explored`` is a diagnostic; its value legitimately differs
-    from the serial count (shards prune against a dynamic bound).
-    """
-    threshold = full_score * (1 - 1e-12)
-    completions: list[_Completion] = []
-    frontier = [
-        _Prefix((), all_ops_mask, 0, table.full_mask, full_score, ())
-    ]
-    explored = 0
-    target = context.jobs * _PREFIXES_PER_JOB
-    while frontier and len(frontier) < target:
-        next_level: list[_Prefix] = []
-        for prefix in frontier:
-            first = (prefix.remaining & -prefix.remaining).bit_length() - 1
-            for index, (subset, config_mask) in enumerate(by_first[first]):
-                if subset & ~prefix.remaining:
-                    continue
-                new_mask = prefix.mask & config_mask
-                if new_mask == 0:
-                    continue
-                new_score = table.score(new_mask)
-                if new_score <= greedy_score:
-                    continue
-                explored += 1
-                new_remaining = prefix.remaining & ~subset
-                new_chosen = prefix.chosen + (subset,)
-                new_path = prefix.path + (index,)
-                if new_remaining == 0:
-                    completions.append(
-                        _Completion(new_score, new_path, new_chosen)
-                    )
-                elif prefix.used + 1 < n_nodes:
-                    next_level.append(
-                        _Prefix(
-                            new_path,
-                            new_remaining,
-                            prefix.used + 1,
-                            new_mask,
-                            new_score,
-                            new_chosen,
-                        )
-                    )
-        frontier = next_level
-
-    if frontier:
-        seed = max(
-            [greedy_score]
-            + [c.score for c in completions if c.score < threshold]
-        )
-        shared_bound = context.shared_double(seed)
-        packed = np.array(
-            [
-                [subset for subset in configs],
-                [configs[subset] for subset in configs],
-            ],
-            dtype=np.int64,
-        )
-        shared = SharedArray.create(packed)
-        try:
-            with context.pool(
-                _optprune_worker_init,
-                (
-                    table,
-                    shared.spec,
-                    n_ops,
-                    n_nodes,
-                    greedy_score,
-                    full_score,
-                    shared_bound,
-                ),
-            ) as worker_pool:
-                chunk_results = worker_pool.map(
-                    _optprune_solve_chunk,
-                    _split_chunks(frontier, context.n_chunks()),
-                )
-        finally:
-            shared.close()
-        busy = 0.0
-        for chain, chunk_explored, seconds in chunk_results:
-            completions.extend(chain)
-            explored += chunk_explored
-            busy += seconds
-        context.add_worker_seconds("physical", busy)
-
-    outcome = _merge_completions(completions, greedy_score, threshold)
-    if outcome.completion is None:
-        return greedy_score, None, 0, explored
-    chosen = cast("tuple[int, ...]", outcome.completion.chosen)
-    best_mask = table.full_mask
-    for subset in chosen:
-        best_mask &= configs[subset]
-    return outcome.score, chosen, best_mask, explored
-
-
-# ---------------------------------------------------------------------------
-# Heterogeneous OptPrune sharding.
-
-
-@dataclass(frozen=True)
-class _HeteroPrefix:
-    """A partial op→node assignment: serial search state at its path."""
-
-    path: tuple[int, ...]
-    node_masks: tuple[int, ...]
-    score: float
-
-
-def _hetero_node_sets(
-    path: tuple[int, ...], ops: Sequence[int], n_nodes: int
-) -> list[set[int]]:
-    """Rebuild per-node operator sets from an assignment path."""
-    sets: list[set[int]] = [set() for _ in range(n_nodes)]
-    for op_index, node in enumerate(path):
-        sets[node].add(ops[op_index])
-    return sets
-
-
-def _hetero_worker_init(
-    table: PlanLoadTable,
-    ops: tuple[int, ...],
-    capacities: tuple[float, ...],
-    greedy_score: float,
-    full_score: float,
-    shared_bound: Any | None,
-) -> None:
-    """Pool initializer for heterogeneous OptPrune shard workers."""
-    _WORKER_STATE["optprune_hetero"] = _HeterogeneousShard(
-        table, ops, capacities, greedy_score, full_score, shared_bound
-    )
-
-
-def _hetero_solve_chunk(
-    prefixes: Sequence[_HeteroPrefix],
-) -> tuple[list[_Completion], int, float]:
-    """Search one chunk of assignment prefixes; returns its chain."""
-    watch = Stopwatch()
-    shard = cast("_HeterogeneousShard", _WORKER_STATE["optprune_hetero"])
-    chain, explored = shard.run(prefixes)
-    return chain, explored, watch.seconds
-
-
-class _HeterogeneousShard(_BoundMixin):
-    """Worker-side DFS for ``opt_prune_heterogeneous`` prefixes.
-
-    Mirrors the serial per-operator node-assignment search including
-    the empty-node capacity-class symmetry break, which reproduces
-    exactly because the per-node operator sets are replayed from the
-    prefix path.
-    """
-
-    def __init__(
-        self,
-        table: PlanLoadTable,
-        ops: tuple[int, ...],
-        capacities: tuple[float, ...],
-        greedy_score: float,
-        full_score: float,
-        shared_bound: Any | None,
-    ) -> None:
-        self._table = table
-        self._ops = ops
-        self._capacities = capacities
-        self._n_nodes = len(capacities)
-        self._greedy_score = greedy_score
-        self._threshold = full_score * (1 - 1e-12)
-        self._shared = shared_bound
-
-    def run(
-        self, prefixes: Sequence[_HeteroPrefix]
-    ) -> tuple[list[_Completion], int]:
-        table = self._table
-        ops = self._ops
-        best_score = self._greedy_score
-        chain: list[_Completion] = []
-        explored = 0
-        floor = self._read_bound()
-        since_refresh = 0
-        aborted = False
-
-        for prefix in prefixes:
-            if aborted:
-                break
-            floor = self._read_bound()
-            since_refresh = 0
-            if prefix.score <= best_score or prefix.score < floor:
-                continue
-            node_ops = _hetero_node_sets(prefix.path, ops, self._n_nodes)
-            node_masks = list(prefix.node_masks)
-
-            def combined_mask() -> int:
-                mask = table.full_mask
-                for node_mask in node_masks:
-                    mask &= node_mask
-                return mask
-
-            def search(op_index: int, path: tuple[int, ...]) -> bool:
-                nonlocal best_score, explored, floor, since_refresh
-                if op_index == len(ops):
-                    mask = combined_mask()
-                    score = table.score(mask)
-                    if score > best_score:
-                        best_score = score
-                        assignment = tuple(
-                            tuple(sorted(node_ops[n]))
-                            for n in range(self._n_nodes)
-                        )
-                        chain.append(_Completion(score, path, assignment))
-                        self._publish_bound(score)
-                        if score >= self._threshold:
-                            return True
-                    return False
-                op_id = ops[op_index]
-                seen_empty_capacities: set[float] = set()
-                for node in range(self._n_nodes):
-                    if not node_ops[node]:
-                        if self._capacities[node] in seen_empty_capacities:
-                            continue
-                        seen_empty_capacities.add(self._capacities[node])
-                    saved_mask = node_masks[node]
-                    node_ops[node].add(op_id)
-                    node_masks[node] = saved_mask & table.support_mask(
-                        node_ops[node], self._capacities[node]
-                    )
-                    explored += 1
-                    since_refresh += 1
-                    if since_refresh >= _BOUND_REFRESH_NODES:
-                        since_refresh = 0
-                        floor = self._read_bound()
-                    upper = table.score(combined_mask())
-                    if upper > best_score and not upper < floor:
-                        if search(op_index + 1, path + (node,)):
-                            node_ops[node].discard(op_id)
-                            node_masks[node] = saved_mask
-                            return True
-                    node_ops[node].discard(op_id)
-                    node_masks[node] = saved_mask
-                return False
-
-            aborted = search(len(prefix.path), prefix.path)
-        return chain, explored
-
-
-def parallel_opt_prune_hetero_search(
-    table: PlanLoadTable,
-    *,
-    capacities: tuple[float, ...],
-    greedy_score: float,
-    full_score: float,
-    context: ParallelContext,
-) -> tuple[float, tuple[tuple[int, ...], ...] | None, int, int]:
-    """Sharded heterogeneous OptPrune, bitwise-identical to serial.
-
-    Returns ``(best_score, assignment, best_mask, nodes_explored)``;
-    ``assignment`` is a per-node tuple of sorted operator ids, ``None``
-    when nothing beat GreedyPhy.
-    """
-    ops = tuple(table.operator_ids)
-    n_nodes = len(capacities)
-    threshold = full_score * (1 - 1e-12)
-    completions: list[_Completion] = []
-    frontier = [_HeteroPrefix((), (table.full_mask,) * n_nodes, full_score)]
-    explored = 0
-    target = context.jobs * _PREFIXES_PER_JOB
-    depth = 0
-    while frontier and len(frontier) < target and depth < len(ops):
-        op_id = ops[depth]
-        next_level: list[_HeteroPrefix] = []
-        for prefix in frontier:
-            node_sets = _hetero_node_sets(prefix.path, ops, n_nodes)
-            seen_empty_capacities: set[float] = set()
-            for node in range(n_nodes):
-                if not node_sets[node]:
-                    if capacities[node] in seen_empty_capacities:
-                        continue
-                    seen_empty_capacities.add(capacities[node])
-                node_mask = prefix.node_masks[node] & table.support_mask(
-                    node_sets[node] | {op_id}, capacities[node]
-                )
-                masks = (
-                    prefix.node_masks[:node]
-                    + (node_mask,)
-                    + prefix.node_masks[node + 1 :]
-                )
-                combined = table.full_mask
-                for mask in masks:
-                    combined &= mask
-                upper = table.score(combined)
-                explored += 1
-                if upper <= greedy_score:
-                    continue
-                new_path = prefix.path + (node,)
-                if depth + 1 == len(ops):
-                    assignment = tuple(
-                        tuple(sorted(node_sets[n] | ({op_id} if n == node else set())))
-                        for n in range(n_nodes)
-                    )
-                    completions.append(_Completion(upper, new_path, assignment))
-                else:
-                    next_level.append(_HeteroPrefix(new_path, masks, upper))
-        frontier = next_level
-        depth += 1
-
-    if frontier:
-        seed = max(
-            [greedy_score]
-            + [c.score for c in completions if c.score < threshold]
-        )
-        shared_bound = context.shared_double(seed)
-        with context.pool(
-            _hetero_worker_init,
-            (table, ops, capacities, greedy_score, full_score, shared_bound),
-        ) as worker_pool:
-            chunk_results = worker_pool.map(
-                _hetero_solve_chunk,
-                _split_chunks(frontier, context.n_chunks()),
-            )
-        busy = 0.0
-        for chain, chunk_explored, seconds in chunk_results:
-            completions.extend(chain)
-            explored += chunk_explored
-            busy += seconds
-        context.add_worker_seconds("physical", busy)
-
-    outcome = _merge_completions(completions, greedy_score, threshold)
-    if outcome.completion is None:
-        return greedy_score, None, 0, explored
-    assignment = cast(
-        "tuple[tuple[int, ...], ...]", outcome.completion.chosen
-    )
-    best_mask = table.full_mask
-    for node, node_ops in enumerate(assignment):
-        best_mask &= table.support_mask(set(node_ops), capacities[node])
-    return outcome.score, assignment, best_mask, explored
+        """Terminate the worker pool."""
+        self._pool.terminate()
+        self._pool.join()

@@ -25,7 +25,6 @@ from repro.core.greedy_phy import greedy_phy
 from repro.core.logical import RobustLogicalSolution
 from repro.core.occurrence import NormalOccurrenceModel
 from repro.core.optprune import opt_prune
-from repro.core.parallel import ParallelConfig, ParallelContext
 from repro.core.parameter_space import ParameterSpace
 from repro.core.partitioning import (
     EarlyTerminatedRobustPartitioning,
@@ -58,9 +57,9 @@ class RLDConfig:
     and ``area_bound`` parameterize ERP's Theorem 1 stopping rule;
     ``points_per_level`` sets grid resolution per uncertainty level;
     ``sigma_fraction`` shapes the §5.2 occurrence normal;
-    ``physical_algorithm`` picks the §5 mapper; ``parallel`` configures
-    the multiprocess compile pipeline (``jobs=1`` is the serial path;
-    any jobs count yields bitwise-identical solutions).
+    ``physical_algorithm`` picks the §5 mapper; ``jobs`` is the number
+    of worker processes pre-solving ERP's region corners (``1`` is the
+    serial path; any jobs count yields bitwise-identical solutions).
     """
 
     epsilon: float = 0.2
@@ -69,9 +68,11 @@ class RLDConfig:
     points_per_level: int = 2
     sigma_fraction: float = 0.5
     physical_algorithm: str = "optprune"
-    parallel: ParallelConfig = field(default_factory=ParallelConfig)
+    jobs: int = 1
 
     def __post_init__(self) -> None:
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.physical_algorithm not in _PHYSICAL_ALGORITHMS:
             raise ValueError(
                 f"unknown physical_algorithm {self.physical_algorithm!r}; "
@@ -182,47 +183,36 @@ class RLDOptimizer:
             estimate, points_per_level=config.points_per_level
         )
         timer = StageTimer()
-        context = ParallelContext(config.parallel)
-        try:
-            with timer.stage("partitioning"):
-                partitioner = EarlyTerminatedRobustPartitioning(
-                    self._query,
-                    space,
-                    optimizer=self._point_optimizer,
-                    epsilon=config.epsilon,
-                    failure_probability=config.failure_probability,
-                    area_bound=config.area_bound,
-                    parallel=context,
-                )
-                partitioning = partitioner.run()
-                logical = partitioning.solution
+        with timer.stage("partitioning"):
+            partitioner = EarlyTerminatedRobustPartitioning(
+                self._query,
+                space,
+                optimizer=self._point_optimizer,
+                epsilon=config.epsilon,
+                failure_probability=config.failure_probability,
+                area_bound=config.area_bound,
+                jobs=config.jobs,
+            )
+            partitioning = partitioner.run()
+            logical = partitioning.solution
 
-            # "Robustness" covers everything between partitioning and the
-            # physical search: cost-tensor-backed plan weights, worst-case
-            # and typical loads (the Figure 13 middle band).
-            with timer.stage("robustness"):
-                occurrence = NormalOccurrenceModel(
-                    space, sigma_fraction=config.sigma_fraction
-                )
-                load_table = PlanLoadTable.from_solution(
-                    logical, occurrence=occurrence
-                )
-            with timer.stage("physical"):
-                if config.physical_algorithm == "optprune" and context.enabled:
-                    physical = opt_prune(
-                        load_table, self._cluster, parallel=context
-                    )
-                else:
-                    physical = _PHYSICAL_ALGORITHMS[config.physical_algorithm](
-                        load_table, self._cluster
-                    )
-        finally:
-            context.close()
-        # Worker busy seconds are concurrent with the wall-clock stages
-        # above; they are reported as separate `workers:` entries, not
-        # added into any stage's wall time.
-        for stage, seconds in context.worker_seconds.items():
-            timer.add(f"workers:{stage}", seconds)
+        # "Robustness" covers everything between partitioning and the
+        # physical search: cost-tensor-backed plan weights, worst-case
+        # and typical loads (the Figure 13 middle band).
+        with timer.stage("robustness"):
+            occurrence = NormalOccurrenceModel(
+                space, sigma_fraction=config.sigma_fraction
+            )
+            load_table = PlanLoadTable.from_solution(logical, occurrence=occurrence)
+        with timer.stage("physical"):
+            physical = _PHYSICAL_ALGORITHMS[config.physical_algorithm](
+                load_table, self._cluster
+            )
+        if config.jobs > 1:
+            # Worker busy seconds are concurrent with the wall-clock
+            # stages above, so they get their own `workers:` entry
+            # instead of being added into a stage's wall time.
+            timer.add("workers:partitioning", partitioning.worker_seconds)
         return RLDSolution(
             query=self._query,
             cluster=self._cluster,

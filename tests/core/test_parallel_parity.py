@@ -1,12 +1,12 @@
-"""Bitwise parity of the parallel compile pipeline with the serial path.
+"""Bitwise parity of the ERP corner prefetch with the serial path.
 
-The `repro.core.parallel` subsystem promises that `--jobs N` changes
-*when* the expensive leaf work runs (worker processes, speculatively)
-but never *what* the compiler computes: logical solutions, discovery
-logs, call accounting, the aging-counter stopping point, plan weights,
-and physical plans must all be bitwise-identical to `--jobs 1`.  These
-tests drive random queries, spaces, budgets, and epsilon values through
-both paths and compare everything observable.
+`repro.core.parallel` promises that `--jobs N` changes *when* corner
+searches run (worker processes, speculatively) but never *what* the
+compiler computes: logical solutions, discovery logs, call accounting
+(down to the caller's own optimizer), the aging-counter stopping point,
+plan weights, loads and physical plans must all be bitwise-identical to
+`--jobs 1`.  These tests drive random queries, spaces, budgets, and
+epsilon values through both paths and compare everything observable.
 """
 
 from __future__ import annotations
@@ -17,14 +17,12 @@ from hypothesis import strategies as st
 from repro.core import (
     Cluster,
     EarlyTerminatedRobustPartitioning,
-    ParallelConfig,
-    ParallelContext,
     RLDConfig,
     RLDOptimizer,
     WeightedRobustPartitioning,
 )
+from repro.core import parallel
 from repro.core.parameter_space import ParameterSpace
-from repro.core.parallel import SpeculativeOptimizer
 from repro.query.optimizer import make_optimizer
 from repro.workloads.queries import build_nway, build_q1
 
@@ -45,48 +43,42 @@ def _estimate(query, level: int, n_dims: int):
     return query.default_estimates(uncertainty)
 
 
-def _partitioning_key(result):
-    """Everything a partitioning run observably computes."""
-    return (
-        result.solution.plans,
-        result.solution.discoveries,
-        result.optimizer_calls,
-        result.regions_processed,
-        result.terminated_early,
-        result.budget_exhausted,
-        result.unresolved_regions,
-        result.weight_computations,
-        result.weight_skips,
-        tuple(
+def _partitioning_key(result, optimizer):
+    """Everything a partitioning run observably computes, plus the
+    calls charged to the caller's ``optimizer``."""
+    return {
+        "caller_calls": optimizer.call_count,
+        "plans": result.solution.plans,
+        "discoveries": result.solution.discoveries,
+        "optimizer_calls": result.optimizer_calls,
+        "regions_processed": result.regions_processed,
+        "terminated_early": result.terminated_early,
+        "budget_exhausted": result.budget_exhausted,
+        "unresolved_regions": result.unresolved_regions,
+        "weight_computations": result.weight_computations,
+        "weight_skips": result.weight_skips,
+        "verified_regions": tuple(
             tuple(result.solution.verified_regions_of(plan))
             for plan in result.solution.plans
         ),
-    )
+    }
 
 
 def _run_erp(query, space, *, epsilon, max_calls, jobs, early=True):
+    """One partitioning run; returns its :func:`_partitioning_key`."""
     cls = (
         EarlyTerminatedRobustPartitioning if early else WeightedRobustPartitioning
     )
-    if jobs == 1:
-        partitioner = cls(
-            query,
-            space,
-            optimizer=make_optimizer(query),
-            epsilon=epsilon,
-            max_calls=max_calls,
-        )
-        return partitioner.run()
-    with ParallelContext(ParallelConfig(jobs=jobs)) as context:
-        partitioner = cls(
-            query,
-            space,
-            optimizer=make_optimizer(query),
-            epsilon=epsilon,
-            max_calls=max_calls,
-            parallel=context,
-        )
-        return partitioner.run()
+    optimizer = make_optimizer(query)
+    partitioner = cls(
+        query,
+        space,
+        optimizer=optimizer,
+        epsilon=epsilon,
+        max_calls=max_calls,
+        jobs=jobs,
+    )
+    return _partitioning_key(partitioner.run(), optimizer)
 
 
 class TestERPParity:
@@ -113,7 +105,7 @@ class TestERPParity:
         parallel = _run_erp(
             query, space, epsilon=epsilon, max_calls=max_calls, jobs=jobs
         )
-        assert _partitioning_key(parallel) == _partitioning_key(serial)
+        assert parallel == serial
 
     def test_aging_counter_stop_identical(self):
         # A query/space where ERP demonstrably stops early: the parallel
@@ -124,8 +116,8 @@ class TestERPParity:
         space = ParameterSpace.from_estimates(estimate, points_per_level=2)
         serial = _run_erp(query, space, epsilon=0.02, max_calls=None, jobs=1)
         parallel = _run_erp(query, space, epsilon=0.02, max_calls=None, jobs=4)
-        assert serial.terminated_early
-        assert _partitioning_key(parallel) == _partitioning_key(serial)
+        assert serial["terminated_early"]
+        assert parallel == serial
 
     def test_budget_exhaustion_identical(self):
         query = build_q1()
@@ -133,45 +125,81 @@ class TestERPParity:
         space = ParameterSpace.from_estimates(estimate, points_per_level=2)
         serial = _run_erp(query, space, epsilon=0.02, max_calls=5, jobs=1)
         parallel = _run_erp(query, space, epsilon=0.02, max_calls=5, jobs=2)
-        assert serial.budget_exhausted
-        assert _partitioning_key(parallel) == _partitioning_key(serial)
+        assert serial["budget_exhausted"]
+        assert parallel == serial
 
     def test_prefetch_actually_hit(self):
-        # Guard against the pool silently never being used: the wrapper
-        # must have answered calls from the prefetch store.
+        # Guard against the pool silently never being used: calls must
+        # have been answered by worker searches, not by the parent's.
         query = build_q1()
         estimate = _estimate(query, 3, 3)
         space = ParameterSpace.from_estimates(estimate, points_per_level=2)
-        with ParallelContext(ParallelConfig(jobs=2)) as context:
-            partitioner = EarlyTerminatedRobustPartitioning(
-                query,
-                space,
-                optimizer=make_optimizer(query),
-                epsilon=0.2,
-                parallel=context,
-            )
-            partitioner.run()
-            wrapper = partitioner.optimizer
-            assert isinstance(wrapper, SpeculativeOptimizer)
-            assert wrapper.prefetch_hits > 0
-            assert context.worker_seconds.get("partitioning", 0.0) > 0.0
+        optimizer = make_optimizer(query)
+        parent_searches = []
+        search = optimizer._find_best
+        optimizer._find_best = lambda point: (
+            parent_searches.append(point) or search(point)
+        )
+        result = EarlyTerminatedRobustPartitioning(
+            query, space, optimizer=optimizer, epsilon=0.2, jobs=2
+        ).run()
+        assert result.optimizer_calls == optimizer.call_count > 0
+        assert len(parent_searches) < result.optimizer_calls
+        assert result.worker_seconds > 0.0
+
+    def test_spawn_start_method_stays_deterministic(self, monkeypatch):
+        # Pool workers started by `spawn` rebuild the optimizer from a
+        # pickle instead of inheriting it; results must be identical.
+        monkeypatch.setattr(parallel, "_start_method", lambda: "spawn")
+        query = build_nway(4, seed=11)
+        estimate = _estimate(query, 2, 2)
+        space = ParameterSpace.from_estimates(estimate, points_per_level=2)
+        serial = _run_erp(query, space, epsilon=0.2, max_calls=None, jobs=1)
+        spawned = _run_erp(query, space, epsilon=0.2, max_calls=None, jobs=2)
+        assert spawned == serial
+
+    def test_large_space_never_builds_the_grid_matrix(self, monkeypatch):
+        # The 10-way join with every selectivity uncertain has a space
+        # whose dense grid matrix would not fit in memory; workers must
+        # get the corner points themselves, never a copy of the grid.
+        def refuse(space):
+            raise AssertionError("grid_matrix built during partitioning")
+
+        monkeypatch.setattr(ParameterSpace, "grid_matrix", refuse)
+        query = build_nway(10, seed=3)
+        estimate = _estimate(query, 3, len(query.operators))
+        space = ParameterSpace.from_estimates(estimate, points_per_level=2)
+        serial = _run_erp(query, space, epsilon=0.2, max_calls=40, jobs=1)
+        parallel = _run_erp(query, space, epsilon=0.2, max_calls=40, jobs=2)
+        assert parallel == serial
 
 
-def _solution_key(solution):
-    """Everything an RLD compile observably computes (no timings)."""
+def _solution_key(solution, optimizer):
+    """Everything an RLD compile observably computes (no timings), plus
+    the calls charged to the caller's ``optimizer``."""
     table = solution.load_table
     return (
+        optimizer.call_count,
         solution.logical.plans,
         solution.logical.discoveries,
         solution.partitioning.optimizer_calls,
         solution.partitioning.terminated_early,
         solution.partitioning.unresolved_regions,
         tuple(table.weight_of(plan) for plan in table.plans),
+        table.load_matrix.tobytes(),
         solution.physical.algorithm,
         solution.physical.physical_plan,
         solution.physical.supported_plans,
         solution.physical.score,
     )
+
+
+def _compile_key(query, cluster, estimate, jobs):
+    optimizer = make_optimizer(query)
+    solution = RLDOptimizer(
+        query, cluster, config=RLDConfig(jobs=jobs), point_optimizer=optimizer
+    ).solve(estimate)
+    return _solution_key(solution, optimizer)
 
 
 class TestPipelineParity:
@@ -190,31 +218,30 @@ class TestPipelineParity:
         query = build_nway(n_ops, seed=seed)
         estimate = _estimate(query, level, n_dims)
         cluster = Cluster.homogeneous(nodes, 420.0)
-        serial = RLDOptimizer(
-            query, cluster, config=RLDConfig()
-        ).solve(estimate)
-        parallel = RLDOptimizer(
-            query,
-            cluster,
-            config=RLDConfig(parallel=ParallelConfig(jobs=jobs)),
-        ).solve(estimate)
-        assert _solution_key(parallel) == _solution_key(serial)
+        assert _compile_key(query, cluster, estimate, jobs) == _compile_key(
+            query, cluster, estimate, 1
+        )
 
     def test_q1_jobs_sweep_identical(self):
         query = build_q1()
         cluster = Cluster.homogeneous(4, 420.0)
         estimate = _estimate(query, 3, len(query.operators))
-        keys = []
-        for jobs in (1, 2, 4):
-            config = RLDConfig(parallel=ParallelConfig(jobs=jobs))
-            solution = RLDOptimizer(query, cluster, config=config).solve(
-                estimate
-            )
-            keys.append(_solution_key(solution))
-            if jobs > 1:
-                assert "workers:partitioning" in solution.stage_seconds
+        keys = [
+            _compile_key(query, cluster, estimate, jobs) for jobs in (1, 2, 4)
+        ]
         assert keys[1] == keys[0]
         assert keys[2] == keys[0]
+
+    def test_cli_default_compile_identical(self):
+        # `repro compile` at its defaults: q1, every selectivity at
+        # level 3 and the rate at level 2, 4 nodes of capacity 380.
+        query = build_q1()
+        uncertainty = {op.selectivity_param: 3 for op in query.operators}
+        estimate = query.default_estimates(uncertainty | {"rate": 2})
+        cluster = Cluster.homogeneous(4, 380.0)
+        assert _compile_key(query, cluster, estimate, 2) == _compile_key(
+            query, cluster, estimate, 1
+        )
 
     def test_serial_config_adds_no_worker_stages(self):
         query = build_q1()
@@ -225,41 +252,3 @@ class TestPipelineParity:
             name.startswith("workers:") for name in solution.stage_seconds
         )
 
-
-class TestParallelConfig:
-    def test_rejects_bad_jobs(self):
-        import pytest
-
-        with pytest.raises(ValueError, match="jobs"):
-            ParallelConfig(jobs=0)
-
-    def test_rejects_unknown_start_method(self):
-        import pytest
-
-        with pytest.raises(ValueError, match="start_method"):
-            ParallelConfig(jobs=2, start_method="not-a-method")
-
-    def test_enabled_only_above_one_job(self):
-        assert not ParallelConfig().enabled
-        assert not ParallelConfig(jobs=1).enabled
-        assert ParallelConfig(jobs=2).enabled
-
-    def test_spawn_start_method_stays_deterministic(self):
-        # Off the fork start method the shared incumbent bound is
-        # unavailable; results must be identical regardless.
-        query = build_nway(4, seed=11)
-        estimate = _estimate(query, 2, 2)
-        space = ParameterSpace.from_estimates(estimate, points_per_level=2)
-        serial = _run_erp(query, space, epsilon=0.2, max_calls=None, jobs=1)
-        with ParallelContext(
-            ParallelConfig(jobs=2, start_method="spawn")
-        ) as context:
-            partitioner = EarlyTerminatedRobustPartitioning(
-                query,
-                space,
-                optimizer=make_optimizer(query),
-                epsilon=0.2,
-                parallel=context,
-            )
-            parallel = partitioner.run()
-        assert _partitioning_key(parallel) == _partitioning_key(serial)

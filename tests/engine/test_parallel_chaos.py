@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Cluster, ParallelConfig, RLDConfig, RLDOptimizer
+from repro.core import Cluster, RLDConfig, RLDOptimizer
 from repro.engine import FaultEvent, FaultSchedule
 from repro.engine.faults import node_crash
 from repro.runtime.comparison import compare_strategies
@@ -62,7 +62,7 @@ def compiled_pair():
     parallel = RLDOptimizer(
         query,
         cluster,
-        config=RLDConfig(epsilon=0.2, parallel=ParallelConfig(jobs=4)),
+        config=RLDConfig(epsilon=0.2, jobs=4),
     ).solve(estimate)
     return query, estimate, cluster, serial, parallel
 

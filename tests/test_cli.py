@@ -7,6 +7,15 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def _solution_lines(out: str) -> list[str]:
+    """``compile`` output up to its profile, minus the timed line."""
+    text = out.split("compile-time profile:")[0]
+    return [
+        line for line in text.splitlines()
+        if not line.startswith("physical compile:")
+    ]
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -55,9 +64,46 @@ class TestCompile:
         assert "total" in out
         assert "cost-tensor build" in out
 
+    def test_default_compile_profile_omits_unbuilt_tensor(self, capsys):
+        # The default q1 space is large enough for the sampled-grid
+        # path, which never builds the cost tensor.
+        assert main(["compile", "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "compile-time profile:" in out
+        assert "cost-tensor build" not in out
+
     def test_compile_without_profile_omits_breakdown(self, capsys):
         main(["compile", "--query", "q1", "--level", "2", "--rate-level", "0"])
         assert "compile-time profile:" not in capsys.readouterr().out
+
+    def test_compile_jobs_matches_serial_and_reports_workers(self, capsys):
+        runs = {}
+        for jobs in ("1", "2"):
+            code = main(
+                ["compile", "--query", "q1", "--level", "2",
+                 "--rate-level", "0", "--profile", "--jobs", jobs]
+            )
+            assert code == 0
+            runs[jobs] = capsys.readouterr().out
+        serial, parallel = (_solution_lines(runs[j]) for j in ("1", "2"))
+        assert parallel == serial
+        assert "worker busy (partitioning)" in runs["2"]
+        assert "worker busy" not in runs["1"]
+
+    def test_compile_q2_with_jobs(self, capsys):
+        # A space whose dense grid matrix would take ~10 GiB: the
+        # workers must be sent corner points, not the grid.
+        args = ["compile", "--query", "q2", "--nodes", "4",
+                "--capacity", "380"]
+        assert main(args + ["--jobs", "2"]) == 0
+        parallel = _solution_lines(capsys.readouterr().out)
+        assert main(args) == 0
+        assert parallel == _solution_lines(capsys.readouterr().out)
+
+    def test_compile_rejects_zero_jobs(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compile", "--jobs", "0"])
+        assert str(excinfo.value) == "jobs must be >= 1, got 0"
 
     def test_compile_nway(self, capsys):
         code = main(
