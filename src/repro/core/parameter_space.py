@@ -21,6 +21,7 @@ matching the paper's ``pntLo``/``pntHi``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iter_product
 from typing import Iterator, Mapping, Sequence
 
@@ -74,9 +75,13 @@ class Dimension:
         """Extent of the dimension in parameter units."""
         return self.hi - self.lo
 
-    @property
+    @cached_property
     def cell_width(self) -> float:
-        """Distance between adjacent grid values (0 for a pinned dim)."""
+        """Distance between adjacent grid values (0 for a pinned dim).
+
+        Cached per instance, outside the dataclass fields: routing snaps
+        every batch's statistics to the grid through it.
+        """
         if self.steps == 1:
             return 0.0
         return self.width / (self.steps - 1)

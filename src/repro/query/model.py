@@ -16,6 +16,7 @@ to price operator migration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from repro.query.statistics import (
@@ -84,9 +85,15 @@ class Operator:
         ensure_positive(self.selectivity, f"selectivity of {self.name!r}")
         ensure_positive(self.state_size, f"state_size of {self.name!r}")
 
-    @property
+    @cached_property
     def selectivity_param(self) -> str:
-        """Parameter-space name of this operator's selectivity."""
+        """Parameter-space name of this operator's selectivity.
+
+        Cached per instance: the cost model, monitor and workload
+        generators ask for it on every batch.  The cache lives in the
+        instance ``__dict__``, outside the dataclass fields, so equality
+        and hashing are unchanged.
+        """
         return selectivity_param(self.op_id)
 
 

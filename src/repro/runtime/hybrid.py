@@ -59,7 +59,6 @@ class RLDHybridStrategy(RLDStrategy):
             )
         ensure_positive(saturation_threshold, "saturation_threshold")
         ensure_positive(cooldown_seconds, "cooldown_seconds")
-        self._space = solution.space
         self._tolerance = space_tolerance
         self._saturation = saturation_threshold
         self._cooldown = cooldown_seconds

@@ -12,9 +12,8 @@ of each batch's expected processing time, so the reported
 
 from __future__ import annotations
 
-import numpy as np
+from typing import Mapping
 
-from repro.core.cost_tensor import lexicographic_argmin
 from repro.core.physical import InfeasiblePlacementError, PhysicalPlan
 from repro.core.rld import RLDSolution
 from repro.engine.faults import FaultEvent
@@ -22,15 +21,19 @@ from repro.engine.system import RoutingDecision, StreamSimulator
 from repro.query.cost import PlanCostModel
 from repro.query.plans import LogicalPlan
 from repro.query.statistics import StatPoint, rate_param
-from repro.util.types import IntArray
 from repro.util.validation import ensure_in_range
 
 __all__ = ["RLDStrategy"]
 
-#: Above this many grid points the routing table is disabled and every
-#: batch takes the live (scalar argmin) path — the table would cost more
-#: memory than the per-batch evaluation it saves.
+#: Above this many grid points every batch is routed at its exact
+#: statistics instead of at the nearest grid cell.  The routing memo
+#: holds only the cells batches visit, so this is no memory guard: it
+#: keeps routing unchanged, since snapping to a larger grid would route
+#: some batches differently.
 MAX_TABLE_POINTS = 200_000
+
+#: One operator of a plan: (cost per tuple, selectivity slot, host node).
+_Step = tuple[float, int, int]
 
 
 class RLDStrategy:
@@ -45,8 +48,9 @@ class RLDStrategy:
         expected processing seconds (§6.5 measures ≈ 0.02).
     batch_size:
         Expected tuples per batch, for the overhead estimate.
-    mean_capacity:
-        Average node capacity, for converting work to seconds.
+    overload_threshold:
+        Bottleneck utilization at which routing switches from the
+        cheapest plan to the least-bottlenecked one.
     """
 
     name = "RLD"
@@ -77,45 +81,57 @@ class RLDStrategy:
         self._overhead_fraction = classify_overhead_fraction
         self._batch_size = batch_size
         self._overload_threshold = overload_threshold
-        self._rate_name = rate_param()
-        # Placement geometry for bottleneck-aware routing: which node
-        # hosts each operator, and each node's capacity.
-        placement = solution.physical.physical_plan
-        assert placement is not None  # guarded above
-        self._node_of = {
-            op_id: placement.node_of(op_id)
-            for op_id in solution.query.operator_ids
-        }
-        self._capacities = solution.cluster.capacities
+        cluster = solution.cluster
+        self._mean_capacity = cluster.total_capacity / cluster.n_nodes
+        self._capacities = cluster.capacities
         #: Nodes currently offline (maintained via the on_fault hook).
         self._down: set[int] = set()
-        # ---- Precomputed routing table over grid cells --------------
-        # One argmin decision per grid point, mirroring route()'s exact
-        # branch logic for the current down-set.  Lazily built, rebuilt
-        # after faults change node liveness, bypassed (live path) when
-        # the statistics fall off-grid.
+
+        # ---- Decision kernel layout ----------------------------------
+        # Statistics resolve once per decision into a rate and one
+        # selectivity per slot (an operator's index in the query), with
+        # the same fall-back-to-the-estimate rule as PlanCostModel.
+        # Each plan is then a flat run of (cost, slot, node) steps.
+        query = solution.query
+        placement = solution.physical.physical_plan
+        assert placement is not None  # guarded above
+        self._rate_name = rate_param()
+        self._default_rate = query.driving_rate
+        self._sel_defaults = [
+            (op.selectivity_param, op.selectivity) for op in query.operators
+        ]
+        self._step_of: dict[int, _Step] = {
+            op.op_id: (op.cost_per_tuple, slot, placement.node_of(op.op_id))
+            for slot, op in enumerate(query.operators)
+        }
+        self._layouts = [self._layout(plan) for plan in self._plans]
+        # Scanning plans in plan.order and keeping the first minimum
+        # gives every argmin the (…, plan.order) tie-break.
+        self._by_order = sorted(
+            range(len(self._plans)), key=lambda i: self._plans[i].order
+        )
+
+        # ---- Routing memo over grid cells ------------------------------
+        # flat grid cell → plan index for the current down-set, filled
+        # on first lookup by running the kernel at the cell's grid
+        # values and cleared when a fault changes node liveness.
         self._space = solution.space
-        self._table: IntArray | None = None
-        self._table_down: frozenset[int] = frozenset()
+        self._memo: dict[int, int] = {}
         self._table_hits = 0
         self._table_misses = 0
         self._table_rebuilds = 0
         self._table_enabled = self._space.n_points <= MAX_TABLE_POINTS
-        by_order = sorted(range(len(self._plans)), key=lambda i: self._plans[i].order)
-        self._plan_ranks = np.empty(len(self._plans), dtype=np.intp)
-        for rank, i in enumerate(by_order):
-            self._plan_ranks[i] = rank
-        # Cost-relevant parameters that are *not* space dimensions are
-        # baked into the table at their model defaults; if the monitor
-        # reports a drifted value for one of them, the table no longer
+        # Cost-relevant parameters that are *not* space dimensions sit
+        # at their model defaults in every grid cell; if the monitor
+        # reports a drifted value for one of them, the cell no longer
         # describes the live cost surface and the lookup must miss.
         dim_names = set(self._space.names)
         self._off_dim_defaults: dict[str, float] = {}
         if self._rate_name not in dim_names:
-            self._off_dim_defaults[self._rate_name] = solution.query.driving_rate
-        for op in solution.query.operators:
-            if op.selectivity_param not in dim_names:
-                self._off_dim_defaults[op.selectivity_param] = op.selectivity
+            self._off_dim_defaults[self._rate_name] = self._default_rate
+        for name, default in self._sel_defaults:
+            if name not in dim_names:
+                self._off_dim_defaults[name] = default
 
     @property
     def placement(self) -> PhysicalPlan:
@@ -129,179 +145,75 @@ class RLDStrategy:
         """Robust logical plans the classifier may route batches to."""
         return self._plans
 
-    def _node_loads(self, plan: LogicalPlan, stats: StatPoint) -> list[float]:
-        """Per-node load (cost units/second) this plan would impose."""
-        node_loads = [0.0] * len(self._capacities)
-        for op_id, load in self._cost_model.operator_loads(plan, stats).items():
-            node_loads[self._node_of[op_id]] += load
-        return node_loads
-
-    def _bottleneck_utilization(self, plan: LogicalPlan, stats: StatPoint) -> float:
-        """Peak node utilization this plan would impose on the placement."""
-        return max(
-            load / capacity
-            for load, capacity in zip(self._node_loads(plan, stats), self._capacities)
-        )
-
-    def bottleneck_node(self, plan: LogicalPlan, stats: StatPoint) -> int:
-        """The node this plan loads hardest relative to its capacity."""
-        utilizations = [
-            load / capacity
-            for load, capacity in zip(self._node_loads(plan, stats), self._capacities)
-        ]
-        return max(range(len(utilizations)), key=lambda i: (utilizations[i], -i))
-
-    def _down_load(self, plan: LogicalPlan, stats: StatPoint) -> float:
-        """Load this plan sends to currently-offline nodes."""
-        return sum(
-            load
-            for op_id, load in self._cost_model.operator_loads(plan, stats).items()
-            if self._node_of[op_id] in self._down
-        )
-
     @property
     def down_nodes(self) -> frozenset[int]:
         """Nodes the strategy currently believes are offline."""
         return frozenset(self._down)
 
+    def bottleneck_node(self, plan: LogicalPlan, stats: StatPoint) -> int:
+        """The node this plan loads hardest relative to its capacity."""
+        return self._bottleneck(self._layout(plan), *self._resolve(stats))[0]
+
     # ------------------------------------------------------------------
-    # Precomputed routing table (the O(1) classifier fast path)
+    # The decision kernel
     # ------------------------------------------------------------------
 
-    @property
-    def routing_table_enabled(self) -> bool:
-        """False when the space is too large to tabulate."""
-        return self._table_enabled
+    def _layout(self, plan: LogicalPlan) -> tuple[_Step, ...]:
+        return tuple(self._step_of[op_id] for op_id in plan)
 
-    @property
-    def table_hits(self) -> int:
-        """Batches routed by the precomputed table."""
-        return self._table_hits
+    def _resolve(self, point: Mapping[str, float]) -> tuple[float, list[float]]:
+        """The rate and per-slot selectivities at ``point``."""
+        get = point.get
+        rate = float(get(self._rate_name, self._default_rate))
+        sels = [float(get(name, default)) for name, default in self._sel_defaults]
+        return rate, sels
 
-    @property
-    def table_misses(self) -> int:
-        """Batches routed by live evaluation (off-grid or disabled)."""
-        return self._table_misses
+    @staticmethod
+    def _plan_cost(
+        layout: tuple[_Step, ...], rate: float, sels: list[float]
+    ) -> float:
+        """:meth:`PlanCostModel.plan_cost`, float operation for operation."""
+        carried = 1.0
+        total = 0.0
+        for cost, slot, _ in layout:
+            total += cost * carried
+            carried *= sels[slot]
+        return rate * total
 
-    @property
-    def table_rebuilds(self) -> int:
-        """Times the table was (re)built, including the first build."""
-        return self._table_rebuilds
+    @staticmethod
+    def _op_loads(
+        layout: tuple[_Step, ...], rate: float, sels: list[float]
+    ) -> list[tuple[int, float]]:
+        """(host node, load) per operator in plan order, as
+        :meth:`PlanCostModel.operator_loads` computes the loads."""
+        carried = 1.0
+        loads: list[tuple[int, float]] = []
+        for cost, slot, node in layout:
+            loads.append((node, rate * cost * carried))
+            carried *= sels[slot]
+        return loads
 
-    def _build_table(self) -> IntArray:
-        """One routing decision per grid cell for the current down-set.
+    def _bottleneck(
+        self, layout: tuple[_Step, ...], rate: float, sels: list[float]
+    ) -> tuple[int, float]:
+        """The node this plan loads hardest relative to its capacity
+        (lowest index on ties), and that node's utilization."""
+        per_node = [0.0] * len(self._capacities)
+        for node, load in self._op_loads(layout, rate, sels):
+            per_node[node] += load
+        utilization = [
+            load / capacity for load, capacity in zip(per_node, self._capacities)
+        ]
+        node = max(range(len(utilization)), key=lambda i: utilization[i])
+        return node, utilization[node]
 
-        Vectorized mirror of :meth:`_route_live`'s three branches over
-        the whole grid at once: the cost argmin, the dead-bottleneck
-        fallback, and the overload (min-bottleneck) mode.  All argmins
-        share the scalar path's ``(…, plan.order)`` tie-break via
-        :func:`lexicographic_argmin`.
-        """
-        space = self._space
-        names = list(space.names)
-        matrix = space.grid_matrix()
-        n_points = matrix.shape[0]
-        n_plans = len(self._plans)
-        capacities = np.asarray(self._capacities, dtype=float)
-        down = np.zeros(len(self._capacities), dtype=bool)
-        for node in self._down:
-            down[node] = True
+    def _decide(self, rate: float, sels: list[float]) -> tuple[int, float]:
+        """Index of the plan a batch at these statistics goes to, and its cost.
 
-        costs = np.empty((n_plans, n_points))
-        butil = np.empty((n_plans, n_points))
-        bneck = np.empty((n_plans, n_points), dtype=np.intp)
-        down_load = np.zeros((n_plans, n_points))
-        for p, plan in enumerate(self._plans):
-            costs[p] = self._cost_model.plan_costs(plan, matrix, names)
-            loads = self._cost_model.operator_loads_batch(plan, matrix, names)
-            node_loads = np.zeros((len(self._capacities), n_points))
-            for op_id, load in loads.items():
-                node_loads[self._node_of[op_id]] += load
-            utils = node_loads / capacities[:, None]
-            bneck[p] = np.argmax(utils, axis=0)  # first max = smallest node
-            butil[p] = utils.max(axis=0)
-            if self._down:
-                for op_id, load in loads.items():
-                    if self._node_of[op_id] in self._down:
-                        down_load[p] += load
+        Normally the cheapest plan (§3's online classifier).  Two
+        degraded modes:
 
-        choice = lexicographic_argmin([costs], self._plan_ranks)
-        if n_plans > 1:
-            cols = np.arange(n_points)
-            pref_util = butil[choice, cols]
-            if self._down:
-                plan_bneck_down = down[bneck]  # (n_plans, n_points)
-                pref_down = plan_bneck_down[choice, cols]
-                survive = ~plan_bneck_down
-                has_survivor = survive.any(axis=0)
-                # Non-surviving plans leave the candidate pool (∞ key)
-                # except where *every* plan bottlenecks on a dead node.
-                dl_key = np.where(
-                    has_survivor[None, :] & ~survive, np.inf, down_load
-                )
-                degraded = lexicographic_argmin([dl_key, costs], self._plan_ranks)
-                overloaded = ~pref_down & (pref_util >= self._overload_threshold)
-                choice = np.where(pref_down, degraded, choice)
-            else:
-                overloaded = pref_util >= self._overload_threshold
-            if overloaded.any():
-                by_bottleneck = lexicographic_argmin(
-                    [butil, costs], self._plan_ranks
-                )
-                choice = np.where(overloaded, by_bottleneck, choice)
-        return choice
-
-    def _table_plan(self, stats: StatPoint) -> LogicalPlan | None:
-        """Table lookup; ``None`` demands the live path.
-
-        Misses when the table is disabled (space too large), when any
-        cost parameter *outside* the space drifted from the default the
-        table was baked with, or when the statistics fall off-grid
-        (beyond half a cell outside the box).
-        """
-        if not self._table_enabled:
-            return None
-        for name, default in self._off_dim_defaults.items():
-            value = stats.get(name)
-            if value is not None and abs(float(value) - default) > 1e-9 * max(
-                abs(default), 1.0
-            ):
-                return None
-        flat = self._space.nearest_flat_index(stats)
-        if flat is None:
-            return None
-        current_down = frozenset(self._down)
-        if self._table is None or self._table_down != current_down:
-            self._table = self._build_table()
-            self._table_down = current_down
-            self._table_rebuilds += 1
-        return self._plans[int(self._table[flat])]
-
-    def route(self, time: float, stats: StatPoint) -> RoutingDecision:
-        """Classify the batch to a supported robust plan.
-
-        The fast path snaps the statistics to the nearest grid cell and
-        reads the plan from the precomputed routing table — O(1) per
-        batch.  Statistics off the grid (or a space too large to
-        tabulate) fall back to :meth:`_route_live`, the scalar argmin
-        the table was built from.
-        """
-        plan = self._table_plan(stats)
-        if plan is not None:
-            self._table_hits += 1
-        else:
-            self._table_misses += 1
-            plan = self._route_live(stats)
-        overhead = self._classification_overhead(plan, stats)
-        return RoutingDecision(plan=plan, overhead_seconds=overhead)
-
-    def _route_live(self, stats: StatPoint) -> LogicalPlan:
-        """Scalar classification at exact statistics.
-
-        Normally the cheapest plan at the current statistics (§3's
-        online classifier).  Two degraded modes:
-
-        * When the preferred plan's bottleneck node is *down* (fault
+        * When the cheapest plan's bottleneck node is *down* (fault
           injection), fall back to the best surviving candidate — a
           supported plan whose bottleneck is still online, cheapest
           first; if every candidate bottlenecks on a dead node, pick
@@ -315,60 +227,121 @@ class RLDStrategy:
           then outside the space the plan set was costed for, and
           sustained throughput is governed by the hottest node, not by
           total work.
-        """
-        plan = min(
-            self._plans,
-            key=lambda p: (self._cost_model.plan_cost(p, stats), p.order),
-        )
-        if (
-            self._down
-            and len(self._plans) > 1
-            and self.bottleneck_node(plan, stats) in self._down
-        ):
-            surviving = [
-                p
-                for p in self._plans
-                if self.bottleneck_node(p, stats) not in self._down
-            ]
-            pool = surviving or list(self._plans)
-            plan = min(
-                pool,
-                key=lambda p: (
-                    self._down_load(p, stats),
-                    self._cost_model.plan_cost(p, stats),
-                    p.order,
-                ),
-            )
-        elif (
-            len(self._plans) > 1
-            and self._bottleneck_utilization(plan, stats) >= self._overload_threshold
-        ):
-            plan = min(
-                self._plans,
-                key=lambda p: (
-                    self._bottleneck_utilization(p, stats),
-                    self._cost_model.plan_cost(p, stats),
-                    p.order,
-                ),
-            )
-        return plan
 
-    def _classification_overhead(self, plan: LogicalPlan, stats: StatPoint) -> float:
-        """Charge ≈ ``fraction`` of the batch's expected service seconds."""
+        Node loads are computed only for the plans a branch inspects.
+        """
+        layouts = self._layouts
+        costs = [self._plan_cost(layout, rate, sels) for layout in layouts]
+        best = min(self._by_order, key=lambda p: costs[p])
+        if len(layouts) == 1:
+            return best, costs[best]
+        down = self._down
+        node, peak = self._bottleneck(layouts[best], rate, sels)
+        if node in down:
+            pool = [
+                p
+                for p in self._by_order
+                if self._bottleneck(layouts[p], rate, sels)[0] not in down
+            ] or self._by_order
+            dead_load = {
+                p: sum(
+                    load
+                    for host, load in self._op_loads(layouts[p], rate, sels)
+                    if host in down
+                )
+                for p in pool
+            }
+            best = min(pool, key=lambda p: (dead_load[p], costs[p]))
+        elif peak >= self._overload_threshold:
+            peaks = [self._bottleneck(layout, rate, sels)[1] for layout in layouts]
+            best = min(self._by_order, key=lambda p: (peaks[p], costs[p]))
+        return best, costs[best]
+
+    # ------------------------------------------------------------------
+    # Routing memo (the classifier fast path)
+    # ------------------------------------------------------------------
+
+    @property
+    def routing_table_enabled(self) -> bool:
+        """False when the space is too large to route by grid cell."""
+        return self._table_enabled
+
+    @property
+    def table_hits(self) -> int:
+        """Batches routed by grid cell."""
+        return self._table_hits
+
+    @property
+    def table_misses(self) -> int:
+        """Batches routed at exact statistics (off-grid or disabled)."""
+        return self._table_misses
+
+    @property
+    def table_rebuilds(self) -> int:
+        """On-grid lookups that started a fresh memo: the first one,
+        and the first one after each liveness change."""
+        return self._table_rebuilds
+
+    @property
+    def memo_size(self) -> int:
+        """Grid cells memoized for the current down-set."""
+        return len(self._memo)
+
+    def _grid_cell(self, stats: StatPoint) -> int | None:
+        """The flat grid cell to route ``stats`` by; ``None`` is a miss.
+
+        Misses when routing by cell is disabled (space too large), when
+        any cost parameter *outside* the space drifted from its
+        default, or when the statistics fall off-grid (beyond half a
+        cell outside the box).
+        """
+        if not self._table_enabled:
+            return None
+        for name, default in self._off_dim_defaults.items():
+            value = stats.get(name)
+            if value is not None and abs(float(value) - default) > 1e-9 * max(
+                abs(default), 1.0
+            ):
+                return None
+        return self._space.nearest_flat_index(stats)
+
+    def route(self, time: float, stats: StatPoint) -> RoutingDecision:
+        """Classify the batch to a supported robust plan.
+
+        On-grid statistics snap to the nearest grid cell, whose decision
+        is memoized per down-set; others run the kernel at the exact
+        statistics.  Either way the batch is charged the chosen plan's
+        cost at the exact statistics.
+        """
+        rate, sels = self._resolve(stats)
+        flat = self._grid_cell(stats)
+        if flat is None:
+            self._table_misses += 1
+            index, cost = self._decide(rate, sels)
+        else:
+            self._table_hits += 1
+            cached = self._memo.get(flat)
+            if cached is None:
+                if not self._memo:
+                    self._table_rebuilds += 1
+                cell = self._space.point_at(self._space.index_of_flat(flat))
+                cached = self._memo[flat] = self._decide(*self._resolve(cell))[0]
+            index = cached
+            cost = self._plan_cost(self._layouts[index], rate, sels)
+        overhead = self._classification_overhead(cost, stats)
+        return RoutingDecision(plan=self._plans[index], overhead_seconds=overhead)
+
+    def _classification_overhead(self, cost: float, stats: StatPoint) -> float:
+        """Charge ≈ ``fraction`` of the batch's expected service seconds,
+        given the routed plan's ``cost`` at the batch's statistics."""
         if self._overhead_fraction <= 0.0:
             return 0.0
         rate = float(stats.get(self._rate_name, 1.0))
         if rate <= 0:
             return 0.0
-        per_tuple_cost = self._cost_model.plan_cost(plan, stats) / rate
-        expected_seconds = (
-            self._batch_size * per_tuple_cost / self._mean_capacity()
-        )
+        per_tuple_cost = cost / rate
+        expected_seconds = self._batch_size * per_tuple_cost / self._mean_capacity
         return self._overhead_fraction * expected_seconds
-
-    def _mean_capacity(self) -> float:
-        cluster = self._solution.cluster
-        return cluster.total_capacity / cluster.n_nodes
 
     def on_tick(self, simulator: StreamSimulator, time: float) -> None:
         """RLD never migrates; nothing to do on ticks."""
@@ -379,14 +352,14 @@ class RLDStrategy:
         RLD's graceful degradation is purely logical: the placement
         never changes, but the classifier reroutes batches through the
         candidate plan that burdens the dead node least.  Any liveness
-        change invalidates the routing table; the next on-grid batch
-        rebuilds it for the new down-set.
+        change clears the routing memo; on-grid batches refill it for
+        the new down-set.
         """
         if event.kind == "crash" and event.node is not None:
             if event.node not in self._down:
                 self._down.add(event.node)
-                self._table = None
+                self._memo.clear()
         elif event.kind == "recover" and event.node is not None:
             if event.node in self._down:
                 self._down.discard(event.node)
-                self._table = None
+                self._memo.clear()

@@ -8,6 +8,17 @@ from repro.core import Cluster, RLDConfig, RLDOptimizer
 from repro.runtime import RLDStrategy
 
 
+def utilizations(solution, plan, point):
+    """Per-node utilization of ``plan`` at ``point``, by hand from the
+    placement and the cost model."""
+    placement = solution.physical.physical_plan
+    capacities = solution.cluster.capacities
+    node_loads = [0.0] * len(capacities)
+    for op_id, load in solution.logical.cost_model.operator_loads(plan, point).items():
+        node_loads[placement.node_of(op_id)] += load
+    return [load / cap for load, cap in zip(node_loads, capacities)]
+
+
 @pytest.fixture(scope="module")
 def solution():
     from repro.workloads import build_q1
@@ -39,7 +50,7 @@ class TestBottleneckRouting:
         point = solution.query.estimate_point().replacing(rate=1000.0)
         decision = strategy.route(0.0, point)
         bottlenecks = {
-            plan: strategy._bottleneck_utilization(plan, point)
+            plan: max(utilizations(solution, plan, point))
             for plan in strategy.candidate_plans
         }
         assert bottlenecks[decision.plan] == pytest.approx(
@@ -48,21 +59,12 @@ class TestBottleneckRouting:
 
     def test_bottleneck_utilization_consistent_with_placement(self, solution):
         strategy = RLDStrategy(solution)
-        model = solution.logical.cost_model
         point = solution.query.estimate_point()
-        plan = strategy.candidate_plans[0]
-        # Recompute by hand from the placement.
-        placement = strategy.placement
-        capacities = solution.cluster.capacities
-        node_loads = [0.0] * len(capacities)
-        for op_id, load in model.operator_loads(plan, point).items():
-            node_loads[placement.node_of(op_id)] += load
-        expected = max(
-            load / cap for load, cap in zip(node_loads, capacities)
-        )
-        assert strategy._bottleneck_utilization(plan, point) == pytest.approx(
-            expected
-        )
+        for plan in strategy.candidate_plans:
+            # The hottest node by hand, lowest index on ties.
+            utils = utilizations(solution, plan, point)
+            expected = max(range(len(utils)), key=lambda i: (utils[i], -i))
+            assert strategy.bottleneck_node(plan, point) == expected
 
     def test_threshold_inf_disables_bottleneck_mode(self, solution):
         always_cost = RLDStrategy(solution, overload_threshold=float("inf"))

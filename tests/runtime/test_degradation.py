@@ -13,6 +13,7 @@ migrating, paying the pauses.
 from __future__ import annotations
 
 import pytest
+from routing_oracle import oracle_decisions
 
 from repro.core import Cluster, RLDConfig, RLDOptimizer
 from repro.engine import FaultEvent, FaultSchedule
@@ -145,21 +146,20 @@ class TestRoutingTableUnderFaults:
         assert strategy.table_rebuilds == 3
 
     def test_rebuilt_table_matches_live_decisions(self, compiled):
-        """The vectorized degraded-mode table must agree with the scalar
-        live path at every grid point it covers."""
+        """After a crash, memoized routes must agree with the vectorized
+        reference oracle at every grid point sampled."""
         query, estimate, cluster, solution = compiled
-        tabled = RLDStrategy(solution)
-        live = RLDStrategy(solution)
+        strategy = RLDStrategy(solution)
         stats = estimate.point
-        bottleneck = tabled.bottleneck_node(tabled.route(0.0, stats).plan, stats)
-        for strategy in (tabled, live):
-            strategy.on_fault(
-                None, FaultEvent(time=10.0, kind="crash", node=bottleneck)
-            )
+        bottleneck = strategy.bottleneck_node(strategy.route(0.0, stats).plan, stats)
+        strategy.on_fault(None, FaultEvent(time=10.0, kind="crash", node=bottleneck))
+        expected = oracle_decisions(solution, down=frozenset({bottleneck}))
         space = solution.space
+        plans = strategy.candidate_plans
         for flat in range(0, space.n_points, max(1, space.n_points // 97)):
             point = space.point_at(space.index_of_flat(flat))
-            assert tabled.route(10.0, point).plan == live._route_live(point)
+            assert strategy.route(10.0, point).plan == plans[expected[flat]]
+        assert strategy.table_misses == 0
 
 
 class TestDegradationHeadToHead:
