@@ -4,8 +4,7 @@ The intra-file ``no-cached-tensor-mutation`` rule catches a function
 that reads ``cache.cost_tensor`` and writes into it.  It cannot see
 
 * a *producer* — a function or property named like a cache surface
-  (``grid_matrix``, ``cost_tensor``, ``load_tensor``, ``plan_ranks``,
-  ``load_matrix``) — that hands out an array it never froze with
+  (``grid_matrix``, ``cost_tensor``, ``plan_ranks``, ``load_matrix``) — that hands out an array it never froze with
   ``setflags(write=False)`` or ``.copy()``; nor
 * a *consumer* in another module that mutates an array it received
   from a helper which aliases the cache (``def costs(c): return

@@ -12,8 +12,8 @@ runtime layer of this invariant); this rule is the static layer that
 catches the write *before* it becomes a runtime crash in some distant
 code path.  Per function, it runs a simple forward taint pass:
 
-* reading ``*.grid_matrix()``, ``*.cost_tensor``, ``*.load_tensor(...)``
-  or ``*.plan_ranks`` taints the result;
+* reading ``*.grid_matrix()``, ``*.cost_tensor``, ``*.plan_ranks`` or
+  ``*.load_matrix`` taints the result;
 * assignment propagates taint; subscripting/attribute access on a
   tainted value stays tainted (views alias the cache);
 * ``.copy()`` / ``.astype()`` / ``np.array(...)`` and reductions break
@@ -36,7 +36,7 @@ __all__ = ["NoCachedTensorMutationRule"]
 
 #: Attribute/method names whose read yields a cached (shared) array.
 _SOURCES = frozenset(
-    {"grid_matrix", "cost_tensor", "load_tensor", "plan_ranks", "load_matrix"}
+    {"grid_matrix", "cost_tensor", "plan_ranks", "load_matrix"}
 )
 
 #: ndarray methods that mutate the receiver in place.

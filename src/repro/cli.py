@@ -123,9 +123,14 @@ def _print_profile(solution) -> None:
         stage = name.removeprefix("workers:")
         label = f"worker busy ({stage})"
         print(f"  {label:<30} {seconds * 1000:>10.2f} ms  (concurrent)")
-    if solution.logical.cost_tensor_built:
-        tensor_ms = solution.logical.tensor_build_seconds * 1000
-        print(f"  {'cost-tensor build (within robustness)':<40} {tensor_ms:.2f} ms")
+    logical = solution.logical
+    if logical.uses_sampled_grid:
+        print(
+            f"  robustness scan: sampled {logical.scanned_points:,} of "
+            f"{solution.space.n_points:,} points (weights estimated)"
+        )
+    else:
+        print(f"  robustness scan: exact, {solution.space.n_points:,} points")
 
 
 def _cmd_diagram(args: argparse.Namespace) -> int:

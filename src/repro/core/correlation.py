@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core.parameter_space import GridIndex, ParameterSpace, Region
 from repro.util.validation import ensure_positive
-from repro.util.types import FloatArray
+from repro.util.types import FloatArray, IntArray
 
 __all__ = ["CorrelatedOccurrenceModel"]
 
@@ -146,6 +146,30 @@ class CorrelatedOccurrenceModel:
                 position, index[dim_index], index[dim_index]
             )
         return self._box_mass(lows, highs)
+
+    def masses(self, flat: IntArray) -> FloatArray:
+        """:meth:`cell_probability` at every row-major flat grid position.
+
+        The same inclusion–exclusion, with one CDF call per box corner
+        over all cells at once.
+        """
+        indices = np.unravel_index(np.asarray(flat, dtype=np.intp), self._space.shape)
+        d = len(self._active)
+        lows = np.empty((len(indices[0]), d))
+        highs = np.empty((len(indices[0]), d))
+        for position, dim_index in enumerate(self._active):
+            dimension = self._space.dimensions[dim_index]
+            half = 0.5 * dimension.cell_width
+            values = dimension.values_array()[indices[dim_index]]
+            lows[:, position], highs[:, position] = values - half, values + half
+        total = np.zeros(len(lows))
+        if not len(lows):
+            return total
+        for corner in iter_product((0, 1), repeat=d):
+            points = np.where(np.array(corner) == 1, highs, lows)
+            sign = (-1) ** (d - sum(corner))
+            total += sign * np.asarray(self._mvn.cdf(points)).reshape(len(points))
+        return np.maximum(total, 0.0)
 
     def region_probability(self, region: Region) -> float:
         """Probability mass of an axis-aligned region."""

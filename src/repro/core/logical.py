@@ -6,38 +6,58 @@ space, at least one plan in the set is ε-robust there.  Beyond holding
 the plans, this class provides the two derived artifacts the rest of
 the pipeline needs:
 
-* the **plan-cell partition** — each grid point assigned to the plan
-  that is cheapest there, which is both the runtime classifier's
-  routing table and the "robust region" used for plan weights; and
+* the **plan-cell partition** — each grid point labelled with the plan
+  that is cheapest there (the runtime classifier's routing rule), the
+  "robust region" behind plan weights and worst-case loads; and
 * **plan weights** — the occurrence-probability mass of each plan's
   region (§5.2 Example 4), the priority order in which GreedyPhy and
   OptPrune try to support plans.
+
+Both come from one blocked scan over row-major flat grid indices that
+keeps a single plan-label array.  The scan is exact up to
+:data:`MAX_SCAN_POINTS` grid points; above it, the scan visits a
+fixed-seed sample, weights become estimates, and worst-case loads come
+from the space's top corner, which bounds every point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from repro.core.cost_tensor import CostTensorCache, lexicographic_argmin
+from repro.core.correlation import CorrelatedOccurrenceModel
+from repro.core.cost_tensor import lexicographic_argmin, order_ranks
 from repro.core.occurrence import NormalOccurrenceModel
-from repro.core.parameter_space import GridIndex, ParameterSpace, Region
+from repro.core.parameter_space import ParameterSpace, Region
 from repro.query.cost import PlanCostModel
 from repro.query.model import Query
 from repro.query.plans import LogicalPlan
 from repro.util.rng import derive_rng
-from repro.query.statistics import StatPoint
+from repro.util.types import FloatArray, IntArray
 
 __all__ = ["RobustLogicalSolution", "PlanDiscovery"]
 
-#: Above this many grid points, per-cell scans switch to a deterministic
-#: uniform sample (high-dimensional spaces are exponentially large).
-MAX_EXACT_GRID_POINTS = 20_000
+#: Most grid points one robustness scan visits.  Spaces up to this size
+#: are scanned exactly; larger ones (high-dimensional grids are
+#: exponentially large) scan a fixed-seed uniform sample of this many.
+#: It sits above the q1 spaces of the default compile (84,035 points)
+#: and of Figure 16b (151,263): there, the top-corner loads used above
+#: the cap would drop supported plans.
+MAX_SCAN_POINTS = 1 << 18
 
-#: Sample size used for large grids.
-GRID_SAMPLE_SIZE = 4_096
+#: Grid points evaluated together, bounding the scan's working memory.
+SCAN_BLOCK_ROWS = 8_192
+
+#: Either §5.2 occurrence model: both expose ``masses(flat)``.
+OccurrenceModel = NormalOccurrenceModel | CorrelatedOccurrenceModel
+
+
+def _row_blocks(n_rows: int) -> Iterator[slice]:
+    """Consecutive slices of at most :data:`SCAN_BLOCK_ROWS` rows."""
+    for start in range(0, n_rows, SCAN_BLOCK_ROWS):
+        yield slice(start, start + SCAN_BLOCK_ROWS)
 
 
 @dataclass(frozen=True)
@@ -95,8 +115,8 @@ class RobustLogicalSolution:
             plan: list(regions) for plan, regions in (verified_regions or {}).items()
         }
         self._discoveries = tuple(discoveries)
-        self._cells_cache: dict[LogicalPlan, set[GridIndex]] | None = None
-        self._tensor_cache: CostTensorCache | None = None
+        self._labels: IntArray | None = None
+        self._sample: IntArray | None = None
 
     @property
     def query(self) -> Query:
@@ -117,40 +137,6 @@ class RobustLogicalSolution:
     def cost_model(self) -> PlanCostModel:
         """Cost model shared by routing and weighting."""
         return self._cost_model
-
-    @property
-    def cost_cache(self) -> CostTensorCache:
-        """The shared dense cost/load tensor cache over this plan set.
-
-        Lazily built; on spaces above :data:`MAX_EXACT_GRID_POINTS` the
-        per-cell scans below use the sampled-matrix path instead, so
-        accessing this on a huge space is the caller's (memory)
-        decision.
-        """
-        if self._tensor_cache is None:
-            self._tensor_cache = CostTensorCache(
-                self._space, self._cost_model, self._plans
-            )
-        return self._tensor_cache
-
-    @property
-    def cost_tensor_built(self) -> bool:
-        """True once a dense cost or load tensor has been computed.
-
-        The sampled-grid path on large spaces never computes one.
-        """
-        return self._tensor_cache is not None and self._tensor_cache.built
-
-    @property
-    def tensor_build_seconds(self) -> float:
-        """Seconds spent building dense cost/load tensors so far.
-
-        0.0 when no per-cell scan has forced the cache yet; used by the
-        CLI's ``compile --profile`` breakdown.
-        """
-        if self._tensor_cache is None:
-            return 0.0
-        return self._tensor_cache.build_seconds
 
     @property
     def discoveries(self) -> tuple[PlanDiscovery, ...]:
@@ -184,129 +170,150 @@ class RobustLogicalSolution:
             key=lambda plan: (self._cost_model.plan_cost(plan, point), plan.order),
         )
 
-    def _representative_indices(self) -> list[GridIndex]:
-        """Grid indices scanned by per-cell operations.
-
-        The full grid when it is small; otherwise a deterministic
-        uniform sample of :data:`GRID_SAMPLE_SIZE` indices (always
-        including the space corners), since high-dimensional grids are
-        exponentially large.
-        """
-        if self._space.n_points <= MAX_EXACT_GRID_POINTS:
-            return list(self._space.grid_indices())
-        rng = derive_rng(20121107)  # fixed: results must be stable
-        shape = self._space.shape
-        sample = {
-            tuple(int(rng.integers(0, s)) for s in shape)
-            for _ in range(GRID_SAMPLE_SIZE)
-        }
-        full = self._space.full_region()
-        sample.add(full.lo)
-        sample.add(full.hi)
-        return sorted(sample)
+    # ------------------------------------------------------------------
+    # Plan cells (one blocked scan)
+    # ------------------------------------------------------------------
 
     @property
     def uses_sampled_grid(self) -> bool:
-        """True when per-cell scans run on a sample, not the full grid."""
-        return self._space.n_points > MAX_EXACT_GRID_POINTS
+        """True when the scan visits a sample, not the full grid."""
+        return self._space.n_points > MAX_SCAN_POINTS
 
-    def plan_cells(self) -> dict[LogicalPlan, set[GridIndex]]:
-        """Partition of (representative) grid points by cheapest plan.
+    @property
+    def scanned_points(self) -> int:
+        """Number of grid points the robustness scan visits."""
+        return min(self._space.n_points, MAX_SCAN_POINTS)
 
-        Every scanned grid point is assigned to exactly one plan — each
-        plan's effective region of responsibility at runtime.  On
-        spaces larger than :data:`MAX_EXACT_GRID_POINTS` the scan uses
-        the deterministic sample of :meth:`_representative_indices`.
+    def _scanned_flat(self) -> IntArray:
+        """Row-major flat indices of the scanned grid points, ascending.
 
-        Computed as one argmin over the dense cost tensor (with the
-        same ``(cost, plan.order)`` tie-break as :meth:`best_plan_at`)
-        rather than a scalar cost call per (plan, point) pair.
+        The whole grid when it is small; otherwise a fixed-seed uniform
+        sample of :data:`MAX_SCAN_POINTS` distinct points.
         """
-        if self._cells_cache is None:
-            indices = self._representative_indices()
-            if self.uses_sampled_grid:
-                # Batch-evaluate only the sampled rows; never build the
-                # full (exponentially large) grid tensor.
-                matrix = self._space.points_matrix(indices)
-                names = list(self._space.names)
+        n_points = self._space.n_points
+        if not self.uses_sampled_grid:
+            return np.arange(n_points)
+        if self._sample is None:
+            rng = derive_rng(20121107)  # fixed: results must be stable
+            self._sample = np.sort(
+                rng.choice(n_points, size=MAX_SCAN_POINTS, replace=False)
+            )
+        return self._sample
+
+    def _plan_labels(self) -> IntArray:
+        """Index into :attr:`plans` of the cheapest plan at each scanned point.
+
+        One blocked scan: per block of points, every plan's cost, then
+        one argmin with the same ``(cost, plan.order)`` tie-break as
+        :meth:`best_plan_at`.
+        """
+        if self._labels is None:
+            flat = self._scanned_flat()
+            names = list(self._space.names)
+            ranks = order_ranks(self._plans)
+            labels = np.empty(len(flat), dtype=np.intp)
+            for rows in _row_blocks(len(flat)):
+                values = self._space.points_matrix(flat[rows])
                 costs = np.vstack(
                     [
-                        self._cost_model.plan_costs(plan, matrix, names)
+                        self._cost_model.plan_costs(plan, values, names)
                         for plan in self._plans
                     ]
                 )
-                best = lexicographic_argmin([costs], self.cost_cache.plan_ranks)
-            else:
-                # Exact grids scan every index in row-major order, which
-                # is exactly the cost tensor's column order.
-                best = self.cost_cache.best_plan_per_point()
-            cells: dict[LogicalPlan, set[GridIndex]] = {p: set() for p in self._plans}
-            for index, plan_index in zip(indices, best):
-                cells[self._plans[plan_index]].add(index)
-            self._cells_cache = cells
-        return {plan: set(cells) for plan, cells in self._cells_cache.items()}
+                labels[rows] = lexicographic_argmin([costs], ranks)
+            self._labels = labels
+        return self._labels
+
+    def _cells_of(self, plan: LogicalPlan) -> IntArray:
+        """Sorted flat indices of the scanned points where ``plan`` wins."""
+        rows = np.flatnonzero(self._plan_labels() == self._plans.index(plan))
+        return self._scanned_flat()[rows] if self.uses_sampled_grid else rows
+
+    def plan_cells(self) -> dict[LogicalPlan, IntArray]:
+        """Partition of the scanned grid points by cheapest plan.
+
+        Every scanned point is assigned to exactly one plan — each
+        plan's effective region of responsibility at runtime — given as
+        sorted row-major flat indices.  On spaces larger than
+        :data:`MAX_SCAN_POINTS` only the sampled points are assigned.
+        """
+        return {plan: self._cells_of(plan) for plan in self._plans}
 
     # ------------------------------------------------------------------
     # Plan weights (§5.2)
     # ------------------------------------------------------------------
 
     def plan_weights(
-        self, occurrence: NormalOccurrenceModel | None = None
+        self, occurrence: OccurrenceModel | None = None
     ) -> dict[LogicalPlan, float]:
         """Occurrence-probability weight of each plan's region.
 
         ``weight(lp) = Σ_{pnt ∈ area(lp)} Pr(pnt)`` with ``Pr`` from the
         normal occurrence model (§5.2).  Defaults to a fresh model with
-        means at the estimate point.
+        means at the estimate point.  On sampled grids each plan's
+        sampled mass is scaled by (grid points / points scanned), an
+        unbiased estimate; exact grids scale by exactly 1.
         """
         model = occurrence or NormalOccurrenceModel(self._space)
-        cells = self.plan_cells()
-        scanned = sum(len(c) for c in cells.values())
-        # Unbiased estimator on sampled grids: scale each plan's sampled
-        # mass by (grid points / points scanned); exact grids scale by 1.
-        scale = self._space.n_points / scanned if scanned else 1.0
-        return {
-            plan: scale * sum(model.cell_probability(index) for index in plan_cells)
-            for plan, plan_cells in cells.items()
-        }
+        labels = self._plan_labels()
+        flat = self._scanned_flat()
+        mass = np.zeros(len(self))
+        for rows in _row_blocks(len(flat)):
+            block = model.masses(flat[rows])
+            mass += np.bincount(labels[rows], weights=block, minlength=len(self))
+        scale = self._space.n_points / len(labels)
+        return {plan: scale * float(mass[i]) for i, plan in enumerate(self._plans)}
 
     def area_fractions(self) -> dict[LogicalPlan, float]:
         """Fraction of scanned grid points in each plan's cell set."""
-        cells = self.plan_cells()
-        scanned = sum(len(c) for c in cells.values())
-        if scanned == 0:
-            return {plan: 0.0 for plan in self._plans}
-        return {plan: len(c) / scanned for plan, c in cells.items()}
+        labels = self._plan_labels()
+        counts = np.bincount(labels, minlength=len(self))
+        return {
+            plan: float(counts[i]) / len(labels) for i, plan in enumerate(self._plans)
+        }
 
     # ------------------------------------------------------------------
     # Worst-case operator loads (input to physical planning)
     # ------------------------------------------------------------------
 
+    def _load_blocks(
+        self, plan: LogicalPlan, cells: IntArray
+    ) -> Iterator[tuple[IntArray, dict[int, FloatArray]]]:
+        """``plan``'s per-operator loads over ``cells``, in row blocks.
+
+        Yields each block's cells with their ``operator_loads_batch``.
+        """
+        names = list(self._space.names)
+        for rows in _row_blocks(len(cells)):
+            values = self._space.points_matrix(cells[rows])
+            yield cells[rows], self._cost_model.operator_loads_batch(
+                plan, values, names
+            )
+
     def worst_case_loads(self, plan: LogicalPlan) -> dict[int, float]:
         """Max per-operator load of ``plan`` over its region cells.
 
         The physical plan must fit each supported plan's operators on
-        their machines at *any* point of the plan's region, so
+        their machines at *any* point of the plan's region (Def. 3), so
         feasibility uses the per-operator maximum over the region.
         Falls back to the whole-space top corner for a plan with no
         cells of its own (possible when another plan dominates it
-        everywhere).
+        everywhere) and on sampled grids, where a sample's maximum may
+        fall short.  The corner bounds every point: operator loads are
+        monotone in the rate and in every selectivity.
         """
-        cells = self.plan_cells().get(plan, set())
-        if not cells:
+        cells = self._cells_of(plan)
+        if self.uses_sampled_grid or not len(cells):
             point = self._space.full_region().pnt_hi
             return dict(self._cost_model.operator_loads(plan, point))
-        matrix = self._space.points_matrix(sorted(cells))
-        batch = self._cost_model.operator_loads_batch(
-            plan, matrix, list(self._space.names)
-        )
-        return {
-            op_id: float(batch[op_id].max())
-            for op_id in self._query.operator_ids
-        }
+        worst = dict.fromkeys(self._query.operator_ids, -np.inf)
+        for _, batch in self._load_blocks(plan, cells):
+            for op_id in worst:
+                worst[op_id] = max(worst[op_id], float(batch[op_id].max()))
+        return worst
 
     def expected_loads(
-        self, plan: LogicalPlan, occurrence: NormalOccurrenceModel | None = None
+        self, plan: LogicalPlan, occurrence: OccurrenceModel | None = None
     ) -> dict[int, float]:
         """Occurrence-weighted mean per-operator load over a plan's cells.
 
@@ -317,33 +324,25 @@ class RobustLogicalSolution:
         worst case.
         """
         model = occurrence or NormalOccurrenceModel(self._space)
-        cells = self.plan_cells().get(plan, set())
-        if not cells:
+        cells = self._cells_of(plan)
+        if not len(cells):
             point = self._space.point_at(
                 tuple(s // 2 for s in self._space.shape)
             )
             return self._cost_model.operator_loads(plan, point)
-        ordered = sorted(cells)
-        weights = np.fromiter(
-            (model.cell_probability(index) for index in ordered),
-            dtype=float,
-            count=len(ordered),
-        )
-        matrix = self._space.points_matrix(ordered)
-        batch = self._cost_model.operator_loads_batch(
-            plan, matrix, list(self._space.names)
-        )
-        mass = float(weights.sum())
+        weighted = dict.fromkeys(self._query.operator_ids, 0.0)
+        plain = dict.fromkeys(self._query.operator_ids, 0.0)
+        mass = 0.0
+        for block, batch in self._load_blocks(plan, cells):
+            weights = model.masses(block)
+            mass += float(weights.sum())
+            for op_id in weighted:
+                weighted[op_id] += float(batch[op_id] @ weights)
+                plain[op_id] += float(batch[op_id].sum())
         if mass <= 0:
             # Degenerate: cells carry no occurrence mass; plain mean.
-            return {
-                op_id: float(batch[op_id].mean())
-                for op_id in self._query.operator_ids
-            }
-        return {
-            op_id: float(batch[op_id] @ weights) / mass
-            for op_id in self._query.operator_ids
-        }
+            return {op_id: load / len(cells) for op_id, load in plain.items()}
+        return {op_id: load / mass for op_id, load in weighted.items()}
 
     def __repr__(self) -> str:
         labels = ", ".join(plan.label for plan in self._plans[:4])

@@ -14,7 +14,10 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
+import numpy as np
+
 from repro.core.parameter_space import GridIndex, ParameterSpace, Region
+from repro.util.types import FloatArray, IntArray
 
 __all__ = ["NormalOccurrenceModel"]
 
@@ -102,6 +105,21 @@ class NormalOccurrenceModel:
         mass = 1.0
         for dim, i in enumerate(index):
             mass *= self._dim_probability(dim, i, i)
+        return mass
+
+    def masses(self, flat: IntArray) -> FloatArray:
+        """:meth:`cell_probability` at every row-major flat grid position.
+
+        Each dimension's cell masses form one small table, and a cell's
+        mass is the product of its entries, taken in dimension order as
+        :meth:`cell_probability` takes them, so the two agree bitwise.
+        """
+        indices = np.unravel_index(np.asarray(flat, dtype=np.intp), self._space.shape)
+        mass = np.ones(len(indices[0]))
+        for dim, index in enumerate(indices):
+            steps = self._space.dimensions[dim].steps
+            table = np.array([self._dim_probability(dim, i, i) for i in range(steps)])
+            mass = mass * table[index]
         return mass
 
     def region_probability(self, region: Region) -> float:

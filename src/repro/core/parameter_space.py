@@ -267,12 +267,13 @@ class ParameterSpace:
             self._grid_matrix = matrix
         return self._grid_matrix
 
-    def points_matrix(self, indices: Sequence[GridIndex]) -> FloatArray:
-        """Dense ``(len(indices), n_dims)`` value matrix for a subset of
-        grid indices (same column order as :meth:`grid_matrix`)."""
-        idx = np.asarray(list(indices), dtype=np.intp).reshape(-1, self.n_dims)
+    def points_matrix(self, flat: IntArray) -> FloatArray:
+        """Dense ``(len(flat), n_dims)`` value matrix at row-major flat
+        grid positions: the rows of :meth:`grid_matrix` they name,
+        without building it."""
+        indices = np.unravel_index(np.asarray(flat, dtype=np.intp), self.shape)
         return np.column_stack(
-            [d.values_array()[idx[:, i]] for i, d in enumerate(self._dimensions)]
+            [d.values_array()[i] for d, i in zip(self._dimensions, indices)]
         )
 
     def nearest_indices(self, values: FloatArray) -> IntArray:
@@ -308,11 +309,6 @@ class ParameterSpace:
                 return None
             flat = flat * d.steps + d.nearest_index(value)
         return flat
-
-    def grid_points(self) -> Iterator[StatPoint]:
-        """Iterate over every grid point as a :class:`StatPoint`."""
-        for index in self.grid_indices():
-            yield self.point_at(index)
 
     def full_region(self) -> "Region":
         """The region spanning the entire space."""
@@ -387,14 +383,6 @@ class Region:
     def indices(self) -> Iterator[GridIndex]:
         """Iterate over the region's grid indices in row-major order."""
         return iter_product(*(range(a, b + 1) for a, b in zip(self.lo, self.hi)))
-
-    def interior_split_candidates(self, dim: int) -> range:
-        """Indices along ``dim`` usable as split points.
-
-        Splitting at ``s`` produces lower part ``[lo..s]`` and upper
-        part ``[s+1..hi]``; both are non-empty for ``s in [lo, hi-1]``.
-        """
-        return range(self.lo[dim], self.hi[dim])
 
     def can_split(self) -> bool:
         """True when at least one dimension has >= 2 grid points."""

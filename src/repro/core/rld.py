@@ -197,7 +197,7 @@ class RLDOptimizer:
             logical = partitioning.solution
 
         # "Robustness" covers everything between partitioning and the
-        # physical search: cost-tensor-backed plan weights, worst-case
+        # physical search: the plan-label scan, plan weights, worst-case
         # and typical loads (the Figure 13 middle band).
         with timer.stage("robustness"):
             occurrence = NormalOccurrenceModel(

@@ -49,17 +49,6 @@ class RegionWeights:
     region: Region
     per_dim: tuple[FloatArray, ...]
 
-    def point_weight(self, index: GridIndex) -> float:
-        """Total (summed per-dimension) weight of a grid point."""
-        if not self.region.contains(index):
-            raise ValueError(f"index {index} outside region {self.region}")
-        return float(
-            sum(
-                weights[i - lo]
-                for weights, i, lo in zip(self.per_dim, index, self.region.lo)
-            )
-        )
-
     def best_partition_point(self) -> GridIndex | None:
         """Maximum-weight interior point usable for splitting.
 

@@ -81,21 +81,6 @@ class PlanCostModel:
             carried *= self._selectivity(op_id, point)
         return rate * total
 
-    def operator_load(
-        self, plan: LogicalPlan, op_id: int, point: Mapping[str, float]
-    ) -> float:
-        """Per-second load that ``op_id`` places on its host under ``plan``.
-
-        This is the operator's share of :meth:`plan_cost`: rate into the
-        operator times its per-tuple cost.  Physical feasibility (Def. 3)
-        sums these per machine and compares against the node's resources.
-        """
-        rate = self._rate(point)
-        carried = 1.0
-        for earlier in plan.prefix_before(op_id):
-            carried *= self._selectivity(earlier, point)
-        return rate * self._ops[op_id].cost_per_tuple * carried
-
     def operator_loads(
         self, plan: LogicalPlan, point: Mapping[str, float]
     ) -> dict[int, float]:
@@ -140,16 +125,6 @@ class PlanCostModel:
                 carried *= self._selectivity(later, point)
             grads[name] = rate * prefix_product * suffix
         return grads
-
-    def slope(self, plan: LogicalPlan, point: Mapping[str, float]) -> float:
-        """Euclidean norm of the cost gradient at ``point``.
-
-        The scalar "slope of the plan's cost function" used by the §4.2
-        weight assignment: high slope means the point is near the margin
-        of the plan's robust region.
-        """
-        grads = self.gradient(plan, point)
-        return float(np.sqrt(sum(g * g for g in grads.values())))
 
     # ------------------------------------------------------------------
     # Batch (vectorized) evaluation over dense point matrices
@@ -272,13 +247,6 @@ class PlanCostModel:
                 carried = carried * sels[later]
             grads[:, names.index(name)] = rate * prefix_product * suffix
         return grads
-
-    def slopes_batch(
-        self, plan: LogicalPlan, values: FloatArray, names: Sequence[str]
-    ) -> FloatArray:
-        """Euclidean gradient norms at every point of a batch."""
-        grads = self.gradients_batch(plan, values, names)
-        return np.sqrt(np.sum(grads * grads, axis=1))
 
 
 def multilinear_features(values: Sequence[float]) -> FloatArray:

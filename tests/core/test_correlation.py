@@ -69,6 +69,23 @@ class TestCorrelationShapesMass:
         assert total == pytest.approx(model.total_mass(), rel=1e-5)
 
 
+class TestMasses:
+    def test_masses_match_cell_probability(self):
+        pinned = Dimension("p", 2.0, 2.0, 1)
+        spaces = [
+            ParameterSpace([Dimension("x", 0.0, 1.0, 5), pinned,
+                            Dimension("y", 0.0, 1.0, 4)]),
+            ParameterSpace([pinned, Dimension("x", 0.0, 1.0, 6)]),
+        ]
+        for space, correlation in zip(spaces, ([[1.0, -0.7], [-0.7, 1.0]], None)):
+            model = CorrelatedOccurrenceModel(space, correlation=correlation)
+            flat = np.arange(space.n_points)
+            masses = model.masses(flat)
+            for k in flat:
+                expected = model.cell_probability(space.index_of_flat(int(k)))
+                assert masses[k] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
 class TestPlanWeightsIntegration:
     def test_anti_synchronized_weights_shift_toward_regime_plans(self):
         """Under regime-style correlation the weights re-rank plans."""

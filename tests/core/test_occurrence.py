@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import Dimension, NormalOccurrenceModel, ParameterSpace, Region
@@ -56,6 +57,27 @@ class TestCellProbability:
 
         expected = phi((0.55 - 0.5) / 0.2) - phi((0.25 - 0.5) / 0.2)
         assert model.region_probability(region) == pytest.approx(expected, rel=1e-9)
+
+
+class TestMasses:
+    @pytest.mark.parametrize("means", [None, {"x": 0.3, "r": 140.0}])
+    def test_masses_equal_cell_probability_bitwise(self, means):
+        # A pinned dimension sits among three varying ones, so the
+        # product order matters to the last bit.
+        space = ParameterSpace(
+            [
+                Dimension("x", 0.2, 0.8, 5),
+                Dimension("p", 1.5, 1.5, 1),
+                Dimension("r", 80.0, 120.0, 4),
+                Dimension("y", 0.35, 0.65, 7),
+            ]
+        )
+        model = NormalOccurrenceModel(space, means=means, sigma_fraction=0.4)
+        flat = np.arange(space.n_points)[::-1]
+        masses = model.masses(flat)
+        for k, mass in zip(flat, masses):
+            assert mass == model.cell_probability(space.index_of_flat(int(k)))
+        assert model.masses(flat[:0]).shape == (0,)
 
 
 class TestRegionProbability:

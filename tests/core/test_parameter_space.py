@@ -140,11 +140,11 @@ class TestParameterSpace:
             matrix[0, 0] = 99.0
 
     def test_points_matrix_subset(self, space_2d):
-        indices = list(space_2d.grid_indices())[:: 3]
-        matrix = space_2d.points_matrix(indices)
+        flats = np.arange(space_2d.n_points)[::-3]
+        matrix = space_2d.points_matrix(flats)
         full = space_2d.grid_matrix()
-        flats = [space_2d.flat_index(i) for i in indices]
         assert np.array_equal(matrix, full[flats])
+        assert space_2d.points_matrix(flats[:0]).shape == (0, space_2d.n_dims)
 
     def test_nearest_flat_index_on_grid(self, space_2d):
         for flat, index in enumerate(space_2d.grid_indices()):

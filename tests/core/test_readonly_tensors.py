@@ -3,9 +3,9 @@
 The ``no-cached-tensor-mutation`` lint rule is the static layer of this
 invariant; these tests pin the runtime layer — ``setflags(write=False)``
 on :meth:`ParameterSpace.grid_matrix`, on :class:`CostTensorCache`'s
-cost tensor, load tensors, and tie-break ranks — so any in-place write
-raises immediately at the write site instead of corrupting every
-downstream consumer (ERP coverage, weights, routing tables) at once.
+cost tensor and tie-break ranks — so any in-place write raises
+immediately at the write site instead of corrupting every downstream
+consumer (ERP coverage, robustness regions) at once.
 """
 
 from __future__ import annotations
@@ -71,12 +71,6 @@ class TestCostTensorCacheFrozen:
         with pytest.raises(ValueError):
             tensor[0, 0] = -1.0
 
-    def test_load_tensor_vectors_raise(self, cache):
-        for vector in cache.load_tensor(0).values():
-            assert not vector.flags.writeable
-            with pytest.raises(ValueError):
-                vector[0] = -1.0
-
     def test_plan_ranks_store_raises(self, cache):
         ranks = cache.plan_ranks
         assert not ranks.flags.writeable
@@ -95,12 +89,9 @@ class TestCostTensorCacheFrozen:
         assert not second.flags.writeable
 
     def test_derived_results_are_fresh_arrays(self, cache):
-        # min_costs/best_plan_per_point allocate new output (callers may
-        # mutate them freely) — they must not hand out cache views.
+        # min_costs allocates new output (callers may mutate it
+        # freely) — it must not hand out a cache view.
         mins = cache.min_costs()
-        best = cache.best_plan_per_point()
         assert mins.flags.writeable
-        assert best.flags.writeable
         mins[0] = -1.0
-        best[0] = 0
         assert not np.shares_memory(mins, cache.cost_tensor)

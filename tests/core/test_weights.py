@@ -36,21 +36,6 @@ class TestAssign:
             assert np.all(array >= 0)
             assert np.all(np.isfinite(array))
 
-    def test_point_weight_is_per_dim_sum(self, setup):
-        space, assigner, plan_lo, plan_hi = setup
-        region = space.full_region()
-        weights = assigner.assign(region, plan_lo, plan_hi)
-        index = (2, 3)
-        expected = weights.per_dim[0][2] + weights.per_dim[1][3]
-        assert weights.point_weight(index) == pytest.approx(expected)
-
-    def test_point_weight_outside_region_rejected(self, setup):
-        space, assigner, plan_lo, plan_hi = setup
-        region = Region(space, (0, 0), (2, 2))
-        weights = assigner.assign(region, plan_lo, plan_hi)
-        with pytest.raises(ValueError, match="outside region"):
-            weights.point_weight((5, 5))
-
     def test_computation_counter(self, setup):
         space, assigner, plan_lo, plan_hi = setup
         assert assigner.computations == 0

@@ -123,14 +123,3 @@ class TestBatchEquivalence:
                 assert batch[k, j] == pytest.approx(
                     scalar[name], rel=1e-9, abs=1e-12
                 ), name
-
-    @settings(max_examples=30, deadline=None)
-    @given(case=batch_cases())
-    def test_slopes_batch_is_gradient_norm(self, case):
-        query, plan, names, matrix = case
-        model = PlanCostModel(query)
-        grads = model.gradients_batch(plan, matrix, names)
-        slopes = model.slopes_batch(plan, matrix, names)
-        assert np.allclose(
-            slopes, np.sqrt((grads * grads).sum(axis=1)), rtol=1e-12
-        )

@@ -62,15 +62,16 @@ class TestCompile:
         assert "robustness (weights + loads)" in out
         assert "physical mapping" in out
         assert "total" in out
-        assert "cost-tensor build" in out
+        assert "robustness scan: exact, 3,125 points" in out
 
     def test_default_compile_profile_omits_unbuilt_tensor(self, capsys):
-        # The default q1 space is large enough for the sampled-grid
-        # path, which never builds the cost tensor.
+        # The default q1 space (84,035 points) is scanned exactly in
+        # row blocks; no dense cost tensor is built.
         assert main(["compile", "--profile"]) == 0
         out = capsys.readouterr().out
         assert "compile-time profile:" in out
         assert "cost-tensor build" not in out
+        assert "robustness scan: exact, 84,035 points" in out
 
     def test_compile_without_profile_omits_breakdown(self, capsys):
         main(["compile", "--query", "q1", "--level", "2", "--rate-level", "0"])
@@ -94,11 +95,16 @@ class TestCompile:
         # A space whose dense grid matrix would take ~10 GiB: the
         # workers must be sent corner points, not the grid.
         args = ["compile", "--query", "q2", "--nodes", "4",
-                "--capacity", "380"]
+                "--capacity", "380", "--profile"]
         assert main(args + ["--jobs", "2"]) == 0
         parallel = _solution_lines(capsys.readouterr().out)
         assert main(args) == 0
-        assert parallel == _solution_lines(capsys.readouterr().out)
+        serial = capsys.readouterr().out
+        assert parallel == _solution_lines(serial)
+        assert (
+            "robustness scan: sampled 262,144 of 1,412,376,245 points "
+            "(weights estimated)" in serial
+        )
 
     def test_compile_rejects_zero_jobs(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
