@@ -18,10 +18,10 @@ from _harness import Q1_DIMS, print_panel, space_for
 from repro.core import (
     EarlyTerminatedRobustPartitioning,
     WeightedRobustPartitioning,
-    grid_optimal_costs,
+    compute_plan_diagram,
     measure_coverage,
 )
-from repro.query import PlanCostModel, make_optimizer
+from repro.query import make_optimizer
 from repro.workloads import build_q1
 
 EPSILON = 0.1
@@ -33,12 +33,10 @@ POINTS_PER_LEVEL = 6
 
 def sweep() -> list[dict[str, object]]:
     query = build_q1()
-    model = PlanCostModel(query)
     rows = []
     for level in LEVELS:
         space = space_for(query, Q1_DIMS, level, points_per_level=POINTS_PER_LEVEL)
-        oracle = make_optimizer(query)
-        optimal_costs = grid_optimal_costs(space, oracle)
+        diagram = compute_plan_diagram(space, make_optimizer(query))
 
         variants = {
             "WRP": WeightedRobustPartitioning(query, space, epsilon=EPSILON),
@@ -50,9 +48,7 @@ def sweep() -> list[dict[str, object]]:
         row: dict[str, object] = {"U": level}
         for name, searcher in variants.items():
             result = searcher.run()
-            coverage = measure_coverage(
-                result.solution.plans, space, model, optimal_costs, EPSILON
-            )
+            coverage = measure_coverage(result.solution.plans, diagram, EPSILON)
             row[f"{name} calls"] = result.optimizer_calls
             row[f"{name} cov"] = coverage
             if name == "ERP":

@@ -24,9 +24,9 @@ from __future__ import annotations
 import pytest
 from _harness import Q1_DIMS, logical_searchers, print_panel, space_for
 
-from repro.core import grid_optimal_costs
+from repro.core import compute_plan_diagram
 from repro.core.robustness import coverage_against_sequence
-from repro.query import PlanCostModel, make_optimizer
+from repro.query import make_optimizer
 from repro.workloads import build_q1
 
 EPSILONS = (0.1, 0.2, 0.3)
@@ -40,9 +40,7 @@ POINTS_PER_LEVEL = 4
 def sweep(epsilon: float) -> list[dict[str, object]]:
     query = build_q1()
     space = space_for(query, Q1_DIMS, UNCERTAINTY, points_per_level=POINTS_PER_LEVEL)
-    oracle = make_optimizer(query)
-    optimal_costs = grid_optimal_costs(space, oracle)
-    model = PlanCostModel(query)
+    diagram = compute_plan_diagram(space, make_optimizer(query))
 
     coverage: dict[str, list[float]] = {}
     plans_found: dict[str, list[int]] = {}
@@ -50,7 +48,7 @@ def sweep(epsilon: float) -> list[dict[str, object]]:
         result = searcher.run()
         sequence = [(d.at_call, d.plan) for d in result.solution.discoveries]
         coverage[name] = coverage_against_sequence(
-            sequence, BUDGETS, space, model, optimal_costs, epsilon
+            sequence, BUDGETS, diagram, epsilon
         )
         plans_found[name] = [
             sum(1 for at_call, _ in sequence if at_call <= budget)

@@ -1,11 +1,12 @@
 """``no-cached-tensor-mutation``: cached cost tensors are immutable.
 
-:class:`~repro.core.cost_tensor.CostTensorCache` and
-:meth:`~repro.core.parameter_space.ParameterSpace.grid_matrix` memoize
-arrays that *every* downstream decision — ERP coverage, robustness,
-weights, routing tables — reads by reference.  One in-place write
+Cache surfaces such as
+:meth:`~repro.core.physical.PlanLoadTable.load_matrix` memoize arrays
+that every downstream decision reads by reference.  One in-place write
 corrupts all of them at once, and NumPy views make it easy to do so
-accidentally three variables away from the cache access.
+accidentally three variables away from the cache access.  The names
+``grid_matrix``, ``cost_tensor`` and ``plan_ranks`` stay reserved for
+such surfaces.
 
 The arrays themselves are frozen with ``setflags(write=False)`` (the
 runtime layer of this invariant); this rule is the static layer that
@@ -64,8 +65,8 @@ _TAINT_BREAKERS = frozenset(
 class NoCachedTensorMutationRule(Rule):
     name = "no-cached-tensor-mutation"
     description = (
-        "in-place writes to arrays flowing from CostTensorCache / "
-        "ParameterSpace.grid_matrix corrupt every consumer"
+        "in-place writes to arrays flowing from a cache surface "
+        "(load_matrix, ...) corrupt every consumer"
     )
     scope = ("src/repro",)
 

@@ -6,6 +6,8 @@ Layered as in the paper:
   uncertainty space (Algorithm 1, discretization, regions).
 * :mod:`repro.core.robustness` — Def. 1/2 ε-robustness checks and the
   exact coverage evaluation harness.
+* :mod:`repro.core.diagram` — the exact plan diagram (the harness's
+  ground truth) and its ε-reduction.
 * :mod:`repro.core.weights` — §4.2 slope/distance weight assignment.
 * :mod:`repro.core.partitioning` — ES, RS, WRP (Algorithm 2) and ERP
   (Algorithm 3) robust logical solution algorithms.
@@ -21,11 +23,14 @@ Layered as in the paper:
 """
 
 from repro.core.correlation import CorrelatedOccurrenceModel
-from repro.core.cost_tensor import CostTensorCache, lexicographic_argmin
 from repro.core.diagram import PlanDiagram, compute_plan_diagram
 from repro.core.exhaustive_phy import enumerate_partitions, exhaustive_physical
 from repro.core.greedy_phy import greedy_phy, largest_load_first
-from repro.core.logical import PlanDiscovery, RobustLogicalSolution
+from repro.core.logical import (
+    PlanDiscovery,
+    RobustLogicalSolution,
+    lexicographic_argmin,
+)
 from repro.core.occurrence import NormalOccurrenceModel
 from repro.core.optprune import (
     enumerate_feasible_configs,
@@ -59,10 +64,8 @@ from repro.core.serialize import (
 from repro.core.robustness import (
     RegionCheck,
     RobustnessChecker,
-    covered_indices,
-    grid_optimal_costs,
     measure_coverage,
-    optimal_costs_vector,
+    robust_mask,
     robust_region_of_plan,
 )
 from repro.core.theory import (
@@ -74,7 +77,6 @@ from repro.core.weights import RegionWeights, WeightAssigner
 
 __all__ = [
     "CorrelatedOccurrenceModel",
-    "CostTensorCache",
     "PlanDiagram",
     "compute_plan_diagram",
     "load_solution",
@@ -109,17 +111,15 @@ __all__ = [
     "WeightAssigner",
     "WeightedRobustPartitioning",
     "aging_threshold",
-    "covered_indices",
     "enumerate_feasible_configs",
     "enumerate_partitions",
     "exhaustive_physical",
     "greedy_phy",
-    "grid_optimal_costs",
     "largest_load_first",
     "lexicographic_argmin",
     "measure_coverage",
     "opt_prune",
-    "optimal_costs_vector",
     "opt_prune_heterogeneous",
+    "robust_mask",
     "robust_region_of_plan",
 ]

@@ -28,6 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.core.parameter_space import GridIndex, ParameterSpace, Region
+from repro.util.rng import derive_rng
 from repro.util.validation import ensure_positive
 from repro.util.types import FloatArray, IntArray
 
@@ -36,6 +37,11 @@ __all__ = ["CorrelatedOccurrenceModel"]
 #: Default standard deviation as a fraction of the dimension half-width
 #: (matches NormalOccurrenceModel).
 DEFAULT_SIGMA_FRACTION = 0.5
+
+#: Seed of the generator behind every CDF evaluation.  SciPy integrates
+#: three or more dimensions by randomized quasi-Monte Carlo; a fresh
+#: generator with this seed per call makes equal inputs give equal masses.
+CDF_SEED = 20130408
 
 
 class CorrelatedOccurrenceModel:
@@ -119,8 +125,10 @@ class CorrelatedOccurrenceModel:
         """The parameter space this model covers."""
         return self._space
 
-    def _cdf(self, upper: FloatArray) -> float:
-        return float(self._mvn.cdf(upper))
+    def _cdf(self, upper: FloatArray) -> FloatArray:
+        """The multivariate normal CDF at ``upper`` (a point or rows)."""
+        self._mvn.random_state = derive_rng(CDF_SEED)
+        return np.asarray(self._mvn.cdf(upper))
 
     def _box_mass(self, lows: FloatArray, highs: FloatArray) -> float:
         """Inclusion–exclusion over the 2^d corners of the box."""
@@ -129,7 +137,7 @@ class CorrelatedOccurrenceModel:
         for corner in iter_product((0, 1), repeat=d):
             point = np.where(np.array(corner) == 1, highs, lows)
             sign = (-1) ** (d - sum(corner))
-            total += sign * self._cdf(point)
+            total += sign * float(self._cdf(point))
         return max(total, 0.0)
 
     def _interval(self, dim_position: int, lo_index: int, hi_index: int) -> tuple[float, float]:
@@ -168,7 +176,7 @@ class CorrelatedOccurrenceModel:
         for corner in iter_product((0, 1), repeat=d):
             points = np.where(np.array(corner) == 1, highs, lows)
             sign = (-1) ** (d - sum(corner))
-            total += sign * np.asarray(self._mvn.cdf(points)).reshape(len(points))
+            total += sign * self._cdf(points).reshape(len(points))
         return np.maximum(total, 0.0)
 
     def region_probability(self, region: Region) -> float:

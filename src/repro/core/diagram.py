@@ -22,10 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from string import ascii_uppercase, ascii_lowercase
 
-from repro.core.parameter_space import GridIndex, ParameterSpace
+import numpy as np
+
+from repro.core.parameter_space import ParameterSpace
+from repro.core.robustness import robust_mask
 from repro.query.cost import PlanCostModel
 from repro.query.optimizer import PointOptimizer
 from repro.query.plans import LogicalPlan
+from repro.util.types import FloatArray, IntArray
 
 __all__ = ["PlanDiagram", "compute_plan_diagram"]
 
@@ -33,33 +37,50 @@ __all__ = ["PlanDiagram", "compute_plan_diagram"]
 _GLYPHS = ascii_uppercase + ascii_lowercase
 
 
+def _by_area(
+    candidates: tuple[LogicalPlan, ...], labels: IntArray
+) -> tuple[tuple[LogicalPlan, ...], IntArray]:
+    """Plans owning cells, largest region first, and labels into them.
+
+    ``labels`` index ``candidates``; plans with no cell are dropped and
+    ties in area break toward the smaller ``plan.order``.
+    """
+    counts = np.bincount(labels, minlength=len(candidates))
+    order = sorted(
+        np.flatnonzero(counts).tolist(),
+        key=lambda i: (-counts[i], candidates[i].order),
+    )
+    relabel = np.empty(len(candidates), dtype=np.intp)
+    relabel[order] = np.arange(len(order))
+    return tuple(candidates[i] for i in order), relabel[labels]
+
+
 @dataclass(frozen=True)
 class PlanDiagram:
-    """Which plan is optimal at each grid cell, with its cost there."""
+    """Which plan is optimal at each grid cell, with its cost there.
+
+    ``plans`` are the distinct plans, largest region first (ties by
+    ``plan.order``).  ``labels`` and ``optimal_costs`` hold one entry
+    per grid cell in row-major flat order; ``labels[k]`` indexes
+    ``plans``.
+    """
 
     space: ParameterSpace
-    assignment: dict[GridIndex, LogicalPlan]
-    optimal_costs: dict[GridIndex, float]
+    plans: tuple[LogicalPlan, ...]
+    labels: IntArray
+    optimal_costs: FloatArray
     cost_model: PlanCostModel
-
-    @property
-    def plans(self) -> tuple[LogicalPlan, ...]:
-        """Distinct plans of the diagram, largest region first."""
-        areas: dict[LogicalPlan, int] = {}
-        for plan in self.assignment.values():
-            areas[plan] = areas.get(plan, 0) + 1
-        return tuple(
-            sorted(areas, key=lambda plan: (-areas[plan], plan.order))
-        )
 
     @property
     def cardinality(self) -> int:
         """Number of distinct optimal plans in the space."""
-        return len(set(self.assignment.values()))
+        return len(self.plans)
 
     def area_of(self, plan: LogicalPlan) -> float:
         """Fraction of grid cells where ``plan`` is optimal."""
-        owned = sum(1 for p in self.assignment.values() if p == plan)
+        if plan not in self.plans:
+            return 0.0
+        owned = int(np.count_nonzero(self.labels == self.plans.index(plan)))
         return owned / self.space.n_points
 
     def reduce(self, epsilon: float) -> "PlanDiagram":
@@ -74,40 +95,30 @@ class PlanDiagram:
         """
         if epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
-        assignment = dict(self.assignment)
-        threshold = 1.0 + epsilon
-
-        def cells_of(plan: LogicalPlan) -> list[GridIndex]:
-            return [idx for idx, p in assignment.items() if p == plan]
-
+        labels = self.labels.copy()
+        masks = [robust_mask(plan, self, epsilon) for plan in self.plans]
         changed = True
         while changed:
             changed = False
+            counts = np.bincount(labels, minlength=len(self.plans))
             survivors = sorted(
-                set(assignment.values()),
-                key=lambda plan: (
-                    sum(1 for p in assignment.values() if p == plan),
-                    plan.order,
-                ),
+                np.flatnonzero(counts).tolist(),
+                key=lambda i: (counts[i], self.plans[i].order),
             )
             for victim in survivors:
-                victim_cells = cells_of(victim)
-                for heir in survivors:
-                    if heir == victim:
-                        continue
-                    fits = all(
-                        self.cost_model.plan_cost(heir, self.space.point_at(idx))
-                        <= threshold * self.optimal_costs[idx] * (1 + 1e-12)
-                        for idx in victim_cells
-                    )
-                    if fits:
-                        for idx in victim_cells:
-                            assignment[idx] = heir
-                        changed = True
-                        break
-                if changed:
+                cells = labels == victim
+                heir = next(
+                    (h for h in survivors if h != victim and masks[h][cells].all()),
+                    None,
+                )
+                if heir is not None:
+                    labels[cells] = heir
+                    changed = True
                     break
-        return PlanDiagram(self.space, assignment, dict(self.optimal_costs), self.cost_model)
+        plans, labels = _by_area(self.plans, labels)
+        return PlanDiagram(
+            self.space, plans, labels, self.optimal_costs, self.cost_model
+        )
 
     def render(self, *, legend: bool = True) -> str:
         """ASCII map of a 2-D diagram (first dim = rows, second = columns).
@@ -119,24 +130,18 @@ class PlanDiagram:
             raise ValueError(
                 f"render() supports 2-D spaces only, got {self.space.n_dims}-D"
             )
-        glyph_of: dict[LogicalPlan, str] = {}
-        for i, plan in enumerate(self.plans):
-            glyph_of[plan] = _GLYPHS[i] if i < len(_GLYPHS) else "#"
-        rows_steps, cols_steps = self.space.shape
-        lines = []
+        glyphs = [
+            _GLYPHS[i] if i < len(_GLYPHS) else "#" for i in range(len(self.plans))
+        ]
+        grid = self.labels.reshape(self.space.shape)
         # Render with the second dimension on x and the first on y,
         # origin (lo, lo) at the bottom-left like the paper's figures.
-        for row in reversed(range(rows_steps)):
-            line = "".join(
-                glyph_of[self.assignment[(row, col)]] for col in range(cols_steps)
-            )
-            lines.append(line)
+        lines = ["".join(glyphs[label] for label in row) for row in grid[::-1]]
         if legend:
             lines.append("")
-            for plan in self.plans:
+            for glyph, plan in zip(glyphs, self.plans):
                 lines.append(
-                    f"{glyph_of[plan]} = {plan.label}  "
-                    f"(area {self.area_of(plan):.1%})"
+                    f"{glyph} = {plan.label}  (area {self.area_of(plan):.1%})"
                 )
         return "\n".join(lines)
 
@@ -148,13 +153,16 @@ def compute_plan_diagram(
 
     This is the §7 baseline artifact — "it would be extremely expensive
     to compute such diagram" is the paper's motivation for ERP — so use
-    it for analysis on small spaces, not inside the compile path.
+    it for analysis on small spaces, not inside the compile path.  It is
+    also the ground truth every ε-coverage evaluation measures against.
     """
-    assignment: dict[GridIndex, LogicalPlan] = {}
-    optimal_costs: dict[GridIndex, float] = {}
-    for index in space.grid_indices():
+    found: dict[LogicalPlan, int] = {}
+    labels = np.empty(space.n_points, dtype=np.intp)
+    optimal_costs = np.empty(space.n_points)
+    for flat, index in enumerate(space.grid_indices()):
         point = space.point_at(index)
         plan = optimizer.optimize(point)
-        assignment[index] = plan
-        optimal_costs[index] = optimizer.plan_cost(plan, point)
-    return PlanDiagram(space, assignment, optimal_costs, optimizer.cost_model)
+        labels[flat] = found.setdefault(plan, len(found))
+        optimal_costs[flat] = optimizer.plan_cost(plan, point)
+    plans, labels = _by_area(tuple(found), labels)
+    return PlanDiagram(space, plans, labels, optimal_costs, optimizer.cost_model)

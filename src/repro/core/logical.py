@@ -17,18 +17,19 @@ Both come from one blocked scan over row-major flat grid indices that
 keeps a single plan-label array.  The scan is exact up to
 :data:`MAX_SCAN_POINTS` grid points; above it, the scan visits a
 fixed-seed sample, weights become estimates, and worst-case loads come
-from the space's top corner, which bounds every point.
+from the space's top corner, which bounds every point.  The scan's
+block iterator (:func:`row_blocks`) also drives the ε-coverage harness
+in :mod:`repro.core.robustness`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.correlation import CorrelatedOccurrenceModel
-from repro.core.cost_tensor import lexicographic_argmin, order_ranks
 from repro.core.occurrence import NormalOccurrenceModel
 from repro.core.parameter_space import ParameterSpace, Region
 from repro.query.cost import PlanCostModel
@@ -37,7 +38,7 @@ from repro.query.plans import LogicalPlan
 from repro.util.rng import derive_rng
 from repro.util.types import FloatArray, IntArray
 
-__all__ = ["RobustLogicalSolution", "PlanDiscovery"]
+__all__ = ["RobustLogicalSolution", "PlanDiscovery", "lexicographic_argmin"]
 
 #: Most grid points one robustness scan visits.  Spaces up to this size
 #: are scanned exactly; larger ones (high-dimensional grids are
@@ -54,10 +55,55 @@ SCAN_BLOCK_ROWS = 8_192
 OccurrenceModel = NormalOccurrenceModel | CorrelatedOccurrenceModel
 
 
-def _row_blocks(n_rows: int) -> Iterator[slice]:
+def row_blocks(n_rows: int) -> Iterator[slice]:
     """Consecutive slices of at most :data:`SCAN_BLOCK_ROWS` rows."""
     for start in range(0, n_rows, SCAN_BLOCK_ROWS):
         yield slice(start, start + SCAN_BLOCK_ROWS)
+
+
+def lexicographic_argmin(
+    keys: Sequence[FloatArray], ranks: IntArray
+) -> IntArray:
+    """Columnwise argmin over stacked ``(n_candidates, n_points)`` keys.
+
+    For each point (column), returns the candidate row minimizing the
+    tuple ``(keys[0][p], keys[1][p], ..., ranks[p])`` — exactly the
+    semantics of Python's ``min(..., key=lambda p: (k0, k1, ..., rank))``
+    applied per column.  ``ranks`` is the final integer tie-break (e.g.
+    each plan's position in ``sorted(plans, key=plan.order)``), so the
+    result is deterministic even under exact float cost ties.
+    """
+    if not keys:
+        raise ValueError("lexicographic_argmin needs at least one key array")
+    first = np.asarray(keys[0])
+    n_candidates, n_points = first.shape
+    cols = np.arange(n_points)
+    best = np.zeros(n_points, dtype=np.intp)
+    for p in range(1, n_candidates):
+        tied = np.ones(n_points, dtype=bool)
+        better = np.zeros(n_points, dtype=bool)
+        for key in keys:
+            key = np.asarray(key)
+            candidate = key[p]
+            incumbent = key[best, cols]
+            better |= tied & (candidate < incumbent)
+            tied &= candidate == incumbent
+        better |= tied & (ranks[p] < ranks[best])
+        best = np.where(better, p, best)
+    return best
+
+
+def order_ranks(plans: Sequence[LogicalPlan]) -> IntArray:
+    """Rank of each plan under the lexicographic order of its operators.
+
+    The final :func:`lexicographic_argmin` key: the deterministic
+    tie-break of every scalar ``min(..., key=(cost, plan.order))``.
+    """
+    ordered = sorted(range(len(plans)), key=lambda i: plans[i].order)
+    ranks = np.empty(len(plans), dtype=np.intp)
+    for rank, plan_index in enumerate(ordered):
+        ranks[plan_index] = rank
+    return ranks
 
 
 @dataclass(frozen=True)
@@ -212,7 +258,7 @@ class RobustLogicalSolution:
             names = list(self._space.names)
             ranks = order_ranks(self._plans)
             labels = np.empty(len(flat), dtype=np.intp)
-            for rows in _row_blocks(len(flat)):
+            for rows in row_blocks(len(flat)):
                 values = self._space.points_matrix(flat[rows])
                 costs = np.vstack(
                     [
@@ -258,7 +304,7 @@ class RobustLogicalSolution:
         labels = self._plan_labels()
         flat = self._scanned_flat()
         mass = np.zeros(len(self))
-        for rows in _row_blocks(len(flat)):
+        for rows in row_blocks(len(flat)):
             block = model.masses(flat[rows])
             mass += np.bincount(labels[rows], weights=block, minlength=len(self))
         scale = self._space.n_points / len(labels)
@@ -284,7 +330,7 @@ class RobustLogicalSolution:
         Yields each block's cells with their ``operator_loads_batch``.
         """
         names = list(self._space.names)
-        for rows in _row_blocks(len(cells)):
+        for rows in row_blocks(len(cells)):
             values = self._space.points_matrix(cells[rows])
             yield cells[rows], self._cost_model.operator_loads_batch(
                 plan, values, names

@@ -101,9 +101,7 @@ class Dimension:
         """Grid index whose value is nearest to ``value`` (clamped).
 
         A value exactly halfway between two grid cells rounds to the
-        *even* index (IEEE round-half-to-even, Python's ``round``),
-        matching :meth:`nearest_indices` so scalar and vectorized
-        lookups can never disagree at cell boundaries.
+        *even* index (IEEE round-half-to-even, Python's ``round``).
         """
         if self.steps == 1 or self.cell_width <= 0:
             return 0
@@ -121,18 +119,6 @@ class Dimension:
             return np.array([self.lo])
         return self.lo + np.arange(self.steps) * self.cell_width
 
-    def nearest_indices(self, values: FloatArray) -> IntArray:
-        """Vectorized :meth:`nearest_index` over an array of values.
-
-        Uses ``np.rint`` (round-half-to-even), the same rounding rule as
-        the scalar path, then clamps to ``[0, steps-1]``.
-        """
-        values = np.asarray(values, dtype=float)
-        if self.steps == 1 or self.cell_width <= 0:
-            return np.zeros(values.shape, dtype=np.intp)
-        raw = np.rint((values - self.lo) / self.cell_width).astype(np.intp)
-        return np.clip(raw, 0, self.steps - 1)
-
 
 class ParameterSpace:
     """A discretized hyper-rectangle of statistics values.
@@ -148,7 +134,6 @@ class ParameterSpace:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate dimension names: {names}")
         self._dimensions = tuple(dimensions)
-        self._grid_matrix: FloatArray | None = None
 
     @classmethod
     def from_estimates(
@@ -215,31 +200,17 @@ class ParameterSpace:
             {d.name: d.value(i) for d, i in zip(self._dimensions, index)}
         )
 
-    def nearest_index(self, point: Mapping[str, float]) -> GridIndex:
-        """Grid index nearest to a real-valued point (clamped per dim)."""
-        return tuple(
-            d.nearest_index(float(point[d.name])) for d in self._dimensions
-        )
-
     def grid_indices(self) -> Iterator[GridIndex]:
         """Iterate over every grid index in row-major order."""
         return iter_product(*(range(d.steps) for d in self._dimensions))
 
     # ------------------------------------------------------------------
-    # Dense-grid views (the vectorized evaluation core's substrate)
+    # Row-major flat positions (the vectorized evaluation core's substrate)
     # ------------------------------------------------------------------
 
-    def flat_index(self, index: GridIndex) -> int:
-        """Row-major flat position of ``index`` — the row of
-        :meth:`grid_matrix` (and the column of any cost tensor) holding
-        that grid point."""
-        flat = 0
-        for i, d in zip(index, self._dimensions):
-            flat = flat * d.steps + i
-        return flat
-
     def index_of_flat(self, flat: int) -> GridIndex:
-        """Inverse of :meth:`flat_index`."""
+        """Grid index at row-major flat position ``flat`` — its place in
+        :meth:`grid_indices` order."""
         if not 0 <= flat < self.n_points:
             raise IndexError(f"flat index {flat} out of range [0, {self.n_points})")
         index = []
@@ -248,40 +219,14 @@ class ParameterSpace:
             flat //= d.steps
         return tuple(reversed(index))
 
-    def grid_matrix(self) -> FloatArray:
-        """The full grid as a dense ``(n_points, n_dims)`` float array.
-
-        Row ``k`` holds the parameter values of the ``k``-th grid index
-        in row-major (:meth:`grid_indices`) order; columns follow
-        :attr:`names`.  Values are bitwise identical to
-        :meth:`Dimension.value`, and the array is built once and cached
-        (read-only) — it is the substrate every vectorized cost kernel
-        indexes into.
-        """
-        if self._grid_matrix is None:
-            columns = np.meshgrid(
-                *(d.values_array() for d in self._dimensions), indexing="ij"
-            )
-            matrix = np.column_stack([c.reshape(-1) for c in columns])
-            matrix.setflags(write=False)
-            self._grid_matrix = matrix
-        return self._grid_matrix
-
     def points_matrix(self, flat: IntArray) -> FloatArray:
         """Dense ``(len(flat), n_dims)`` value matrix at row-major flat
-        grid positions: the rows of :meth:`grid_matrix` they name,
-        without building it."""
+        grid positions; columns follow :attr:`names`.  Values are
+        bitwise identical to :meth:`Dimension.value`.  Callers pass
+        bounded blocks of positions, never the whole of a large grid."""
         indices = np.unravel_index(np.asarray(flat, dtype=np.intp), self.shape)
         return np.column_stack(
             [d.values_array()[i] for d, i in zip(self._dimensions, indices)]
-        )
-
-    def nearest_indices(self, values: FloatArray) -> IntArray:
-        """Vectorized :meth:`nearest_index` over a ``(n, n_dims)`` value
-        matrix; returns an ``(n, n_dims)`` integer index matrix."""
-        values = np.asarray(values, dtype=float)
-        return np.column_stack(
-            [d.nearest_indices(values[:, i]) for i, d in enumerate(self._dimensions)]
         )
 
     def nearest_flat_index(self, point: Mapping[str, float]) -> int | None:

@@ -12,31 +12,34 @@ together with corner-plan caching so each distinct corner costs at most
 one optimizer call.
 
 This module also provides the *evaluation* side: exact grid coverage of
-a plan set, measured against a ground-truth oracle whose calls are not
-charged to the algorithm under test.
+a plan set, measured against the exact plan diagram
+(:func:`~repro.core.diagram.compute_plan_diagram`) of a ground-truth
+oracle whose calls are not charged to the algorithm under test.  Every
+evaluation is built on one pointwise Def. 1 test, :func:`robust_mask`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.cost_tensor import CostTensorCache
+from repro.core.logical import row_blocks
 from repro.core.parameter_space import GridIndex, ParameterSpace, Region
-from repro.query.cost import PlanCostModel
 from repro.query.optimizer import PointOptimizer
 from repro.query.plans import LogicalPlan
-from repro.util.types import BoolArray, FloatArray
+from repro.util.types import BoolArray, IntArray
+
+if TYPE_CHECKING:
+    from repro.core.diagram import PlanDiagram
 
 __all__ = [
     "RegionCheck",
     "RobustnessChecker",
-    "grid_optimal_costs",
-    "optimal_costs_vector",
-    "covered_indices",
+    "coverage_against_sequence",
     "measure_coverage",
+    "robust_mask",
     "robust_region_of_plan",
 ]
 
@@ -146,121 +149,56 @@ class RobustnessChecker:
         )
 
 
-def grid_optimal_costs(
-    space: ParameterSpace, oracle: PointOptimizer
-) -> dict[GridIndex, float]:
-    """Ground-truth optimal cost at every grid point.
-
-    ``oracle`` should be a *separate* optimizer instance from the one
-    used by the algorithm under evaluation so its calls do not pollute
-    the experiment's call counter.
-    """
-    costs: dict[GridIndex, float] = {}
-    for index in space.grid_indices():
-        point = space.point_at(index)
-        plan = oracle.optimize(point)
-        costs[index] = oracle.plan_cost(plan, point)
-    return costs
-
-
-def optimal_costs_vector(
-    space: ParameterSpace, optimal_costs: Mapping[GridIndex, float]
-) -> FloatArray:
-    """Dense ``(n_points,)`` view of a per-index optimal-cost mapping.
-
-    Entries follow the row-major order of ``space.grid_indices()`` —
-    the column order of every :class:`CostTensorCache` tensor.
-    """
-    return np.fromiter(
-        (optimal_costs[index] for index in space.grid_indices()),
-        dtype=float,
-        count=space.n_points,
-    )
-
-
-def _robust_mask(
-    costs: FloatArray,
-    space: ParameterSpace,
-    optimal_costs: Mapping[GridIndex, float],
-    epsilon: float,
+def robust_mask(
+    plan: LogicalPlan, diagram: PlanDiagram, epsilon: float
 ) -> BoolArray:
-    """Boolean Def. 1 test of a cost vector against the optimum vector."""
-    optimal = optimal_costs_vector(space, optimal_costs)
-    return costs <= (1.0 + epsilon) * optimal * (1 + 1e-12)
+    """Def. 1 at every grid point: where ``plan`` is ε-robust.
 
-
-def _indices_of_mask(space: ParameterSpace, mask: BoolArray) -> set[GridIndex]:
-    """Grid indices (tuples) of the set flat positions of ``mask``."""
-    return {space.index_of_flat(int(flat)) for flat in np.flatnonzero(mask)}
-
-
-def covered_indices(
-    plans: Iterable[LogicalPlan],
-    space: ParameterSpace,
-    cost_model: PlanCostModel,
-    optimal_costs: Mapping[GridIndex, float],
-    epsilon: float,
-    *,
-    cache: CostTensorCache | None = None,
-) -> set[GridIndex]:
-    """Grid indices where at least one plan in the set is ε-robust.
-
-    A point is covered when the cheapest plan *from the given set* is
-    within ``(1 + ε)`` of the true optimum there — exactly the runtime
-    classifier's semantics (it always routes a batch to the best plan
-    in the robust logical solution).  Evaluated on the dense cost
-    tensor; pass ``cache`` to reuse tensors across repeated evaluations
-    of overlapping plan sets (e.g. the Figure 11 budget sweep).
+    Entry ``k`` (row-major flat position) is true when ``plan`` costs at
+    most ``(1 + ε)`` times the diagram's optimal cost there.  Costs are
+    evaluated in row blocks, so no whole-grid value matrix is built.
     """
-    plans = list(plans)
-    if not plans:
-        return set()
-    if cache is None:
-        cache = CostTensorCache(space, cost_model, plans)
-        best = cache.min_costs()
-    else:
-        best = cache.min_costs([cache.plan_index(plan) for plan in plans])
-    return _indices_of_mask(space, _robust_mask(best, space, optimal_costs, epsilon))
+    space = diagram.space
+    names = list(space.names)
+    flat = np.arange(space.n_points)
+    mask = np.empty(space.n_points, dtype=bool)
+    for rows in row_blocks(space.n_points):
+        costs = diagram.cost_model.plan_costs(
+            plan, space.points_matrix(flat[rows]), names
+        )
+        mask[rows] = costs <= (1.0 + epsilon) * diagram.optimal_costs[rows] * (
+            1 + 1e-12
+        )
+    return mask
 
 
 def measure_coverage(
-    plans: Iterable[LogicalPlan],
-    space: ParameterSpace,
-    cost_model: PlanCostModel,
-    optimal_costs: Mapping[GridIndex, float],
-    epsilon: float,
-    *,
-    cache: CostTensorCache | None = None,
+    plans: Iterable[LogicalPlan], diagram: PlanDiagram, epsilon: float
 ) -> float:
-    """Fraction of grid points ε-covered by the plan set (0.0–1.0)."""
-    covered = covered_indices(
-        plans, space, cost_model, optimal_costs, epsilon, cache=cache
-    )
-    return len(covered) / space.n_points
+    """Fraction of grid points ε-covered by the plan set (0.0–1.0).
+
+    A point is covered when some plan of the set is ε-robust there —
+    the same as the cheapest plan of the set being within ``(1 + ε)``
+    of the optimum, which is the runtime classifier's semantics (it
+    routes each batch to the best plan of the robust logical solution).
+    """
+    covered = np.zeros(diagram.space.n_points, dtype=bool)
+    for plan in plans:
+        covered |= robust_mask(plan, diagram, epsilon)
+    return int(np.count_nonzero(covered)) / diagram.space.n_points
 
 
 def robust_region_of_plan(
-    plan: LogicalPlan,
-    space: ParameterSpace,
-    cost_model: PlanCostModel,
-    optimal_costs: Mapping[GridIndex, float],
-    epsilon: float,
-    *,
-    cache: CostTensorCache | None = None,
-) -> set[GridIndex]:
-    """Exact robust region of one plan: all indices satisfying Def. 1."""
-    if cache is None:
-        cache = CostTensorCache(space, cost_model, [plan])
-    costs = cache.cost_tensor[cache.plan_index(plan)]
-    return _indices_of_mask(space, _robust_mask(costs, space, optimal_costs, epsilon))
+    plan: LogicalPlan, diagram: PlanDiagram, epsilon: float
+) -> IntArray:
+    """Exact robust region of one plan: sorted flat indices satisfying Def. 1."""
+    return np.flatnonzero(robust_mask(plan, diagram, epsilon))
 
 
 def coverage_against_sequence(
     plan_sequence: Sequence[tuple[int, LogicalPlan]],
     budgets: Sequence[int],
-    space: ParameterSpace,
-    cost_model: PlanCostModel,
-    optimal_costs: Mapping[GridIndex, float],
+    diagram: PlanDiagram,
     epsilon: float,
 ) -> list[float]:
     """Coverage achieved within each optimizer-call budget.
@@ -270,16 +208,12 @@ def coverage_against_sequence(
     result lists, for each budget, the coverage of all plans found at
     or under that many calls — the series plotted in Figure 11.
     """
-    all_plans = [plan for _, plan in plan_sequence]
-    cache = (
-        CostTensorCache(space, cost_model, all_plans) if all_plans else None
-    )
-    results = []
-    for budget in budgets:
-        plans = [plan for calls, plan in plan_sequence if calls <= budget]
-        results.append(
-            measure_coverage(
-                plans, space, cost_model, optimal_costs, epsilon, cache=cache
-            )
-        )
-    return results
+    # Earliest discovery call among the plans robust at each point.
+    first_call = np.full(diagram.space.n_points, np.inf)
+    for calls, plan in plan_sequence:
+        robust = robust_mask(plan, diagram, epsilon)
+        first_call[robust] = np.minimum(first_call[robust], calls)
+    return [
+        int(np.count_nonzero(first_call <= budget)) / diagram.space.n_points
+        for budget in budgets
+    ]

@@ -158,8 +158,8 @@ class PlanCostModel:
         """Total per-second cost of ``plan`` at every point of a batch.
 
         ``values`` is a ``(n_points, len(names))`` matrix whose columns
-        are the parameters listed in ``names`` (e.g. a
-        :meth:`~repro.core.parameter_space.ParameterSpace.grid_matrix`);
+        are the parameters listed in ``names`` (e.g. a block of
+        :meth:`~repro.core.parameter_space.ParameterSpace.points_matrix`);
         parameters not present fall back to their defaults, exactly as
         in :meth:`plan_cost`.  Returns an ``(n_points,)`` cost vector.
         """

@@ -52,10 +52,6 @@ class LogicalPlan:
         except ValueError:
             raise KeyError(f"operator {op_id} not in plan {self.label}") from None
 
-    def prefix_before(self, op_id: int) -> tuple[int, ...]:
-        """Operator ids applied before ``op_id`` under this plan."""
-        return self.order[: self.position(op_id)]
-
 
 def is_valid_order(query: Query, order: Iterable[int]) -> bool:
     """True if ``order`` is a complete, join-graph-valid ordering.

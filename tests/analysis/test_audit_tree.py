@@ -1,8 +1,9 @@
 """Whole-tree audit gates: the real program is clean, and stays honest.
 
 The mutation-style test guards against the audit going blind: it takes
-the real ``cost_tensor.py``, *disables* its freezes (``write=False`` →
-``write=True``), and demands the producer check notice.  If a refactor
+the real ``physical.py``, *disables* the freeze of
+``PlanLoadTable.load_matrix`` (``write=False`` → ``write=True``), and
+demands the producer check notice.  If a refactor
 ever made the tensor-escape pass vacuous, this test — not production —
 is where it shows.
 """
@@ -26,11 +27,11 @@ def test_real_tree_audits_clean() -> None:
 
 def test_unfrozen_cost_tensor_is_caught(tmp_path: Path) -> None:
     original = (
-        REPO_ROOT / "src" / "repro" / "core" / "cost_tensor.py"
+        REPO_ROOT / "src" / "repro" / "core" / "physical.py"
     ).read_text(encoding="utf-8")
     assert "write=False" in original  # the real file does freeze
     mutated = original.replace("write=False", "write=True")
-    target = tmp_path / "cost_tensor.py"
+    target = tmp_path / "physical.py"
     target.write_text(mutated, encoding="utf-8")
     runner = AuditRunner(respect_scopes=False, root=tmp_path)
     report = runner.run([target])

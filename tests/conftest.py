@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
+import numpy as np
 import pytest
 
 from repro.core import Cluster, ParameterSpace
+from repro.core import logical
 from repro.query import Operator, Query, StreamSchema
 from repro.workloads import build_q1, build_q2
 
@@ -57,3 +61,27 @@ def space_2d(three_op_query: Query) -> ParameterSpace:
 def small_cluster() -> Cluster:
     """Three homogeneous machines."""
     return Cluster.homogeneous(3, 250.0)
+
+
+@pytest.fixture
+def bounded_points_matrix(monkeypatch):
+    """A context manager under which ``ParameterSpace.points_matrix``
+    refuses more than ``SCAN_BLOCK_ROWS`` positions: code run inside it
+    never materializes a whole-grid value matrix.  Activate it around
+    the code under test only; checks on whole cell sets run outside."""
+    unbounded = ParameterSpace.points_matrix
+
+    def bounded(space, flat):
+        if np.size(flat) > logical.SCAN_BLOCK_ROWS:
+            raise AssertionError(f"points_matrix asked for {np.size(flat)} rows")
+        return unbounded(space, flat)
+
+    @contextmanager
+    def guard():
+        monkeypatch.setattr(ParameterSpace, "points_matrix", bounded)
+        try:
+            yield
+        finally:
+            monkeypatch.setattr(ParameterSpace, "points_matrix", unbounded)
+
+    return guard

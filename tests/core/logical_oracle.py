@@ -1,8 +1,7 @@
 """Reference oracle for the robustness scan: the per-cell path it replaced.
 
-Plan cells come from one argmin over the dense
-:class:`~repro.core.cost_tensor.CostTensorCache` cost tensor and are
-kept as sets of grid-index tuples; weights and expected loads sum
+Plan cells come from one argmin over every plan's cost at every grid
+point and are kept as sets of grid-index tuples; weights and expected loads sum
 scalar ``cell_probability`` calls cell by cell, and worst-case loads
 take the maximum of scalar ``operator_loads`` over the cells.  Exact
 grids only: tests compare :class:`RobustLogicalSolution`'s blocked scan
@@ -13,8 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.cost_tensor import CostTensorCache, lexicographic_argmin
-from repro.core.logical import RobustLogicalSolution
+from repro.core.logical import (
+    RobustLogicalSolution,
+    lexicographic_argmin,
+    order_ranks,
+)
 from repro.core.occurrence import NormalOccurrenceModel
 from repro.core.parameter_space import GridIndex
 from repro.query.plans import LogicalPlan
@@ -24,8 +26,15 @@ def oracle_cells(
     solution: RobustLogicalSolution,
 ) -> dict[LogicalPlan, set[GridIndex]]:
     """Grid indices where each plan is cheapest, ``(cost, plan.order)`` ties."""
-    cache = CostTensorCache(solution.space, solution.cost_model, solution.plans)
-    best = lexicographic_argmin([cache.cost_tensor], cache.plan_ranks)
+    space = solution.space
+    values = space.points_matrix(np.arange(space.n_points))
+    costs = np.vstack(
+        [
+            solution.cost_model.plan_costs(plan, values, space.names)
+            for plan in solution.plans
+        ]
+    )
+    best = lexicographic_argmin([costs], order_ranks(solution.plans))
     cells: dict[LogicalPlan, set[GridIndex]] = {p: set() for p in solution.plans}
     for index, plan_index in zip(solution.space.grid_indices(), best):
         cells[solution.plans[plan_index]].add(index)

@@ -85,6 +85,27 @@ class TestMasses:
                 expected = model.cell_probability(space.index_of_flat(int(k)))
                 assert masses[k] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
+    def test_three_correlated_dims_are_reproducible(self):
+        # With three or more correlated dimensions SciPy's CDF is a
+        # randomized quasi-Monte Carlo estimate; the model seeds it.
+        def build() -> CorrelatedOccurrenceModel:
+            space = ParameterSpace(
+                [
+                    Dimension("x", 0.0, 1.0, 4),
+                    Dimension("y", 0.0, 1.0, 3),
+                    Dimension("z", 0.0, 1.0, 3),
+                ]
+            )
+            correlation = [[1.0, 0.6, -0.3], [0.6, 1.0, 0.2], [-0.3, 0.2, 1.0]]
+            return CorrelatedOccurrenceModel(space, correlation=correlation)
+
+        model = build()
+        flat = np.arange(model.space.n_points)
+        first = model.masses(flat)
+        assert np.array_equal(model.masses(flat), first)
+        assert np.array_equal(model.masses(flat), first)
+        assert np.array_equal(build().masses(flat), first)
+
 
 class TestPlanWeightsIntegration:
     def test_anti_synchronized_weights_shift_toward_regime_plans(self):

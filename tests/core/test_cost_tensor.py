@@ -1,11 +1,13 @@
-"""Tests for the shared dense cost/load tensor cache."""
+"""Tests for the batch cost kernel over flat grid positions and the
+shared ``(cost, plan.order)`` tie-break kernel."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core import CostTensorCache, ParameterSpace, lexicographic_argmin
+from repro.core import ParameterSpace, lexicographic_argmin
+from repro.core.logical import order_ranks
 from repro.core.parameter_space import Dimension
 from repro.query import LogicalPlan, PlanCostModel
 
@@ -31,58 +33,36 @@ def plans(three_op_query) -> list[LogicalPlan]:
 
 
 @pytest.fixture
-def cache(three_op_query, space, plans) -> CostTensorCache:
-    return CostTensorCache(space, PlanCostModel(three_op_query), plans)
+def costs(three_op_query, space, plans) -> np.ndarray:
+    """Every plan's cost at every grid point, one row per plan."""
+    values = space.points_matrix(np.arange(space.n_points))
+    model = PlanCostModel(three_op_query)
+    return np.vstack([model.plan_costs(plan, values, space.names) for plan in plans])
 
 
 class TestCostTensor:
-    def test_matches_scalar_bitwise_in_grid_order(self, cache, three_op_query):
+    def test_matches_scalar_bitwise_in_grid_order(
+        self, costs, space, plans, three_op_query
+    ):
         model = PlanCostModel(three_op_query)
-        tensor = cache.cost_tensor
-        assert tensor.shape == (cache.n_plans, cache.n_points)
-        for i, plan in enumerate(cache.plans):
-            for flat, index in enumerate(cache.space.grid_indices()):
-                point = cache.space.point_at(index)
-                assert tensor[i, flat] == model.plan_cost(plan, point)
+        assert costs.shape == (len(plans), space.n_points)
+        for i, plan in enumerate(plans):
+            for flat, index in enumerate(space.grid_indices()):
+                point = space.point_at(index)
+                assert costs[i, flat] == model.plan_cost(plan, point)
 
-    def test_tensors_are_memoized_and_read_only(self, cache):
-        assert cache.cost_tensor is cache.cost_tensor
-        with pytest.raises(ValueError):
-            cache.cost_tensor[0, 0] = 1.0
-
-    def test_min_costs_is_the_dedup_helper(self, cache, three_op_query):
+    def test_best_plan_matches_scalar_tie_break(
+        self, costs, space, plans, three_op_query
+    ):
         model = PlanCostModel(three_op_query)
-        best = cache.min_costs()
-        for flat, index in enumerate(cache.space.grid_indices()):
-            point = cache.space.point_at(index)
-            assert best[flat] == min(
-                model.plan_cost(plan, point) for plan in cache.plans
-            )
-
-    def test_min_costs_over_subset(self, cache):
-        subset = cache.min_costs([0, 2])
-        expected = np.minimum(cache.cost_tensor[0], cache.cost_tensor[2])
-        assert np.array_equal(subset, expected)
-
-    def test_best_plan_matches_scalar_tie_break(self, cache, three_op_query):
-        model = PlanCostModel(three_op_query)
-        best = lexicographic_argmin([cache.cost_tensor], cache.plan_ranks)
-        for flat, index in enumerate(cache.space.grid_indices()):
-            point = cache.space.point_at(index)
+        best = lexicographic_argmin([costs], order_ranks(plans))
+        for flat, index in enumerate(space.grid_indices()):
+            point = space.point_at(index)
             winner = min(
-                cache.plans,
+                plans,
                 key=lambda p: (model.plan_cost(p, point), p.order),
             )
-            assert cache.plans[best[flat]] == winner
-
-    def test_plan_index_lookup(self, cache, plans):
-        assert cache.plan_index(plans[1]) == 1
-        with pytest.raises(ValueError):
-            cache.plan_index(LogicalPlan((0, 2, 1)))
-
-    def test_empty_plan_set_rejected(self, three_op_query, space):
-        with pytest.raises(ValueError):
-            CostTensorCache(space, PlanCostModel(three_op_query), [])
+            assert plans[best[flat]] == winner
 
 
 class TestLexicographicArgmin:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from coverage_oracle import oracle_diagram, oracle_reduce
 
 from repro.core import ParameterSpace
 from repro.core.diagram import compute_plan_diagram
@@ -20,16 +22,17 @@ def diagram():
 
 class TestComputeDiagram:
     def test_every_cell_assigned(self, diagram):
-        assert len(diagram.assignment) == diagram.space.n_points
-        assert set(diagram.assignment) == set(diagram.space.grid_indices())
+        n_points = diagram.space.n_points
+        assert diagram.labels.shape == diagram.optimal_costs.shape == (n_points,)
+        assert set(diagram.labels.tolist()) == set(range(len(diagram.plans)))
 
     def test_assignment_is_pointwise_optimal(self, diagram):
         oracle = make_optimizer(build_q1())
-        for index in list(diagram.space.grid_indices())[::7]:
+        for flat, index in list(enumerate(diagram.space.grid_indices()))[::7]:
             point = diagram.space.point_at(index)
             expected = oracle.optimize(point)
-            assert diagram.assignment[index] == expected
-            assert diagram.optimal_costs[index] == pytest.approx(
+            assert diagram.plans[diagram.labels[flat]] == expected
+            assert diagram.optimal_costs[flat] == pytest.approx(
                 oracle.plan_cost(expected, point)
             )
 
@@ -55,7 +58,8 @@ class TestReduction:
         # costs on all its cells — which deterministic tie-breaking
         # already collapsed — so the diagram is unchanged.
         reduced = diagram.reduce(0.0)
-        assert reduced.assignment == diagram.assignment
+        assert reduced.plans == diagram.plans
+        assert np.array_equal(reduced.labels, diagram.labels)
 
     def test_large_epsilon_collapses_to_one_plan(self, diagram):
         reduced = diagram.reduce(10.0)
@@ -64,14 +68,34 @@ class TestReduction:
     def test_reduced_assignment_respects_epsilon(self, diagram):
         epsilon = 0.2
         reduced = diagram.reduce(epsilon)
-        for index, plan in reduced.assignment.items():
-            point = diagram.space.point_at(index)
-            cost = diagram.cost_model.plan_cost(plan, point)
-            assert cost <= (1 + epsilon) * diagram.optimal_costs[index] * (1 + 1e-9)
+        for flat, index in enumerate(diagram.space.grid_indices()):
+            plan = reduced.plans[reduced.labels[flat]]
+            cost = diagram.cost_model.plan_cost(plan, diagram.space.point_at(index))
+            assert cost <= (1 + epsilon) * diagram.optimal_costs[flat] * (1 + 1e-9)
 
     def test_negative_epsilon_rejected(self, diagram):
         with pytest.raises(ValueError):
             diagram.reduce(-0.1)
+
+    @pytest.mark.parametrize("level, points_per_level", [(4, 2), (4, 4), (5, 4)])
+    def test_matches_dict_reduction(self, level, points_per_level):
+        # The mask-based reduction against the dict rescan it replaced,
+        # on q1 diagrams of 81, 289 and 441 cells.
+        query = build_q1()
+        estimate = query.default_estimates({"sel:1": level, "sel:3": level})
+        space = ParameterSpace.from_estimates(
+            estimate, points_per_level=points_per_level
+        )
+        diagram = compute_plan_diagram(space, make_optimizer(query))
+        assignment, optimal = oracle_diagram(space, make_optimizer(query))
+        for epsilon in (0.0, 0.1, 10.0):
+            reduced = diagram.reduce(epsilon)
+            expected = oracle_reduce(
+                assignment, optimal, space, diagram.cost_model, epsilon
+            )
+            assert [reduced.plans[label] for label in reduced.labels] == [
+                expected[index] for index in space.grid_indices()
+            ]
 
 
 class TestRender:

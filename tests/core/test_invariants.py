@@ -19,12 +19,12 @@ from repro.core import (
     ParameterSpace,
     PlanLoadTable,
     WeightedRobustPartitioning,
+    compute_plan_diagram,
     greedy_phy,
-    grid_optimal_costs,
     measure_coverage,
     opt_prune,
 )
-from repro.query import LogicalPlan, Operator, PlanCostModel, Query, StreamSchema, make_optimizer
+from repro.query import LogicalPlan, Operator, Query, StreamSchema, make_optimizer
 
 
 def _random_query(data, n_ops: int) -> Query:
@@ -88,10 +88,8 @@ class TestPartitioningInvariants:
             points_per_level=2,
         )
         es = ExhaustiveSearch(query, space, epsilon=0.0).run()
-        optimal = grid_optimal_costs(space, make_optimizer(query))
-        coverage = measure_coverage(
-            es.solution.plans, space, PlanCostModel(query), optimal, 0.0
-        )
+        diagram = compute_plan_diagram(space, make_optimizer(query))
+        coverage = measure_coverage(es.solution.plans, diagram, 0.0)
         assert coverage == 1.0
 
 

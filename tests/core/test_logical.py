@@ -208,7 +208,10 @@ class TestScanMatchesOracle:
             reference = oracle_weights(solution, occurrence)
             assert not solution.uses_sampled_grid
             for plan in solution.plans:
-                flat = sorted(space.flat_index(index) for index in expected[plan])
+                flat = sorted(
+                    int(np.ravel_multi_index(index, space.shape))
+                    for index in expected[plan]
+                )
                 assert cells[plan].tolist() == flat
                 for k in flat:
                     point = space.point_at(space.index_of_flat(k))
@@ -252,12 +255,12 @@ class TestCliDefaultCompile:
 
 
 class TestSampledScan:
-    def test_q2_samples_and_bounds_loads_by_the_top_corner(self, monkeypatch):
-        def refuse(space):
-            raise AssertionError("grid_matrix built on a 1.4e9-point space")
-
-        monkeypatch.setattr(ParameterSpace, "grid_matrix", refuse)
-        solution = _cli_compile(build_q2())
+    def test_q2_samples_and_bounds_loads_by_the_top_corner(
+        self, bounded_points_matrix
+    ):
+        # The q2 space has 1.4e9 points: the compile must work in blocks.
+        with bounded_points_matrix():
+            solution = _cli_compile(build_q2())
         logical = solution.logical
         assert logical.uses_sampled_grid
         assert logical.scanned_points == MAX_SCAN_POINTS < solution.space.n_points

@@ -158,19 +158,16 @@ class TestERPParity:
         spawned = _run_erp(query, space, epsilon=0.2, max_calls=None, jobs=2)
         assert spawned == serial
 
-    def test_large_space_never_builds_the_grid_matrix(self, monkeypatch):
+    def test_large_space_never_builds_the_grid_matrix(self, bounded_points_matrix):
         # The 10-way join with every selectivity uncertain has a space
         # whose dense grid matrix would not fit in memory; workers must
         # get the corner points themselves, never a copy of the grid.
-        def refuse(space):
-            raise AssertionError("grid_matrix built during partitioning")
-
-        monkeypatch.setattr(ParameterSpace, "grid_matrix", refuse)
         query = build_nway(10, seed=3)
         estimate = _estimate(query, 3, len(query.operators))
         space = ParameterSpace.from_estimates(estimate, points_per_level=2)
-        serial = _run_erp(query, space, epsilon=0.2, max_calls=40, jobs=1)
-        parallel = _run_erp(query, space, epsilon=0.2, max_calls=40, jobs=2)
+        with bounded_points_matrix():
+            serial = _run_erp(query, space, epsilon=0.2, max_calls=40, jobs=1)
+            parallel = _run_erp(query, space, epsilon=0.2, max_calls=40, jobs=2)
         assert parallel == serial
 
 

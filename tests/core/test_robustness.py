@@ -2,18 +2,28 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from coverage_oracle import (
+    oracle_coverage,
+    oracle_coverage_against_sequence,
+    oracle_covered,
+    oracle_diagram,
+)
 
 from repro.core import (
+    EarlyTerminatedRobustPartitioning,
+    ExhaustiveSearch,
     ParameterSpace,
     RobustnessChecker,
-    covered_indices,
-    grid_optimal_costs,
+    compute_plan_diagram,
     measure_coverage,
     robust_region_of_plan,
 )
 from repro.core.parameter_space import Region
+from repro.core.robustness import coverage_against_sequence
 from repro.query import PlanCostModel, make_optimizer
+from repro.workloads import build_q1
 
 
 @pytest.fixture
@@ -87,52 +97,109 @@ class TestRobustnessChecker:
 class TestCoverage:
     def test_all_optimal_plans_give_full_coverage(self, setup):
         query, space, optimizer = setup
-        oracle = make_optimizer(query)
-        optimal_costs = grid_optimal_costs(space, oracle)
-        plans = {oracle.optimize(space.point_at(i)) for i in space.grid_indices()}
-        coverage = measure_coverage(
-            plans, space, PlanCostModel(query), optimal_costs, epsilon=0.0
-        )
-        assert coverage == 1.0
+        diagram = compute_plan_diagram(space, make_optimizer(query))
+        assert measure_coverage(diagram.plans, diagram, epsilon=0.0) == 1.0
 
     def test_empty_plan_set_covers_nothing(self, setup):
         query, space, optimizer = setup
-        optimal_costs = grid_optimal_costs(space, make_optimizer(query))
-        assert (
-            measure_coverage([], space, PlanCostModel(query), optimal_costs, 0.2)
-            == 0.0
-        )
+        diagram = compute_plan_diagram(space, make_optimizer(query))
+        assert measure_coverage([], diagram, 0.2) == 0.0
 
     def test_single_plan_coverage_grows_with_epsilon(self, setup):
         query, space, optimizer = setup
         oracle = make_optimizer(query)
-        optimal_costs = grid_optimal_costs(space, oracle)
+        diagram = compute_plan_diagram(space, oracle)
         plan = oracle.optimize(space.full_region().pnt_lo)
-        model = PlanCostModel(query)
-        tight = measure_coverage([plan], space, model, optimal_costs, 0.0)
-        loose = measure_coverage([plan], space, model, optimal_costs, 0.5)
+        tight = measure_coverage([plan], diagram, 0.0)
+        loose = measure_coverage([plan], diagram, 0.5)
         assert loose >= tight
         assert loose > 0.0
 
     def test_covered_indices_subset_of_grid(self, setup):
         query, space, optimizer = setup
         oracle = make_optimizer(query)
-        optimal_costs = grid_optimal_costs(space, oracle)
+        diagram = compute_plan_diagram(space, oracle)
         plan = oracle.optimize(space.full_region().pnt_hi)
-        covered = covered_indices(
-            [plan], space, PlanCostModel(query), optimal_costs, 0.2
-        )
-        assert covered <= set(space.grid_indices())
+        region = robust_region_of_plan(plan, diagram, 0.2)
+        assert np.array_equal(region, np.unique(region))
+        assert np.all((0 <= region) & (region < space.n_points))
 
     def test_robust_region_contains_optimality_region(self, setup):
         query, space, optimizer = setup
         oracle = make_optimizer(query)
-        optimal_costs = grid_optimal_costs(space, oracle)
+        diagram = compute_plan_diagram(space, oracle)
         plan = oracle.optimize(space.full_region().pnt_lo)
-        region = robust_region_of_plan(
-            plan, space, PlanCostModel(query), optimal_costs, epsilon=0.2
-        )
+        region = robust_region_of_plan(plan, diagram, epsilon=0.2)
         # Everywhere the plan is optimal it is also ε-robust.
-        for index in space.grid_indices():
-            if oracle.optimize(space.point_at(index)) == plan:
-                assert index in region
+        owned = np.flatnonzero(diagram.labels == diagram.plans.index(plan))
+        assert np.isin(owned, region).all()
+
+
+def _flat(space, indices):
+    """Sorted row-major flat positions of grid-index tuples."""
+    return sorted(int(np.ravel_multi_index(index, space.shape)) for index in indices)
+
+
+@pytest.fixture(scope="module", params=[(4, 2), (4, 4), (5, 4)], ids=str)
+def q1_case(request):
+    """A small q1 space (81, 289 or 441 cells), its diagram, the dict
+    oracle's optimum, and the ES and ERP discovery sequences."""
+    level, points_per_level = request.param
+    query = build_q1()
+    estimate = query.default_estimates({"sel:1": level, "sel:3": level})
+    space = ParameterSpace.from_estimates(estimate, points_per_level=points_per_level)
+    diagram = compute_plan_diagram(space, make_optimizer(query))
+    _, optimal = oracle_diagram(space, make_optimizer(query))
+    sequences = {
+        name: [
+            (d.at_call, d.plan)
+            for d in searcher(query, space, epsilon=0.1).run().solution.discoveries
+        ]
+        for name, searcher in (
+            ("ES", ExhaustiveSearch),
+            ("ERP", EarlyTerminatedRobustPartitioning),
+        )
+    }
+    return space, diagram, optimal, sequences, PlanCostModel(query)
+
+
+class TestHarnessMatchesDictOracle:
+    """The mask-based harness against the dict/set form it replaced."""
+
+    EPSILONS = (0.0, 0.05, 0.1, 0.2)
+
+    def test_measure_coverage(self, q1_case):
+        space, diagram, optimal, sequences, model = q1_case
+        erp = [plan for _, plan in sequences["ERP"]]
+        plan_sets = [erp, erp[:2], diagram.plans[1:], [diagram.plans[-1]], []]
+        for plans in plan_sets:
+            for epsilon in self.EPSILONS:
+                assert measure_coverage(plans, diagram, epsilon) == oracle_coverage(
+                    plans, space, model, optimal, epsilon
+                )
+
+    def test_robust_region_of_plan(self, q1_case):
+        space, diagram, optimal, _, model = q1_case
+        for plan in diagram.plans:
+            for epsilon in self.EPSILONS:
+                region = robust_region_of_plan(plan, diagram, epsilon)
+                expected = oracle_covered([plan], space, model, optimal, epsilon)
+                assert region.tolist() == _flat(space, expected)
+
+    def test_coverage_against_sequence(self, q1_case):
+        space, diagram, optimal, sequences, model = q1_case
+        budgets = (0, 1, 5, 10, 50, 100, 300, 1000)
+        for sequence in sequences.values():
+            for epsilon in self.EPSILONS:
+                assert coverage_against_sequence(
+                    sequence, budgets, diagram, epsilon
+                ) == oracle_coverage_against_sequence(
+                    sequence, budgets, space, model, optimal, epsilon
+                )
+
+    def test_diagram_matches_per_index_optimum(self, q1_case):
+        space, diagram, optimal, _, _ = q1_case
+        assignment, _ = oracle_diagram(space, make_optimizer(build_q1()))
+        for flat, index in enumerate(space.grid_indices()):
+            assert diagram.plans[diagram.labels[flat]] == assignment[index]
+            assert diagram.optimal_costs[flat] == optimal[index]

@@ -19,12 +19,12 @@ from repro.core import (
     PlanLoadTable,
     RLDConfig,
     RLDOptimizer,
+    compute_plan_diagram,
     exhaustive_physical,
-    grid_optimal_costs,
     measure_coverage,
     opt_prune,
 )
-from repro.query import PlanCostModel, make_optimizer
+from repro.query import make_optimizer
 from repro.runtime import compare_strategies
 from repro.runtime.comparison import build_standard_strategies
 from repro.workloads import build_q1, stock_workload
@@ -48,15 +48,9 @@ class TestLogicalPipeline:
         es = ExhaustiveSearch(query, space, epsilon=epsilon).run()
         assert erp.optimizer_calls < es.optimizer_calls
 
-        oracle = make_optimizer(query)
-        optimal = grid_optimal_costs(space, oracle)
-        model = PlanCostModel(query)
-        erp_coverage = measure_coverage(
-            erp.solution.plans, space, model, optimal, epsilon
-        )
-        es_coverage = measure_coverage(
-            es.solution.plans, space, model, optimal, epsilon
-        )
+        diagram = compute_plan_diagram(space, make_optimizer(query))
+        erp_coverage = measure_coverage(erp.solution.plans, diagram, epsilon)
+        es_coverage = measure_coverage(es.solution.plans, diagram, epsilon)
         assert es_coverage == 1.0
         assert erp_coverage >= 0.85 * es_coverage
 

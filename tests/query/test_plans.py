@@ -24,7 +24,7 @@ class TestLogicalPlan:
     def test_position_and_prefix(self):
         plan = LogicalPlan((2, 0, 1))
         assert plan.position(0) == 1
-        assert plan.prefix_before(1) == (2, 0)
+        assert plan.order[: plan.position(1)] == (2, 0)
         with pytest.raises(KeyError):
             plan.position(9)
 

@@ -1,5 +1,5 @@
 """Reference oracle for RLD routing: the classifier decision at every
-grid point at once, vectorized over ``grid_matrix()``.
+grid point at once, vectorized over every grid point's values.
 
 This is an independent implementation of :class:`RLDStrategy`'s three
 branches — the cost argmin, the dead-bottleneck fallback and the
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.cost_tensor import lexicographic_argmin
+from repro.core.logical import lexicographic_argmin
 from repro.core.rld import RLDSolution
 
 
@@ -26,8 +26,8 @@ def oracle_decisions(
     model = solution.logical.cost_model
     space = solution.space
     names = list(space.names)
-    matrix = space.grid_matrix()
-    n_points = matrix.shape[0]
+    n_points = space.n_points
+    matrix = space.points_matrix(np.arange(n_points))
     n_plans = len(plans)
     placement = solution.physical.physical_plan
     capacities = np.asarray(solution.cluster.capacities, dtype=float)

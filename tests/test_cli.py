@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _solution_lines(out: str) -> list[str]:
@@ -140,6 +144,22 @@ class TestDiagram:
         out = capsys.readouterr().out
         assert code == 0
         assert "reduced at epsilon=0.3" in out
+
+    @pytest.mark.parametrize(
+        "extra, golden",
+        [
+            ([], "diagram_q1_level4.txt"),
+            (["--reduce-epsilon", "0.1"], "diagram_q1_level4_reduced.txt"),
+        ],
+    )
+    def test_output_is_pinned(self, capsys, extra, golden):
+        code = main(
+            ["diagram", "--query", "q1", "--dims", "sel:1", "sel:3",
+             "--level", "4", *extra]
+        )
+        assert code == 0
+        expected = (GOLDEN / golden).read_text(encoding="utf-8")
+        assert capsys.readouterr().out == expected
 
     def test_requires_two_dims(self):
         with pytest.raises(SystemExit, match="two --dims"):
