@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.core import Cluster, RLDConfig, RLDOptimizer, ParameterSpace
 from repro.core.diagram import compute_plan_diagram
@@ -36,6 +37,7 @@ from repro.engine.faults import FaultSchedule
 from repro.query import make_optimizer
 from repro.query.model import Query
 from repro.runtime.comparison import build_standard_strategies, compare_strategies
+from repro.util.validation import ensure_positive
 from repro.workloads import build_nway, build_q1, build_q2, stock_workload
 
 __all__ = ["main", "build_parser"]
@@ -48,8 +50,24 @@ def _load_query(name: str) -> Query:
     if name == "q2":
         return build_q2()
     if name.startswith("nway:"):
-        return build_nway(int(name.split(":", 1)[1]))
+        count = name.split(":", 1)[1]
+        if not count.isdigit() or int(count) < 1:
+            raise SystemExit(
+                f"invalid query {name!r}: nway:<k> needs an integer k >= 1"
+            )
+        return build_nway(int(count))
     raise SystemExit(f"unknown query {name!r}; use q1, q2, or nway:<k>")
+
+
+@contextmanager
+def _bad_input() -> Iterator[None]:
+    """Turn a ``ValueError`` raised while building a command's inputs
+    into a one-line exit.  Never wraps a compile or a simulation: an
+    error there is a bug and keeps its traceback."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
 
 
 def _estimate(query: Query, level: int, rate_level: int, dims: Sequence[str] | None):
@@ -64,16 +82,14 @@ def _estimate(query: Query, level: int, rate_level: int, dims: Sequence[str] | N
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     query = _load_query(args.query)
-    estimate = _estimate(query, args.level, args.rate_level, args.dims)
-    cluster = Cluster.homogeneous(args.nodes, args.capacity)
-    try:
+    with _bad_input():
+        estimate = _estimate(query, args.level, args.rate_level, args.dims)
+        cluster = Cluster.homogeneous(args.nodes, args.capacity)
         config = RLDConfig(
             epsilon=args.epsilon,
             physical_algorithm=args.algorithm,
             jobs=args.jobs,
         )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
     solution = RLDOptimizer(query, cluster, config=config).solve(estimate)
     print(solution.summary())
     print(
@@ -137,10 +153,11 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
     query = _load_query(args.query)
     if len(args.dims or ()) != 2:
         raise SystemExit("diagram requires exactly two --dims (a 2-D space)")
-    estimate = _estimate(query, args.level, 0, args.dims)
-    space = ParameterSpace.from_estimates(
-        estimate, points_per_level=args.points_per_level
-    )
+    with _bad_input():
+        estimate = _estimate(query, args.level, 0, args.dims)
+        space = ParameterSpace.from_estimates(
+            estimate, points_per_level=args.points_per_level
+        )
     diagram = compute_plan_diagram(space, make_optimizer(query))
     if args.reduce_epsilon is not None:
         diagram = diagram.reduce(args.reduce_epsilon)
@@ -152,17 +169,18 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     query = _load_query(args.query)
-    estimate = _estimate(query, args.level, args.rate_level, args.dims)
-    cluster = Cluster.homogeneous(args.nodes, args.capacity)
+    with _bad_input():
+        estimate = _estimate(query, args.level, args.rate_level, args.dims)
+        cluster = Cluster.homogeneous(args.nodes, args.capacity)
+        config = RLDConfig(epsilon=args.epsilon)
+        ensure_positive(args.duration, "--duration")
+        ensure_positive(args.rate_scale, "--rate-scale")
+        workload = stock_workload(
+            query, uncertainty_level=args.level, regime_period=args.regime_period
+        ).scaled(args.rate_scale)
     strategies = build_standard_strategies(
-        query,
-        cluster,
-        estimate=estimate,
-        rld_config=RLDConfig(epsilon=args.epsilon),
+        query, cluster, estimate=estimate, rld_config=config
     )
-    workload = stock_workload(
-        query, uncertainty_level=args.level, regime_period=args.regime_period
-    ).scaled(args.rate_scale)
     faults = None
     if args.faults:
         try:

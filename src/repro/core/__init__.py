@@ -26,11 +26,7 @@ from repro.core.correlation import CorrelatedOccurrenceModel
 from repro.core.diagram import PlanDiagram, compute_plan_diagram
 from repro.core.exhaustive_phy import enumerate_partitions, exhaustive_physical
 from repro.core.greedy_phy import greedy_phy, largest_load_first
-from repro.core.logical import (
-    PlanDiscovery,
-    RobustLogicalSolution,
-    lexicographic_argmin,
-)
+from repro.core.logical import PlanDiscovery, RobustLogicalSolution
 from repro.core.occurrence import NormalOccurrenceModel
 from repro.core.optprune import (
     enumerate_feasible_configs,
@@ -116,7 +112,6 @@ __all__ = [
     "exhaustive_physical",
     "greedy_phy",
     "largest_load_first",
-    "lexicographic_argmin",
     "measure_coverage",
     "opt_prune",
     "opt_prune_heterogeneous",

@@ -3,29 +3,34 @@
 A *robust logical solution* ``LP_i`` (Def. 2 / §2.4) is a set of
 logical plans such that for (almost) every point of the parameter
 space, at least one plan in the set is ε-robust there.  Beyond holding
-the plans, this class provides the two derived artifacts the rest of
-the pipeline needs:
+the plans, this class derives what the rest of the pipeline needs:
 
 * the **plan-cell partition** — each grid point labelled with the plan
   that is cheapest there (the runtime classifier's routing rule), the
-  "robust region" behind plan weights and worst-case loads; and
+  "robust region" behind plan weights and loads;
 * **plan weights** — the occurrence-probability mass of each plan's
   region (§5.2 Example 4), the priority order in which GreedyPhy and
-  OptPrune try to support plans.
+  OptPrune try to support plans; and
+* each plan's **worst-case** (Def. 3) and **typical** per-operator
+  loads over its cells.
 
-Both come from one blocked scan over row-major flat grid indices that
-keeps a single plan-label array.  The scan is exact up to
-:data:`MAX_SCAN_POINTS` grid points; above it, the scan visits a
-fixed-seed sample, weights become estimates, and worst-case loads come
-from the space's top corner, which bounds every point.  The scan's
-block iterator (:func:`row_blocks`) also drives the ε-coverage harness
-in :mod:`repro.core.robustness`.
+All of them come from one fused pass over row-major flat grid indices,
+in blocks: per block, one value matrix, every plan's cost, one label
+argmin, one occurrence-mass lookup and each plan's loads over its own
+rows.  The plan-label array is kept on its own, so
+:meth:`RobustLogicalSolution.plan_cells` alone needs only the label
+part.  The pass is exact up to :data:`MAX_SCAN_POINTS` grid points;
+above it, the pass visits a fixed-seed sample, weights become
+estimates, and worst-case loads come from the space's top corner,
+which bounds every point.  The pass's block iterator
+(:func:`row_blocks`) also drives the ε-coverage harness in
+:mod:`repro.core.robustness`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -38,7 +43,7 @@ from repro.query.plans import LogicalPlan
 from repro.util.rng import derive_rng
 from repro.util.types import FloatArray, IntArray
 
-__all__ = ["RobustLogicalSolution", "PlanDiscovery", "lexicographic_argmin"]
+__all__ = ["RobustLogicalSolution", "PlanDiscovery"]
 
 #: Most grid points one robustness scan visits.  Spaces up to this size
 #: are scanned exactly; larger ones (high-dimensional grids are
@@ -61,49 +66,23 @@ def row_blocks(n_rows: int) -> Iterator[slice]:
         yield slice(start, start + SCAN_BLOCK_ROWS)
 
 
-def lexicographic_argmin(
-    keys: Sequence[FloatArray], ranks: IntArray
-) -> IntArray:
-    """Columnwise argmin over stacked ``(n_candidates, n_points)`` keys.
+@dataclass(frozen=True)
+class _PassResult:
+    """The folds of one fused pass, per plan index, for one occurrence model.
 
-    For each point (column), returns the candidate row minimizing the
-    tuple ``(keys[0][p], keys[1][p], ..., ranks[p])`` — exactly the
-    semantics of Python's ``min(..., key=lambda p: (k0, k1, ..., rank))``
-    applied per column.  ``ranks`` is the final integer tie-break (e.g.
-    each plan's position in ``sorted(plans, key=plan.order)``), so the
-    result is deterministic even under exact float cost ties.
+    ``mass`` and ``counts`` are each plan's scanned occurrence mass and
+    cell count; ``worst``, ``weighted`` and ``plain`` are ``(n_plans,
+    n_operators)`` per-operator maxima, mass-weighted sums and plain
+    sums of the plan's loads over its cells, operators in
+    ``query.operator_ids`` order.
     """
-    if not keys:
-        raise ValueError("lexicographic_argmin needs at least one key array")
-    first = np.asarray(keys[0])
-    n_candidates, n_points = first.shape
-    cols = np.arange(n_points)
-    best = np.zeros(n_points, dtype=np.intp)
-    for p in range(1, n_candidates):
-        tied = np.ones(n_points, dtype=bool)
-        better = np.zeros(n_points, dtype=bool)
-        for key in keys:
-            key = np.asarray(key)
-            candidate = key[p]
-            incumbent = key[best, cols]
-            better |= tied & (candidate < incumbent)
-            tied &= candidate == incumbent
-        better |= tied & (ranks[p] < ranks[best])
-        best = np.where(better, p, best)
-    return best
 
-
-def order_ranks(plans: Sequence[LogicalPlan]) -> IntArray:
-    """Rank of each plan under the lexicographic order of its operators.
-
-    The final :func:`lexicographic_argmin` key: the deterministic
-    tie-break of every scalar ``min(..., key=(cost, plan.order))``.
-    """
-    ordered = sorted(range(len(plans)), key=lambda i: plans[i].order)
-    ranks = np.empty(len(plans), dtype=np.intp)
-    for rank, plan_index in enumerate(ordered):
-        ranks[plan_index] = rank
-    return ranks
+    occurrence: OccurrenceModel
+    mass: FloatArray
+    counts: IntArray
+    worst: FloatArray
+    weighted: FloatArray
+    plain: FloatArray
 
 
 @dataclass(frozen=True)
@@ -161,8 +140,14 @@ class RobustLogicalSolution:
             plan: list(regions) for plan, regions in (verified_regions or {}).items()
         }
         self._discoveries = tuple(discoveries)
+        #: Plan indices sorted by ``plan.order``: the label tie-break.
+        self._by_rank = np.array(
+            sorted(range(len(unique)), key=lambda i: unique[i].order), dtype=np.intp
+        )
         self._labels: IntArray | None = None
         self._sample: IntArray | None = None
+        self._default_occurrence: NormalOccurrenceModel | None = None
+        self._pass: _PassResult | None = None
 
     @property
     def query(self) -> Query:
@@ -217,7 +202,7 @@ class RobustLogicalSolution:
         )
 
     # ------------------------------------------------------------------
-    # Plan cells (one blocked scan)
+    # Plan cells (the label part of the pass)
     # ------------------------------------------------------------------
 
     @property
@@ -246,27 +231,36 @@ class RobustLogicalSolution:
             )
         return self._sample
 
+    def _label_block(self, values: FloatArray, names: list[str]) -> IntArray:
+        """Index of the cheapest plan at each row of a value block.
+
+        Cost rows are stacked in ``plan.order`` rank order and
+        ``np.argmin`` takes the first minimum, so an exact cost tie goes
+        to the smaller ``plan.order`` — the ``(cost, plan.order)`` key of
+        :meth:`best_plan_at`.
+        """
+        costs = np.vstack(
+            [
+                self._cost_model.plan_costs(self._plans[i], values, names)
+                for i in self._by_rank
+            ]
+        )
+        return self._by_rank[np.argmin(costs, axis=0)]
+
     def _plan_labels(self) -> IntArray:
         """Index into :attr:`plans` of the cheapest plan at each scanned point.
 
-        One blocked scan: per block of points, every plan's cost, then
-        one argmin with the same ``(cost, plan.order)`` tie-break as
-        :meth:`best_plan_at`.
+        The label part of the pass alone, for callers that need only
+        the cells; a later full pass reuses it.
         """
         if self._labels is None:
             flat = self._scanned_flat()
             names = list(self._space.names)
-            ranks = order_ranks(self._plans)
             labels = np.empty(len(flat), dtype=np.intp)
             for rows in row_blocks(len(flat)):
                 values = self._space.points_matrix(flat[rows])
-                costs = np.vstack(
-                    [
-                        self._cost_model.plan_costs(plan, values, names)
-                        for plan in self._plans
-                    ]
-                )
-                labels[rows] = lexicographic_argmin([costs], ranks)
+                labels[rows] = self._label_block(values, names)
+            labels.setflags(write=False)
             self._labels = labels
         return self._labels
 
@@ -286,8 +280,71 @@ class RobustLogicalSolution:
         return {plan: self._cells_of(plan) for plan in self._plans}
 
     # ------------------------------------------------------------------
-    # Plan weights (§5.2)
+    # The fused pass: weights, worst-case and typical loads
     # ------------------------------------------------------------------
+
+    def _occurrence(self, occurrence: OccurrenceModel | None) -> OccurrenceModel:
+        """``occurrence``, or this solution's one default model: a normal
+        with means at the estimate point."""
+        if occurrence is not None:
+            return occurrence
+        if self._default_occurrence is None:
+            self._default_occurrence = NormalOccurrenceModel(self._space)
+        return self._default_occurrence
+
+    def _fused_pass(self, occurrence: OccurrenceModel | None) -> _PassResult:
+        """One walk over the scanned points, memoized per occurrence model.
+
+        Per block: one value matrix, the labels (unless already kept),
+        one ``masses`` call, the weights' ``bincount``, and each plan's
+        loads over its own rows only, folded into per-operator maxima
+        and sums.  Blocks group weights exactly as the label-only scan
+        does, so weights do not depend on which ran first.
+        """
+        model = self._occurrence(occurrence)
+        if self._pass is not None and self._pass.occurrence is model:
+            return self._pass
+        flat = self._scanned_flat()
+        names = list(self._space.names)
+        op_ids = self._query.operator_ids
+        n_plans = len(self._plans)
+        kept = self._labels
+        labels = np.empty(len(flat), dtype=np.intp) if kept is None else kept
+        mass = np.zeros(n_plans)
+        worst = np.full((n_plans, len(op_ids)), -np.inf)
+        weighted = np.zeros((n_plans, len(op_ids)))
+        plain = np.zeros((n_plans, len(op_ids)))
+        for rows in row_blocks(len(flat)):
+            block = flat[rows]
+            values = self._space.points_matrix(block)
+            if kept is None:
+                labels[rows] = self._label_block(values, names)
+            block_labels = labels[rows]
+            masses = model.masses(block)
+            mass += np.bincount(block_labels, weights=masses, minlength=n_plans)
+            for i, plan in enumerate(self._plans):
+                mine = np.flatnonzero(block_labels == i)
+                if not len(mine):
+                    continue
+                batch = self._cost_model.operator_loads_batch(
+                    plan, values[mine], names
+                )
+                loads = np.vstack([batch[op_id] for op_id in op_ids])
+                worst[i] = np.maximum(worst[i], loads.max(axis=1))
+                weighted[i] += loads @ masses[mine]
+                plain[i] += loads.sum(axis=1)
+        if kept is None:
+            labels.setflags(write=False)
+            self._labels = labels
+        self._pass = _PassResult(
+            occurrence=model,
+            mass=mass,
+            counts=np.bincount(labels, minlength=n_plans),
+            worst=worst,
+            weighted=weighted,
+            plain=plain,
+        )
+        return self._pass
 
     def plan_weights(
         self, occurrence: OccurrenceModel | None = None
@@ -295,19 +352,13 @@ class RobustLogicalSolution:
         """Occurrence-probability weight of each plan's region.
 
         ``weight(lp) = Σ_{pnt ∈ area(lp)} Pr(pnt)`` with ``Pr`` from the
-        normal occurrence model (§5.2).  Defaults to a fresh model with
+        normal occurrence model (§5.2).  Defaults to a normal model with
         means at the estimate point.  On sampled grids each plan's
         sampled mass is scaled by (grid points / points scanned), an
         unbiased estimate; exact grids scale by exactly 1.
         """
-        model = occurrence or NormalOccurrenceModel(self._space)
-        labels = self._plan_labels()
-        flat = self._scanned_flat()
-        mass = np.zeros(len(self))
-        for rows in row_blocks(len(flat)):
-            block = model.masses(flat[rows])
-            mass += np.bincount(labels[rows], weights=block, minlength=len(self))
-        scale = self._space.n_points / len(labels)
+        mass = self._fused_pass(occurrence).mass
+        scale = self._space.n_points / self.scanned_points
         return {plan: scale * float(mass[i]) for i, plan in enumerate(self._plans)}
 
     def area_fractions(self) -> dict[LogicalPlan, float]:
@@ -317,24 +368,6 @@ class RobustLogicalSolution:
         return {
             plan: float(counts[i]) / len(labels) for i, plan in enumerate(self._plans)
         }
-
-    # ------------------------------------------------------------------
-    # Worst-case operator loads (input to physical planning)
-    # ------------------------------------------------------------------
-
-    def _load_blocks(
-        self, plan: LogicalPlan, cells: IntArray
-    ) -> Iterator[tuple[IntArray, dict[int, FloatArray]]]:
-        """``plan``'s per-operator loads over ``cells``, in row blocks.
-
-        Yields each block's cells with their ``operator_loads_batch``.
-        """
-        names = list(self._space.names)
-        for rows in row_blocks(len(cells)):
-            values = self._space.points_matrix(cells[rows])
-            yield cells[rows], self._cost_model.operator_loads_batch(
-                plan, values, names
-            )
 
     def worst_case_loads(self, plan: LogicalPlan) -> dict[int, float]:
         """Max per-operator load of ``plan`` over its region cells.
@@ -346,17 +379,17 @@ class RobustLogicalSolution:
         cells of its own (possible when another plan dominates it
         everywhere) and on sampled grids, where a sample's maximum may
         fall short.  The corner bounds every point: operator loads are
-        monotone in the rate and in every selectivity.
+        monotone in the rate and in every selectivity.  The maxima do
+        not depend on the occurrence model, so any pass already run
+        serves; otherwise the pass runs with the default model.
         """
-        cells = self._cells_of(plan)
-        if self.uses_sampled_grid or not len(cells):
-            point = self._space.full_region().pnt_hi
-            return dict(self._cost_model.operator_loads(plan, point))
-        worst = dict.fromkeys(self._query.operator_ids, -np.inf)
-        for _, batch in self._load_blocks(plan, cells):
-            for op_id in worst:
-                worst[op_id] = max(worst[op_id], float(batch[op_id].max()))
-        return worst
+        index = self._plans.index(plan)
+        if not self.uses_sampled_grid:
+            result = self._pass or self._fused_pass(None)
+            if result.counts[index]:
+                return dict(zip(self._query.operator_ids, result.worst[index].tolist()))
+        point = self._space.full_region().pnt_hi
+        return dict(self._cost_model.operator_loads(plan, point))
 
     def expected_loads(
         self, plan: LogicalPlan, occurrence: OccurrenceModel | None = None
@@ -369,26 +402,19 @@ class RobustLogicalSolution:
         Placement balancing wants typical loads; feasibility wants the
         worst case.
         """
-        model = occurrence or NormalOccurrenceModel(self._space)
-        cells = self._cells_of(plan)
-        if not len(cells):
+        index = self._plans.index(plan)
+        result = self._fused_pass(occurrence)
+        if not result.counts[index]:
             point = self._space.point_at(
                 tuple(s // 2 for s in self._space.shape)
             )
             return self._cost_model.operator_loads(plan, point)
-        weighted = dict.fromkeys(self._query.operator_ids, 0.0)
-        plain = dict.fromkeys(self._query.operator_ids, 0.0)
-        mass = 0.0
-        for block, batch in self._load_blocks(plan, cells):
-            weights = model.masses(block)
-            mass += float(weights.sum())
-            for op_id in weighted:
-                weighted[op_id] += float(batch[op_id] @ weights)
-                plain[op_id] += float(batch[op_id].sum())
-        if mass <= 0:
+        if result.mass[index] <= 0:
             # Degenerate: cells carry no occurrence mass; plain mean.
-            return {op_id: load / len(cells) for op_id, load in plain.items()}
-        return {op_id: load / mass for op_id, load in weighted.items()}
+            means = result.plain[index] / result.counts[index]
+        else:
+            means = result.weighted[index] / result.mass[index]
+        return dict(zip(self._query.operator_ids, means.tolist()))
 
     def __repr__(self) -> str:
         labels = ", ".join(plan.label for plan in self._plans[:4])

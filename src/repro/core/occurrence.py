@@ -70,6 +70,7 @@ class NormalOccurrenceModel:
                 sigma = sigma_fraction * half_width
             self._means.append(mean)
             self._sigmas.append(sigma)
+        self._mass_tables: tuple[FloatArray, ...] | None = None
 
     @property
     def space(self) -> ParameterSpace:
@@ -107,6 +108,19 @@ class NormalOccurrenceModel:
             mass *= self._dim_probability(dim, i, i)
         return mass
 
+    def _cell_mass_tables(self) -> tuple[FloatArray, ...]:
+        """Per dimension, the mass of each grid index; built once, frozen."""
+        if self._mass_tables is None:
+            tables = []
+            for dim, dimension in enumerate(self._space.dimensions):
+                table = np.array(
+                    [self._dim_probability(dim, i, i) for i in range(dimension.steps)]
+                )
+                table.setflags(write=False)
+                tables.append(table)
+            self._mass_tables = tuple(tables)
+        return self._mass_tables
+
     def masses(self, flat: IntArray) -> FloatArray:
         """:meth:`cell_probability` at every row-major flat grid position.
 
@@ -116,9 +130,7 @@ class NormalOccurrenceModel:
         """
         indices = np.unravel_index(np.asarray(flat, dtype=np.intp), self._space.shape)
         mass = np.ones(len(indices[0]))
-        for dim, index in enumerate(indices):
-            steps = self._space.dimensions[dim].steps
-            table = np.array([self._dim_probability(dim, i, i) for i in range(steps)])
+        for table, index in zip(self._cell_mass_tables(), indices):
             mass = mass * table[index]
         return mass
 

@@ -134,6 +134,11 @@ class ParameterSpace:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate dimension names: {names}")
         self._dimensions = tuple(dimensions)
+        #: Each dimension's grid values, built once and frozen: every
+        #: :meth:`points_matrix` block reads them.
+        self._axis_values = tuple(d.values_array() for d in self._dimensions)
+        for values in self._axis_values:
+            values.setflags(write=False)
 
     @classmethod
     def from_estimates(
@@ -225,9 +230,12 @@ class ParameterSpace:
         bitwise identical to :meth:`Dimension.value`.  Callers pass
         bounded blocks of positions, never the whole of a large grid."""
         indices = np.unravel_index(np.asarray(flat, dtype=np.intp), self.shape)
-        return np.column_stack(
-            [d.values_array()[i] for d, i in zip(self._dimensions, indices)]
-        )
+        # Filled column by column into column-major storage: the batch
+        # cost kernels read the matrix one column at a time.
+        columns = np.empty((self.n_dims, len(indices[0])))
+        for column, values, index in zip(columns, self._axis_values, indices):
+            column[:] = values[index]
+        return columns.T
 
     def nearest_flat_index(self, point: Mapping[str, float]) -> int | None:
         """Row-major flat index of the grid cell nearest to ``point``.

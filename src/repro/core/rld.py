@@ -71,6 +71,8 @@ class RLDConfig:
     jobs: int = 1
 
     def __post_init__(self) -> None:
+        if self.epsilon < 0:
+            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.physical_algorithm not in _PHYSICAL_ALGORITHMS:

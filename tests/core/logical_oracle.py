@@ -11,13 +11,9 @@ against it on small spaces.
 from __future__ import annotations
 
 import numpy as np
+from tie_break import lexicographic_argmin, order_ranks
 
-from repro.core.logical import (
-    RobustLogicalSolution,
-    lexicographic_argmin,
-    order_ranks,
-)
-from repro.core.occurrence import NormalOccurrenceModel
+from repro.core.logical import OccurrenceModel, RobustLogicalSolution
 from repro.core.parameter_space import GridIndex
 from repro.query.plans import LogicalPlan
 
@@ -42,7 +38,7 @@ def oracle_cells(
 
 
 def oracle_weights(
-    solution: RobustLogicalSolution, occurrence: NormalOccurrenceModel
+    solution: RobustLogicalSolution, occurrence: OccurrenceModel
 ) -> dict[LogicalPlan, float]:
     """Occurrence mass of each plan's cells, one cell at a time."""
     return {
@@ -70,7 +66,7 @@ def oracle_worst_case_loads(
 def oracle_expected_loads(
     solution: RobustLogicalSolution,
     plan: LogicalPlan,
-    occurrence: NormalOccurrenceModel,
+    occurrence: OccurrenceModel,
 ) -> dict[int, float]:
     """Occurrence-weighted mean of the scalar loads over the plan's cells."""
     space = solution.space

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 import numpy as np
 import pytest
 from logical_oracle import (
@@ -13,6 +15,7 @@ from logical_oracle import (
 
 from repro.core import (
     Cluster,
+    CorrelatedOccurrenceModel,
     EarlyTerminatedRobustPartitioning,
     NormalOccurrenceModel,
     ParameterSpace,
@@ -21,7 +24,8 @@ from repro.core import (
     RobustLogicalSolution,
 )
 from repro.core import logical as logical_module
-from repro.core.logical import MAX_SCAN_POINTS, PlanDiscovery
+from repro.core.logical import MAX_SCAN_POINTS, SCAN_BLOCK_ROWS, PlanDiscovery
+from repro.core.physical import PlanLoadTable
 from repro.query import LogicalPlan, Operator, PlanCostModel, Query, StreamSchema
 from repro.workloads import build_q1, build_q2
 
@@ -223,6 +227,102 @@ class TestScanMatchesOracle:
                 typical = solution.expected_loads(plan, occurrence)
                 oracle = oracle_expected_loads(solution, plan, occurrence)
                 assert typical == pytest.approx(oracle, rel=1e-12)
+
+
+def _fresh(solution):
+    """The same plans over the same space, with nothing memoized yet."""
+    return RobustLogicalSolution(solution.query, solution.space, solution.plans)
+
+
+def _table_faces(table):
+    return (
+        table.plans,
+        [table.weight_of(plan) for plan in table.plans],
+        table.load_matrix.tolist(),
+        [table.expected_loads(table.mask_of([plan])) for plan in table.plans],
+    )
+
+
+class TestFusedPass:
+    """One pass derives labels, weights, worst-case and typical loads."""
+
+    def test_call_order_does_not_change_the_load_table(self, q1_cli):
+        space = q1_cli.space
+        occurrence = NormalOccurrenceModel(space, sigma_fraction=0.5)
+        table = PlanLoadTable.from_solution(
+            _fresh(q1_cli.logical), occurrence=occurrence
+        )
+        # The traced benchmark's order: cells first, then each stage.
+        logical = _fresh(q1_cli.logical)
+        occurrence = NormalOccurrenceModel(space, sigma_fraction=0.5)
+        logical.plan_cells()
+        weights = logical.plan_weights(occurrence)
+        loads = {plan: logical.worst_case_loads(plan) for plan in logical.plans}
+        typical = {
+            plan: logical.expected_loads(plan, occurrence) for plan in logical.plans
+        }
+        staged = PlanLoadTable(logical.plans, loads, weights, typical_loads=typical)
+        assert _table_faces(staged) == _table_faces(table)
+
+    def test_a_second_occurrence_model_recomputes(self, four_op_query):
+        for solution in _small_solutions(four_op_query):
+            space = solution.space
+            first = NormalOccurrenceModel(space, sigma_fraction=0.4)
+            second = NormalOccurrenceModel(
+                space,
+                sigma_fraction=0.25,
+                means={d.name: d.lo + 0.3 * d.width for d in space.dimensions},
+            )
+            for model in (first, second, first):
+                weights = solution.plan_weights(model)
+                reference = oracle_weights(solution, model)
+                for plan in solution.plans:
+                    assert weights[plan] == pytest.approx(reference[plan], rel=1e-12)
+                    assert solution.expected_loads(plan, model) == pytest.approx(
+                        oracle_expected_loads(solution, plan, model), rel=1e-12
+                    )
+                    assert solution.worst_case_loads(
+                        plan
+                    ) == oracle_worst_case_loads(solution, plan)
+
+    def test_correlated_occurrence_matches_the_oracle(self, four_op_query):
+        # The two 2-D fixtures: with three or more correlated dimensions
+        # SciPy's CDF is a quasi-Monte Carlo estimate, and a batched call
+        # need not match the oracle's per-cell calls to 1e-12.
+        for solution in islice(_small_solutions(four_op_query), 2):
+            space = solution.space
+            assert space.n_dims == 2
+            model = CorrelatedOccurrenceModel(
+                space, correlation=[[1.0, -0.6], [-0.6, 1.0]]
+            )
+            weights = solution.plan_weights(model)
+            reference = oracle_weights(solution, model)
+            for plan in solution.plans:
+                assert weights[plan] == pytest.approx(reference[plan], rel=1e-12)
+                assert solution.expected_loads(plan, model) == pytest.approx(
+                    oracle_expected_loads(solution, plan, model), rel=1e-12
+                )
+
+    def test_from_solution_walks_the_grid_once(self, q1_cli, monkeypatch):
+        calls = {"points_matrix": 0, "masses": 0}
+
+        def counted(cls, name):
+            inner = getattr(cls, name)
+
+            def wrapper(self, flat):
+                calls[name] += 1
+                return inner(self, flat)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counted(ParameterSpace, "points_matrix")
+        counted(NormalOccurrenceModel, "masses")
+        PlanLoadTable.from_solution(
+            _fresh(q1_cli.logical), occurrence=q1_cli.occurrence
+        )
+        blocks = -(-84_035 // SCAN_BLOCK_ROWS)
+        assert blocks == 11
+        assert calls == {"points_matrix": blocks, "masses": blocks}
 
 
 class TestCliDefaultCompile:

@@ -79,6 +79,19 @@ class TestMasses:
             assert mass == model.cell_probability(space.index_of_flat(int(k)))
         assert model.masses(flat[:0]).shape == (0,)
 
+    def test_mass_tables_are_built_once_and_frozen(self, unit_space):
+        model = NormalOccurrenceModel(unit_space)
+        first = model.masses(np.arange(unit_space.n_points))
+        tables = model._cell_mass_tables()
+        assert model._cell_mass_tables() is tables
+        for table in tables:
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+        first[:] = 0.0  # the result is the caller's own array
+        again = model.masses(np.arange(unit_space.n_points))
+        assert np.all(again > 0)
+
 
 class TestRegionProbability:
     def test_region_mass_factorizes(self, unit_space):

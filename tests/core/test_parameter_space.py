@@ -137,6 +137,26 @@ class TestParameterSpace:
         assert np.array_equal(matrix, full[flats])
         assert space_2d.points_matrix(flats[:0]).shape == (0, space_2d.n_dims)
 
+    def test_points_matrix_reads_frozen_axis_values(self, space_2d):
+        for values, dim in zip(space_2d._axis_values, space_2d.dimensions):
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0] = 0.0
+            assert np.array_equal(values, dim.values_array())
+        flats = np.arange(space_2d.n_points)
+        matrix = space_2d.points_matrix(flats)
+        assert matrix.flags.writeable
+        matrix[:] = -1.0  # the caller's own array: the grid is unchanged
+        assert np.array_equal(
+            space_2d.points_matrix(flats),
+            np.column_stack(
+                [d.values_array()[i] for d, i in zip(
+                    space_2d.dimensions,
+                    np.unravel_index(flats, space_2d.shape),
+                )]
+            ),
+        )
+
     def test_nearest_flat_index_on_grid(self, space_2d):
         for flat, index in enumerate(space_2d.grid_indices()):
             assert space_2d.nearest_flat_index(space_2d.point_at(index)) == flat

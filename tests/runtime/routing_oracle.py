@@ -11,8 +11,8 @@ argmins share the ``(…, plan.order)`` tie-break through
 from __future__ import annotations
 
 import numpy as np
+from tie_break import lexicographic_argmin, order_ranks
 
-from repro.core.logical import lexicographic_argmin
 from repro.core.rld import RLDSolution
 
 
@@ -34,10 +34,7 @@ def oracle_decisions(
     is_down = np.zeros(len(capacities), dtype=bool)
     for node in down:
         is_down[node] = True
-    by_order = sorted(range(n_plans), key=lambda i: plans[i].order)
-    ranks = np.empty(n_plans, dtype=np.intp)
-    for rank, i in enumerate(by_order):
-        ranks[i] = rank
+    ranks = order_ranks(plans)
 
     costs = np.empty((n_plans, n_points))
     butil = np.empty((n_plans, n_points))

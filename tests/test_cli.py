@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ import pytest
 from repro.cli import build_parser, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _solution_lines(out: str) -> list[str]:
@@ -34,6 +38,40 @@ class TestParser:
     def test_unknown_query_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["compile", "--query", "bogus"])
+
+
+class TestBadInput:
+    """Bad input fails at the CLI boundary: one line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compile", "--query", "nway:abc"], "invalid query 'nway:abc'"),
+            (["compile", "--query", "nway:0"], "invalid query 'nway:0'"),
+            (["diagram", "--query", "nway:x"], "invalid query 'nway:x'"),
+            (["compile", "--epsilon", "-1"], "epsilon must be >= 0"),
+            (["compile", "--nodes", "0"], "n_nodes must be >= 1"),
+            (["compile", "--capacity", "-5"], "capacity of node 0 must be > 0"),
+            (["compile", "--level", "-1"], "must be a non-negative int"),
+            (["compile", "--dims", "bogus"], "unknown parameter 'bogus'"),
+            (["simulate", "--nodes", "0"], "n_nodes must be >= 1"),
+            (["simulate", "--duration", "-1"], "--duration must be > 0"),
+            (["simulate", "--rate-scale", "0"], "--rate-scale must be > 0"),
+        ],
+    )
+    def test_exits_with_one_line(self, argv, message):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode != 0
+        assert "Traceback" not in result.stdout + result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1 and message in lines[0], result.stderr
 
 
 class TestCompile:
