@@ -243,6 +243,19 @@ def _table_faces(table):
     )
 
 
+def _assert_matches_oracle(solution, model):
+    weights = solution.plan_weights(model)
+    reference = oracle_weights(solution, model)
+    for plan in solution.plans:
+        assert weights[plan] == pytest.approx(reference[plan], rel=1e-12)
+        assert solution.expected_loads(plan, model) == pytest.approx(
+            oracle_expected_loads(solution, plan, model), rel=1e-12
+        )
+        assert solution.worst_case_loads(plan) == oracle_worst_case_loads(
+            solution, plan
+        )
+
+
 class TestFusedPass:
     """One pass derives labels, weights, worst-case and typical loads."""
 
@@ -274,16 +287,7 @@ class TestFusedPass:
                 means={d.name: d.lo + 0.3 * d.width for d in space.dimensions},
             )
             for model in (first, second, first):
-                weights = solution.plan_weights(model)
-                reference = oracle_weights(solution, model)
-                for plan in solution.plans:
-                    assert weights[plan] == pytest.approx(reference[plan], rel=1e-12)
-                    assert solution.expected_loads(plan, model) == pytest.approx(
-                        oracle_expected_loads(solution, plan, model), rel=1e-12
-                    )
-                    assert solution.worst_case_loads(
-                        plan
-                    ) == oracle_worst_case_loads(solution, plan)
+                _assert_matches_oracle(solution, model)
 
     def test_correlated_occurrence_matches_the_oracle(self, four_op_query):
         # The two 2-D fixtures: with three or more correlated dimensions
@@ -295,13 +299,7 @@ class TestFusedPass:
             model = CorrelatedOccurrenceModel(
                 space, correlation=[[1.0, -0.6], [-0.6, 1.0]]
             )
-            weights = solution.plan_weights(model)
-            reference = oracle_weights(solution, model)
-            for plan in solution.plans:
-                assert weights[plan] == pytest.approx(reference[plan], rel=1e-12)
-                assert solution.expected_loads(plan, model) == pytest.approx(
-                    oracle_expected_loads(solution, plan, model), rel=1e-12
-                )
+            _assert_matches_oracle(solution, model)
 
     def test_from_solution_walks_the_grid_once(self, q1_cli, monkeypatch):
         calls = {"points_matrix": 0, "masses": 0}
