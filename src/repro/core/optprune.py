@@ -80,26 +80,16 @@ def enumerate_feasible_configs(
     within ``capacity`` (Algorithm 5 line 1).  Subsets that support no
     plan cannot contribute to a positive score and are excluded.
     """
-    ops, per_plan = _subset_loads(table)
-    tolerance = capacity * (1 + 1e-12)
-    fits = per_plan <= tolerance  # (n_plans, 2^m) bool
-    if table.n_plans <= 62:
-        # Pack the per-plan fit columns into int64 support masks in one
-        # vectorized pass.
-        masks = np.zeros(fits.shape[1], dtype=np.int64)
-        for plan_index in range(table.n_plans):
-            masks |= fits[plan_index].astype(np.int64) << np.int64(plan_index)
-        masks[0] = 0  # the empty configuration is not a candidate
-        return {int(s): int(masks[s]) for s in np.flatnonzero(masks)}
-    configs: dict[int, int] = {}
-    for subset in range(1, fits.shape[1]):
-        mask = 0
-        for plan_index in range(table.n_plans):
-            if fits[plan_index, subset]:
-                mask |= 1 << plan_index
-        if mask:
-            configs[subset] = mask
-    return configs
+    _, per_plan = _subset_loads(table)
+    fits = per_plan <= capacity * (1 + 1e-12)  # (n_plans, 2^m) bool
+    fits[:, 0] = False  # the empty configuration is not a candidate
+    # Row s holds subset s's support mask as little-endian bytes, plan
+    # i at bit i, for any number of plans.
+    packed = np.packbits(fits, axis=0, bitorder="little").T.copy()
+    return {
+        int(s): int.from_bytes(packed[s].tobytes(), "little")
+        for s in np.flatnonzero(fits.any(axis=0))
+    }
 
 
 def _subset_to_ops(subset: int, ops: list[int]) -> frozenset[int]:

@@ -40,6 +40,10 @@ GridIndex = tuple[int, ...]
 #: giving 2U+1 points per dimension at the default of 2.
 DEFAULT_POINTS_PER_LEVEL = 2
 
+#: Fewest grid points :meth:`ParameterSpace.from_estimates` gives an
+#: uncertain dimension, so its two bounds are always on the grid.
+MIN_STEPS = 2
+
 
 @dataclass(frozen=True)
 class Dimension:
@@ -146,13 +150,12 @@ class ParameterSpace:
         estimate: StatisticsEstimate,
         *,
         points_per_level: int = DEFAULT_POINTS_PER_LEVEL,
-        min_steps: int = 2,
     ) -> "ParameterSpace":
         """Algorithm 1: stretch each uncertain estimate into a dimension.
 
         Each uncertain parameter with level ``u`` becomes a dimension
         over ``[e·(1 − 0.1u), e·(1 + 0.1u)]`` discretized into
-        ``max(min_steps, points_per_level·u + 1)`` grid points.  Exact
+        ``max(MIN_STEPS, points_per_level·u + 1)`` grid points.  Exact
         parameters (level 0) are excluded — they stay at their point
         estimate and never vary.
         """
@@ -163,7 +166,7 @@ class ParameterSpace:
         for name in names:
             lo, hi = estimate.bounds(name)
             level = estimate.uncertainty[name]
-            steps = max(min_steps, points_per_level * level + 1)
+            steps = max(MIN_STEPS, points_per_level * level + 1)
             dimensions.append(Dimension(name, lo, hi, steps))
         return cls(dimensions)
 

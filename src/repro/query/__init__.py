@@ -10,7 +10,9 @@ This package implements the paper's §2.1 distributed query-plan basics:
 * :mod:`repro.query.plans` — logical plans, validity with respect to the
   join graph, and plan enumeration.
 * :mod:`repro.query.cost` — the multilinear plan cost model of §2.3 and
-  least-squares cost-surface fitting.
+  least-squares cost-surface fitting.  :class:`PlanCostModel` is the
+  only code that reads statistics and prices plans: one kernel per
+  formula serves scalar, batch and runtime callers alike.
 * :mod:`repro.query.optimizer` — optimal plan-at-a-point optimizers with
   optimizer-call accounting (the unit of cost in Figures 10–12).
 """

@@ -15,7 +15,8 @@ Two views are provided:
 
 * :class:`PlanCostModel` — exact analytic costs, per-operator loads (the
   input to physical-plan feasibility), and gradients (the input to the
-  §4.2 weight function).
+  §4.2 weight function), from one kernel per formula that runs on
+  floats (one point) and on NumPy columns (a batch) alike.
 * :class:`PlanCostSurface` — a fitted multilinear surface obtained from
   sampled (point, cost) observations via least squares, the paper's
   "standard surface-fitting techniques", for when costs come from
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, Union, overload
 
 import numpy as np
 
@@ -44,137 +45,135 @@ __all__ = [
 ]
 
 
+#: A plan as one ``(cost per tuple, slot)`` step per operator, in plan
+#: order; the slot is the operator's index in ``query.operators``,
+#: where :meth:`PlanCostModel.resolve` puts its selectivity.
+Steps = tuple[tuple[float, int], ...]
+
+#: A statistic's value: one float, or one column of a batch.
+Value = Union[float, FloatArray]
+
+
 class PlanCostModel:
     """Exact analytic cost model for one query's logical plans.
 
-    The model resolves each statistic from the :class:`StatPoint` when
-    present and falls back to the operator/query default estimate, so
-    callers may supply points over any subset of parameters (e.g. only
-    the two uncertain dimensions of a 2-D parameter space).
+    The model is the only code that reads statistics and prices plans.
+    :meth:`resolve` (one point) and :meth:`resolve_columns` (a batch)
+    turn statistics into a rate and one selectivity per operator slot;
+    a parameter the point lacks takes its estimate, so callers may
+    supply points over any subset of parameters (e.g. only the two
+    uncertain dimensions of a 2-D parameter space).  :meth:`cost_at`
+    and :meth:`loads_at` then price a plan's :meth:`steps` with one
+    loop each, unchanged on floats and on NumPy columns; every scalar,
+    batch and runtime caller goes through them.
     """
 
     def __init__(self, query: Query) -> None:
         self._query = query
-        self._ops = {op.op_id: op for op in query.operators}
         self._rate_name = rate_param()
+        operators = query.operators
+        self._params = [(op.selectivity_param, op.selectivity) for op in operators]
+        self._step_of = {
+            op.op_id: (op.cost_per_tuple, slot) for slot, op in enumerate(operators)
+        }
+        self._steps: dict[LogicalPlan, Steps] = {}
 
     @property
     def query(self) -> Query:
         """The query this model prices."""
         return self._query
 
-    def _selectivity(self, op_id: int, point: Mapping[str, float]) -> float:
-        op = self._ops[op_id]
-        return float(point.get(op.selectivity_param, op.selectivity))
+    def resolve(self, point: Mapping[str, float]) -> tuple[float, list[float]]:
+        """The rate and the per-slot selectivities at ``point``."""
+        get = point.get
+        rate = float(get(self._rate_name, self._query.driving_rate))
+        return rate, [float(get(name, default)) for name, default in self._params]
 
-    def _rate(self, point: Mapping[str, float]) -> float:
-        return float(point.get(self._rate_name, self._query.driving_rate))
+    def resolve_columns(
+        self, values: FloatArray, names: Sequence[str]
+    ) -> tuple[FloatArray, list[Value]]:
+        """:meth:`resolve` for every row of a batch.
+
+        ``values`` is a ``(n_points, len(names))`` matrix whose columns
+        are the parameters listed in ``names``.  A parameter among
+        ``names`` resolves to its column; a selectivity that is not
+        resolves to its estimate, and a missing rate to a column of the
+        driving rate, so priced batches are always ``(n_points,)``.
+        """
+        values = np.asarray(values, dtype=float)
+        columns = {name: values[:, j] for j, name in enumerate(names)}
+        rate = columns.get(self._rate_name)
+        if rate is None:
+            rate = np.full(values.shape[0], self._query.driving_rate)
+        sels: list[Value] = [
+            columns.get(name, default) for name, default in self._params
+        ]
+        return rate, sels
+
+    def steps(self, plan: LogicalPlan) -> Steps:
+        """``plan`` as ``(cost per tuple, slot)`` steps, memoized per plan."""
+        steps = self._steps.get(plan)
+        if steps is None:
+            steps = self._steps[plan] = tuple(self._step_of[op_id] for op_id in plan)
+        return steps
+
+    @overload
+    @staticmethod
+    def cost_at(steps: Steps, rate: float, sels: Sequence[float]) -> float: ...
+    @overload
+    @staticmethod
+    def cost_at(steps: Steps, rate: Value, sels: Sequence[Value]) -> Value: ...
+    @staticmethod
+    def cost_at(steps: Steps, rate: Value, sels: Sequence[Value]) -> Value:
+        """Total per-second cost of a plan's ``steps`` at resolved statistics."""
+        carried: Value = 1.0
+        total: Value = 0.0
+        for cost, slot in steps:
+            total += cost * carried
+            carried *= sels[slot]
+        return rate * total
+
+    @overload
+    @staticmethod
+    def loads_at(steps: Steps, rate: float, sels: Sequence[float]) -> list[float]: ...
+    @overload
+    @staticmethod
+    def loads_at(steps: Steps, rate: Value, sels: Sequence[Value]) -> list[Value]: ...
+    @staticmethod
+    def loads_at(steps: Steps, rate: Value, sels: Sequence[Value]) -> list[Value]:
+        """Each step's per-second load at resolved statistics, in plan order."""
+        carried: Value = 1.0
+        loads: list[Value] = []
+        for cost, slot in steps:
+            loads.append(rate * cost * carried)
+            carried *= sels[slot]
+        return loads
 
     def plan_cost(self, plan: LogicalPlan, point: Mapping[str, float]) -> float:
         """Total per-second cost of ``plan`` at ``point``."""
-        rate = self._rate(point)
-        carried = 1.0
-        total = 0.0
-        for op_id in plan:
-            op = self._ops[op_id]
-            total += op.cost_per_tuple * carried
-            carried *= self._selectivity(op_id, point)
-        return rate * total
+        return self.cost_at(self.steps(plan), *self.resolve(point))
 
     def operator_loads(
         self, plan: LogicalPlan, point: Mapping[str, float]
     ) -> dict[int, float]:
         """Per-operator loads for all operators of ``plan`` at ``point``."""
-        rate = self._rate(point)
-        carried = 1.0
-        loads: dict[int, float] = {}
-        for op_id in plan:
-            op = self._ops[op_id]
-            loads[op_id] = rate * op.cost_per_tuple * carried
-            carried *= self._selectivity(op_id, point)
-        return loads
-
-    def gradient(
-        self, plan: LogicalPlan, point: Mapping[str, float]
-    ) -> dict[str, float]:
-        """Analytic partial derivatives of plan cost w.r.t. each parameter.
-
-        Returns a mapping over the parameters *present in* ``point``.
-        Because the cost is multilinear, ∂cost/∂σ_i is the cost of the
-        suffix after operator i with σ_i factored out, and ∂cost/∂λ is
-        cost/λ.  Used by the §4.2 slope-based weight function.
-        """
-        grads: dict[str, float] = {}
-        cost = self.plan_cost(plan, point)
-        rate = self._rate(point)
-        if self._rate_name in point:
-            grads[self._rate_name] = cost / rate
-        # Partial w.r.t. σ_{π(k)}: rate · Π_{j<k, j≠k} σ · Σ over suffix.
-        order = tuple(plan)
-        for k, op_id in enumerate(order):
-            name = self._ops[op_id].selectivity_param
-            if name not in point:
-                continue
-            prefix_product = 1.0
-            for earlier in order[:k]:
-                prefix_product *= self._selectivity(earlier, point)
-            suffix = 0.0
-            carried = 1.0
-            for later in order[k + 1 :]:
-                suffix += self._ops[later].cost_per_tuple * carried
-                carried *= self._selectivity(later, point)
-            grads[name] = rate * prefix_product * suffix
-        return grads
-
-    # ------------------------------------------------------------------
-    # Batch (vectorized) evaluation over dense point matrices
-    # ------------------------------------------------------------------
-    #
-    # Each batch method evaluates one plan at every row of a
-    # ``(n_points, len(names))`` value matrix in a handful of NumPy
-    # column operations.  The accumulation order deliberately mirrors
-    # the scalar loops above operation for operation, so batch results
-    # are bitwise identical to calling the scalar method per row —
-    # the equivalence the hypothesis suite pins down.
-
-    def _column(
-        self, param: str, default: float, names: Sequence[str], values: FloatArray
-    ) -> FloatArray | float:
-        """The values of ``param`` across the batch.
-
-        Returns the matching matrix column when the parameter is one of
-        ``names``, else the scalar default — the same "resolve from the
-        point, fall back to the estimate" rule as the scalar path.
-        """
-        try:
-            position = list(names).index(param)
-        except ValueError:
-            return default
-        return values[:, position]
+        loads = self.loads_at(self.steps(plan), *self.resolve(point))
+        return dict(zip(plan, loads))
 
     def plan_costs(
         self, plan: LogicalPlan, values: FloatArray, names: Sequence[str]
     ) -> FloatArray:
         """Total per-second cost of ``plan`` at every point of a batch.
 
-        ``values`` is a ``(n_points, len(names))`` matrix whose columns
-        are the parameters listed in ``names`` (e.g. a block of
-        :meth:`~repro.core.parameter_space.ParameterSpace.points_matrix`);
-        parameters not present fall back to their defaults, exactly as
-        in :meth:`plan_cost`.  Returns an ``(n_points,)`` cost vector.
+        ``values`` is a ``(n_points, len(names))`` matrix (e.g. a block
+        of :meth:`~repro.core.parameter_space.ParameterSpace.points_matrix`),
+        resolved as in :meth:`resolve_columns`.  Returns an
+        ``(n_points,)`` cost vector, bitwise equal to :meth:`plan_cost`
+        row by row.
         """
-        values = np.asarray(values, dtype=float)
-        names = list(names)
-        rate = self._column(self._rate_name, self._query.driving_rate, names, values)
-        carried = np.ones(values.shape[0])
-        total = np.zeros(values.shape[0])
-        for op_id in plan:
-            op = self._ops[op_id]
-            total += op.cost_per_tuple * carried
-            carried = carried * self._column(
-                op.selectivity_param, op.selectivity, names, values
-            )
-        return rate * total
+        rate, sels = self.resolve_columns(values, names)
+        costs = self.cost_at(self.steps(plan), rate, sels)
+        return np.asarray(costs, dtype=np.float64)
 
     def operator_loads_batch(
         self, plan: LogicalPlan, values: FloatArray, names: Sequence[str]
@@ -184,18 +183,12 @@ class PlanCostModel:
         The batch counterpart of :meth:`operator_loads`: a mapping from
         operator id to its ``(n_points,)`` load vector.
         """
-        values = np.asarray(values, dtype=float)
-        names = list(names)
-        rate = self._column(self._rate_name, self._query.driving_rate, names, values)
-        carried = np.ones(values.shape[0])
-        loads: dict[int, FloatArray] = {}
-        for op_id in plan:
-            op = self._ops[op_id]
-            loads[op_id] = rate * op.cost_per_tuple * carried
-            carried = carried * self._column(
-                op.selectivity_param, op.selectivity, names, values
-            )
-        return loads
+        rate, sels = self.resolve_columns(values, names)
+        loads = self.loads_at(self.steps(plan), rate, sels)
+        return {
+            op_id: np.asarray(load, dtype=np.float64)
+            for op_id, load in zip(plan, loads)
+        }
 
     def gradients_batch(
         self, plan: LogicalPlan, values: FloatArray, names: Sequence[str]
@@ -205,47 +198,24 @@ class PlanCostModel:
         Returns an ``(n_points, len(names))`` matrix whose column ``j``
         is ∂cost/∂``names[j]``; a parameter that does not influence the
         cost (neither the rate nor any operator's selectivity) gets a
-        zero column — the batch analogue of :meth:`gradient` returning
-        no entry for it.
+        zero column.  Because the cost is multilinear, ∂cost/∂λ is
+        cost/λ and ∂cost/∂σ_k is the rate times the selectivities
+        upstream of operator k times the downstream suffix priced at
+        unit rate.  Used by the §4.2 slope-based weight function.
         """
-        values = np.asarray(values, dtype=float)
-        names = list(names)
-        n_points = values.shape[0]
-        rate = self._column(self._rate_name, self._query.driving_rate, names, values)
-        grads = np.zeros((n_points, len(names)))
-
-        order = tuple(plan)
-        sels = [
-            self._column(
-                self._ops[op_id].selectivity_param,
-                self._ops[op_id].selectivity,
-                names,
-                values,
-            )
-            for op_id in order
-        ]
-        if self._rate_name in names:
-            # ∂cost/∂λ = cost/λ, computed as the scalar path does (full
-            # cost divided by the rate) so the two agree bitwise.
-            carried = np.ones(n_points)
-            total = np.zeros(n_points)
-            for k, op_id in enumerate(order):
-                total = total + self._ops[op_id].cost_per_tuple * carried
-                carried = carried * sels[k]
-            grads[:, names.index(self._rate_name)] = (rate * total) / rate
-        for k, op_id in enumerate(order):
-            name = self._ops[op_id].selectivity_param
-            if name not in names:
-                continue
-            prefix_product = np.ones(n_points)
-            for j in range(k):
-                prefix_product = prefix_product * sels[j]
-            suffix = np.zeros(n_points)
-            carried = np.ones(n_points)
-            for later in range(k + 1, len(order)):
-                suffix = suffix + self._ops[order[later]].cost_per_tuple * carried
-                carried = carried * sels[later]
-            grads[:, names.index(name)] = rate * prefix_product * suffix
+        rate, sels = self.resolve_columns(values, names)
+        steps = self.steps(plan)
+        position = {name: j for j, name in enumerate(names)}
+        grads = np.zeros((rate.shape[0], len(names)))
+        if self._rate_name in position:
+            grads[:, position[self._rate_name]] = self.cost_at(steps, rate, sels) / rate
+        upstream: Value = 1.0
+        for k, (_, slot) in enumerate(steps):
+            j = position.get(self._params[slot][0])
+            if j is not None:
+                suffix = self.cost_at(steps[k + 1 :], 1.0, sels)
+                grads[:, j] = rate * upstream * suffix
+            upstream = upstream * sels[slot]
         return grads
 
 

@@ -47,17 +47,12 @@ class PointOptimizer(ABC):
     """Return the optimal logical plan at a statistics point.
 
     Subclasses implement :meth:`_find_best`; this base class provides
-    call counting, optional memoization, and cost evaluation.  With
-    ``memoize=True`` repeated queries at an identical point skip the
-    search but are *still counted* as optimizer calls, preserving the
-    call-count semantics of the paper's figures.
+    call counting and cost evaluation.
     """
 
-    def __init__(self, query: Query, *, memoize: bool = False) -> None:
+    def __init__(self, query: Query) -> None:
         self._query = query
         self._cost_model = PlanCostModel(query)
-        self._memoize = memoize
-        self._cache: dict[object, LogicalPlan] = {}
         self._call_count = 0
 
     @property
@@ -100,24 +95,14 @@ class PointOptimizer(ABC):
         """Count one optimizer call at ``point`` answered by ``plan``.
 
         ``plan`` must be what :meth:`peek` returns at ``point``; the
-        call count and memo cache end up as if :meth:`optimize` had run.
+        call count ends up as if :meth:`optimize` had run.
         """
         self._call_count += 1
-        if self._memoize:
-            return self._cache.setdefault(frozenset(point.items()), plan)
         return plan
 
     def optimize(self, point: Mapping[str, float]) -> LogicalPlan:
         """Cheapest plan at ``point`` (counted as one optimizer call)."""
         self._call_count += 1
-        if self._memoize:
-            key = frozenset(point.items())
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
-            best = self._find_best(point)
-            self._cache[key] = best
-            return best
         return self._find_best(point)
 
     @abstractmethod
@@ -154,23 +139,22 @@ class RankOrderOptimizer(PointOptimizer):
     where rank ordering is not applicable.
     """
 
-    def __init__(self, query: Query, *, memoize: bool = False) -> None:
+    def __init__(self, query: Query) -> None:
         if not query.join_graph.is_unconstrained:
             raise ValueError(
                 "RankOrderOptimizer requires an unconstrained join graph; "
                 "use DPOptimizer for constrained queries"
             )
-        super().__init__(query, memoize=memoize)
+        super().__init__(query)
 
     def _find_best(self, point: Mapping[str, float]) -> LogicalPlan:
-        def rank(op_id: int) -> tuple[float, int]:
-            op = self._query.operator(op_id)
-            sel = float(point.get(op.selectivity_param, op.selectivity))
-            # Tie-break equal ranks by op id for deterministic identity.
-            return ((sel - 1.0) / op.cost_per_tuple, op_id)
-
-        order = tuple(sorted(self._query.operator_ids, key=rank))
-        return LogicalPlan(order)
+        _, sels = self._cost_model.resolve(point)
+        # Tie-break equal ranks by op id for deterministic identity.
+        ranked = sorted(
+            ((sel - 1.0) / op.cost_per_tuple, op.op_id)
+            for op, sel in zip(self._query.operators, sels)
+        )
+        return LogicalPlan(tuple(op_id for _, op_id in ranked))
 
 
 class DPOptimizer(PointOptimizer):
@@ -184,13 +168,12 @@ class DPOptimizer(PointOptimizer):
 
     def _find_best(self, point: Mapping[str, float]) -> LogicalPlan:
         query = self._query
-        ids = sorted(query.operator_ids)
+        _, sels_by_slot = self._cost_model.resolve(point)
+        ops = sorted(zip(query.operators, sels_by_slot), key=lambda pair: pair[0].op_id)
+        ids = [op.op_id for op, _ in ops]
+        sels = [sel for _, sel in ops]
+        costs = [op.cost_per_tuple for op, _ in ops]
         n = len(ids)
-        ops = [query.operator(i) for i in ids]
-        sels = [
-            float(point.get(op.selectivity_param, op.selectivity)) for op in ops
-        ]
-        costs = [op.cost_per_tuple for op in ops]
         graph = query.join_graph
 
         # Subset selectivity products, built incrementally.
@@ -246,7 +229,7 @@ class ExhaustiveOrderOptimizer(PointOptimizer):
         return LogicalPlan(best[1])
 
 
-def make_optimizer(query: Query, *, memoize: bool = False) -> PointOptimizer:
+def make_optimizer(query: Query) -> PointOptimizer:
     """Pick the cheapest exact optimizer applicable to ``query``.
 
     Rank ordering when the join graph is unconstrained, otherwise the
@@ -254,5 +237,5 @@ def make_optimizer(query: Query, *, memoize: bool = False) -> PointOptimizer:
     trades optimality for speed.
     """
     if query.join_graph.is_unconstrained:
-        return RankOrderOptimizer(query, memoize=memoize)
-    return DPOptimizer(query, memoize=memoize)
+        return RankOrderOptimizer(query)
+    return DPOptimizer(query)

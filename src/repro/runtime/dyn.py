@@ -11,14 +11,14 @@ paper identifies as DYN's Achilles heel under short-term fluctuations.
 
 from __future__ import annotations
 
-from repro.core.greedy_phy import largest_load_first
-from repro.core.physical import Cluster, InfeasiblePlacementError, PhysicalPlan
+from repro.core.physical import Cluster, PhysicalPlan
 from repro.engine.faults import FaultError, FaultEvent
 from repro.engine.system import RoutingDecision, StreamSimulator
 from repro.query.cost import PlanCostModel
 from repro.query.model import Query
 from repro.query.plans import LogicalPlan
 from repro.query.statistics import StatPoint
+from repro.runtime.rod import place_estimate_plan
 from repro.util.validation import ensure_positive
 
 __all__ = ["DYNStrategy"]
@@ -52,23 +52,14 @@ class DYNStrategy:
         imbalance_threshold: float = 0.15,
         cooldown_seconds: float = 10.0,
     ) -> None:
-        from repro.query.optimizer import make_optimizer  # local: avoids cycle at import
-
         ensure_positive(imbalance_threshold, "imbalance_threshold")
         ensure_positive(cooldown_seconds, "cooldown_seconds")
         self._query = query
         self._cluster = cluster
-        point = estimate or query.estimate_point()
-        self._plan = make_optimizer(query).optimize(point)
+        self._plan, self._placement = place_estimate_plan(
+            self.name, query, cluster, estimate
+        )
         self._cost_model = PlanCostModel(query)
-        loads = self._cost_model.operator_loads(self._plan, point)
-        placement = largest_load_first(loads, cluster)
-        if placement is None:
-            raise InfeasiblePlacementError(
-                f"DYN cannot place query {query.name!r} at its estimate "
-                f"point within the given cluster"
-            )
-        self._placement = placement
         self._threshold = imbalance_threshold
         self._cooldown = cooldown_seconds
         self._last_migration = -float("inf")

@@ -12,15 +12,13 @@ of each batch's expected processing time, so the reported
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from repro.core.physical import InfeasiblePlacementError, PhysicalPlan
 from repro.core.rld import RLDSolution
 from repro.engine.faults import FaultEvent
 from repro.engine.system import RoutingDecision, StreamSimulator
-from repro.query.cost import PlanCostModel
+from repro.query.cost import PlanCostModel, Steps
 from repro.query.plans import LogicalPlan
-from repro.query.statistics import StatPoint, rate_param
+from repro.query.statistics import StatPoint
 from repro.util.validation import ensure_in_range
 
 __all__ = ["RLDStrategy"]
@@ -31,9 +29,6 @@ __all__ = ["RLDStrategy"]
 #: keeps routing unchanged, since snapping to a larger grid would route
 #: some batches differently.
 MAX_TABLE_POINTS = 200_000
-
-#: One operator of a plan: (cost per tuple, selectivity slot, host node).
-_Step = tuple[float, int, int]
 
 
 class RLDStrategy:
@@ -88,23 +83,12 @@ class RLDStrategy:
         self._down: set[int] = set()
 
         # ---- Decision kernel layout ----------------------------------
-        # Statistics resolve once per decision into a rate and one
-        # selectivity per slot (an operator's index in the query), with
-        # the same fall-back-to-the-estimate rule as PlanCostModel.
-        # Each plan is then a flat run of (cost, slot, node) steps.
-        query = solution.query
-        placement = solution.physical.physical_plan
-        assert placement is not None  # guarded above
-        self._rate_name = rate_param()
-        self._default_rate = query.driving_rate
-        self._sel_defaults = [
-            (op.selectivity_param, op.selectivity) for op in query.operators
-        ]
-        self._step_of: dict[int, _Step] = {
-            op.op_id: (op.cost_per_tuple, slot, placement.node_of(op.op_id))
-            for slot, op in enumerate(query.operators)
-        }
-        self._layouts = [self._layout(plan) for plan in self._plans]
+        # Statistics resolve once per decision (PlanCostModel.resolve);
+        # each plan is priced from its cost-model steps and loads its
+        # operators' host nodes.  The hot path passes step tuples, not
+        # plans, so it never hashes a LogicalPlan.
+        self._steps = [self._cost_model.steps(plan) for plan in self._plans]
+        self._hosts = [self._hosts_of(plan) for plan in self._plans]
         # Scanning plans in plan.order and keeping the first minimum
         # gives every argmin the (…, plan.order) tie-break.
         self._by_order = sorted(
@@ -126,12 +110,11 @@ class RLDStrategy:
         # reports a drifted value for one of them, the cell no longer
         # describes the live cost surface and the lookup must miss.
         dim_names = set(self._space.names)
-        self._off_dim_defaults: dict[str, float] = {}
-        if self._rate_name not in dim_names:
-            self._off_dim_defaults[self._rate_name] = self._default_rate
-        for name, default in self._sel_defaults:
-            if name not in dim_names:
-                self._off_dim_defaults[name] = default
+        self._off_dim_defaults = {
+            name: default
+            for name, default in solution.query.estimate_point().items()
+            if name not in dim_names
+        }
 
     @property
     def placement(self) -> PhysicalPlan:
@@ -152,54 +135,29 @@ class RLDStrategy:
 
     def bottleneck_node(self, plan: LogicalPlan, stats: StatPoint) -> int:
         """The node this plan loads hardest relative to its capacity."""
-        return self._bottleneck(self._layout(plan), *self._resolve(stats))[0]
+        steps = self._cost_model.steps(plan)
+        rate, sels = self._cost_model.resolve(stats)
+        return self._bottleneck(steps, self._hosts_of(plan), rate, sels)[0]
 
     # ------------------------------------------------------------------
     # The decision kernel
     # ------------------------------------------------------------------
 
-    def _layout(self, plan: LogicalPlan) -> tuple[_Step, ...]:
-        return tuple(self._step_of[op_id] for op_id in plan)
-
-    def _resolve(self, point: Mapping[str, float]) -> tuple[float, list[float]]:
-        """The rate and per-slot selectivities at ``point``."""
-        get = point.get
-        rate = float(get(self._rate_name, self._default_rate))
-        sels = [float(get(name, default)) for name, default in self._sel_defaults]
-        return rate, sels
-
-    @staticmethod
-    def _plan_cost(
-        layout: tuple[_Step, ...], rate: float, sels: list[float]
-    ) -> float:
-        """:meth:`PlanCostModel.plan_cost`, float operation for operation."""
-        carried = 1.0
-        total = 0.0
-        for cost, slot, _ in layout:
-            total += cost * carried
-            carried *= sels[slot]
-        return rate * total
-
-    @staticmethod
-    def _op_loads(
-        layout: tuple[_Step, ...], rate: float, sels: list[float]
-    ) -> list[tuple[int, float]]:
-        """(host node, load) per operator in plan order, as
-        :meth:`PlanCostModel.operator_loads` computes the loads."""
-        carried = 1.0
-        loads: list[tuple[int, float]] = []
-        for cost, slot, node in layout:
-            loads.append((node, rate * cost * carried))
-            carried *= sels[slot]
-        return loads
+    def _hosts_of(self, plan: LogicalPlan) -> tuple[int, ...]:
+        """Each operator's host node, in plan order."""
+        return tuple(self.placement.node_of(op_id) for op_id in plan)
 
     def _bottleneck(
-        self, layout: tuple[_Step, ...], rate: float, sels: list[float]
+        self,
+        steps: Steps,
+        hosts: tuple[int, ...],
+        rate: float,
+        sels: list[float],
     ) -> tuple[int, float]:
-        """The node this plan loads hardest relative to its capacity
+        """The node a plan loads hardest relative to its capacity
         (lowest index on ties), and that node's utilization."""
         per_node = [0.0] * len(self._capacities)
-        for node, load in self._op_loads(layout, rate, sels):
+        for node, load in zip(hosts, PlanCostModel.loads_at(steps, rate, sels)):
             per_node[node] += load
         utilization = [
             load / capacity for load, capacity in zip(per_node, self._capacities)
@@ -230,30 +188,36 @@ class RLDStrategy:
 
         Node loads are computed only for the plans a branch inspects.
         """
-        layouts = self._layouts
-        costs = [self._plan_cost(layout, rate, sels) for layout in layouts]
+        steps, hosts = self._steps, self._hosts
+        cost_at = PlanCostModel.cost_at
+        costs = [cost_at(plan_steps, rate, sels) for plan_steps in steps]
         best = min(self._by_order, key=lambda p: costs[p])
-        if len(layouts) == 1:
+        if len(steps) == 1:
             return best, costs[best]
         down = self._down
-        node, peak = self._bottleneck(layouts[best], rate, sels)
+        node, peak = self._bottleneck(steps[best], hosts[best], rate, sels)
         if node in down:
             pool = [
                 p
                 for p in self._by_order
-                if self._bottleneck(layouts[p], rate, sels)[0] not in down
+                if self._bottleneck(steps[p], hosts[p], rate, sels)[0] not in down
             ] or self._by_order
             dead_load = {
                 p: sum(
                     load
-                    for host, load in self._op_loads(layouts[p], rate, sels)
+                    for host, load in zip(
+                        hosts[p], PlanCostModel.loads_at(steps[p], rate, sels)
+                    )
                     if host in down
                 )
                 for p in pool
             }
             best = min(pool, key=lambda p: (dead_load[p], costs[p]))
         elif peak >= self._overload_threshold:
-            peaks = [self._bottleneck(layout, rate, sels)[1] for layout in layouts]
+            peaks = [
+                self._bottleneck(plan_steps, plan_hosts, rate, sels)[1]
+                for plan_steps, plan_hosts in zip(steps, hosts)
+            ]
             best = min(self._by_order, key=lambda p: (peaks[p], costs[p]))
         return best, costs[best]
 
@@ -313,7 +277,8 @@ class RLDStrategy:
         statistics.  Either way the batch is charged the chosen plan's
         cost at the exact statistics.
         """
-        rate, sels = self._resolve(stats)
+        resolve = self._cost_model.resolve
+        rate, sels = resolve(stats)
         flat = self._grid_cell(stats)
         if flat is None:
             self._table_misses += 1
@@ -325,18 +290,18 @@ class RLDStrategy:
                 if not self._memo:
                     self._table_rebuilds += 1
                 cell = self._space.point_at(self._space.index_of_flat(flat))
-                cached = self._memo[flat] = self._decide(*self._resolve(cell))[0]
+                cached = self._memo[flat] = self._decide(*resolve(cell))[0]
             index = cached
-            cost = self._plan_cost(self._layouts[index], rate, sels)
-        overhead = self._classification_overhead(cost, stats)
+            cost = PlanCostModel.cost_at(self._steps[index], rate, sels)
+        overhead = self._classification_overhead(cost, rate)
         return RoutingDecision(plan=self._plans[index], overhead_seconds=overhead)
 
-    def _classification_overhead(self, cost: float, stats: StatPoint) -> float:
+    def _classification_overhead(self, cost: float, rate: float) -> float:
         """Charge ≈ ``fraction`` of the batch's expected service seconds,
-        given the routed plan's ``cost`` at the batch's statistics."""
+        given the routed plan's ``cost`` at the batch's statistics and
+        the ``rate`` that cost was priced at."""
         if self._overhead_fraction <= 0.0:
             return 0.0
-        rate = float(stats.get(self._rate_name, 1.0))
         if rate <= 0:
             return 0.0
         per_tuple_cost = cost / rate

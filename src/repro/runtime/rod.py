@@ -16,12 +16,36 @@ from repro.core.greedy_phy import largest_load_first
 from repro.core.physical import Cluster, InfeasiblePlacementError, PhysicalPlan
 from repro.engine.faults import FaultEvent
 from repro.engine.system import RoutingDecision, StreamSimulator
-from repro.query.plans import LogicalPlan
-from repro.query.cost import PlanCostModel
 from repro.query.model import Query
+from repro.query.plans import LogicalPlan
 from repro.query.statistics import StatPoint
 
-__all__ = ["RODStrategy"]
+__all__ = ["RODStrategy", "place_estimate_plan"]
+
+
+def place_estimate_plan(
+    strategy: str, query: Query, cluster: Cluster, estimate: StatPoint | None
+) -> tuple[LogicalPlan, PhysicalPlan]:
+    """The logical plan optimal at the estimate, placed by LLF on its
+    loads there — the fixed starting point of ROD and DYN.
+
+    ``estimate`` defaults to the query's own estimates.  Raises
+    :class:`InfeasiblePlacementError`, naming ``strategy``, when the
+    loads do not fit the cluster.
+    """
+    from repro.query.optimizer import make_optimizer  # local: avoids cycle at import
+
+    point = estimate or query.estimate_point()
+    optimizer = make_optimizer(query)
+    plan = optimizer.optimize(point)
+    loads = optimizer.cost_model.operator_loads(plan, point)
+    placement = largest_load_first(loads, cluster)
+    if placement is None:
+        raise InfeasiblePlacementError(
+            f"{strategy} cannot place query {query.name!r} at its estimate "
+            f"point within the given cluster"
+        )
+    return plan, placement
 
 
 class RODStrategy:
@@ -36,22 +60,11 @@ class RODStrategy:
         *,
         estimate: StatPoint | None = None,
     ) -> None:
-        from repro.query.optimizer import make_optimizer  # local: avoids cycle at import
-
         self._query = query
         self._cluster = cluster
-        point = estimate or query.estimate_point()
-        optimizer = make_optimizer(query)
-        self._plan = optimizer.optimize(point)
-        self._cost_model = PlanCostModel(query)
-        loads = self._cost_model.operator_loads(self._plan, point)
-        placement = largest_load_first(loads, cluster)
-        if placement is None:
-            raise InfeasiblePlacementError(
-                f"ROD cannot place query {query.name!r} at its estimate "
-                f"point within the given cluster"
-            )
-        self._placement = placement
+        self._plan, self._placement = place_estimate_plan(
+            self.name, query, cluster, estimate
+        )
 
     @property
     def placement(self) -> PhysicalPlan:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +54,29 @@ class TestFeasibleConfigs:
         op0_bit = 0b01
         assert op0_bit in configs
         assert bin(configs[op0_bit]).count("1") == 1
+
+    @pytest.mark.parametrize("n_plans", [10, 70])
+    def test_masks_match_support_mask_for_any_plan_count(self, n_plans):
+        # Integer loads keep every subset sum exact, so both sides
+        # compare the same totals against the capacity.
+        rng = np.random.default_rng(n_plans)
+        orders = list(itertools.islice(itertools.permutations(range(6)), n_plans))
+        table = _table(
+            {
+                order: {op: float(rng.integers(1, 20)) for op in range(6)}
+                for order in orders
+            }
+        )
+        capacity = 40.0
+        configs = enumerate_feasible_configs(table, capacity)
+        expected = {}
+        for subset in range(1, 1 << 6):
+            ops = [op for op in range(6) if subset >> op & 1]
+            mask = table.support_mask(ops, capacity)
+            if mask:
+                expected[subset] = mask
+        assert configs == expected
+        assert any(mask >> 62 for mask in configs.values()) == (n_plans > 62)
 
     def test_too_many_operators_rejected(self):
         ops = {i: 1.0 for i in range(19)}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cost_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,27 +69,65 @@ class TestPlanCost:
         assert model.plan_cost(plan, base.replacing(rate=120.0)) > c0
 
 
+def _gradient(model, plan, point):
+    """``gradients_batch`` at one point, as ``{parameter: partial}``."""
+    names = list(point)
+    row = model.gradients_batch(plan, np.array([[point[n] for n in names]]), names)
+    return dict(zip(names, row[0]))
+
+
 class TestGradient:
     def test_gradient_matches_finite_differences(self, model):
         plan = LogicalPlan((0, 1, 2))
         point = StatPoint({"sel:0": 0.5, "sel:2": 0.7, "rate": 90.0})
-        grads = model.gradient(plan, point)
+        grads = _gradient(model, plan, point)
         h = 1e-6
         for name in point:
             bumped = point.updated({name: point[name] + h})
             fd = (model.plan_cost(plan, bumped) - model.plan_cost(plan, point)) / h
             assert grads[name] == pytest.approx(fd, rel=1e-4), name
 
-    def test_gradient_only_for_present_params(self, model):
+    def test_gradient_only_for_present_params(self, model, three_op_query):
+        # One column per name asked for, in order; a name that prices
+        # nothing gets a zero column.
         plan = LogicalPlan((0, 1, 2))
-        grads = model.gradient(plan, StatPoint({"sel:1": 0.5}))
-        assert set(grads) == {"sel:1"}
+        names = ["sel:1", "bogus"]
+        grads = model.gradients_batch(plan, np.array([[0.5, 7.0]]), names)
+        assert grads.shape == (1, 2)
+        expected = cost_oracle.gradient(three_op_query, plan, {"sel:1": 0.5})
+        assert set(expected) == {"sel:1"}
+        assert grads[0, 0] == pytest.approx(expected["sel:1"], rel=1e-12)
+        assert grads[0, 1] == 0.0
 
     def test_last_operator_selectivity_has_zero_gradient(self, model):
         # σ of the last operator never multiplies any cost term.
         plan = LogicalPlan((0, 1, 2))
-        grads = model.gradient(plan, StatPoint({"sel:2": 0.4}))
+        grads = _gradient(model, plan, StatPoint({"sel:2": 0.4}))
         assert grads["sel:2"] == pytest.approx(0.0)
+
+
+class TestResolve:
+    def test_point_values_override_estimates_in_operator_order(
+        self, model, three_op_query
+    ):
+        rate, sels = model.resolve({"sel:1": 0.9, "unrelated": 5.0})
+        assert rate == three_op_query.driving_rate
+        assert sels == [0.6, 0.9, 0.4]
+
+    def test_columns_resolve_like_points(self, model):
+        values = np.array([[0.9, 0.2], [0.8, 0.3]])
+        rate, sels = model.resolve_columns(values, ["sel:1", "sel:2"])
+        # No rate column: a full column of the driving rate, so priced
+        # batches are always one value per row.
+        assert rate.tolist() == [100.0, 100.0]
+        assert sels[0] == 0.6
+        assert sels[1].tolist() == [0.9, 0.8]
+        assert sels[2].tolist() == [0.2, 0.3]
+
+    def test_steps_are_memoized_per_plan(self, model):
+        steps = model.steps(LogicalPlan((2, 0, 1)))
+        assert steps == ((1.0, 2), (3.0, 0), (2.0, 1))
+        assert model.steps(LogicalPlan((2, 0, 1))) is steps
 
 
 class TestMultilinearFeatures:
@@ -128,7 +167,7 @@ class TestSurfaceFitting:
         ]
         surface = surface_for_plan(model, plan, dims, grid)
         probe = StatPoint({"sel:1": 0.5, "sel:2": 0.5})
-        model_grads = model.gradient(plan, probe)
+        model_grads = _gradient(model, plan, probe)
         surface_grads = surface.gradient(probe)
         for name in dims:
             assert surface_grads[name] == pytest.approx(model_grads[name], rel=1e-9)

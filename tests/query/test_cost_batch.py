@@ -1,16 +1,18 @@
-"""Equivalence anchor for the vectorized cost kernels.
+"""Equivalence anchor for the cost kernels.
 
-The whole vectorized evaluation core (cost tensors, routing tables,
-weight batches) is only safe because the batch kernels agree with the
-scalar ``plan_cost``/``operator_loads``/``gradient`` path.  These
-hypothesis properties pin that equivalence across random queries,
-plans, parameter subsets, and evaluation points — and pin it *tightly*:
-costs and loads must match bitwise (the kernels replicate the scalar
-float-operation order), gradients within 1e-9 relative.
+The whole vectorized evaluation core (cost tensors, routing, weight
+batches) and the scalar callers (optimizers, ROD/DYN placement) price
+plans through one kernel per formula in :class:`PlanCostModel`.  A
+check of that kernel against itself proves nothing, so these
+hypothesis properties compare both the scalar and the batch wrappers
+against an independent oracle (``cost_oracle``) across random queries,
+plans, parameter subsets and evaluation points — and pin it *tightly*:
+costs and loads must match bitwise, gradients within 1e-9 relative.
 """
 
 from __future__ import annotations
 
+import cost_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,9 +96,12 @@ class TestBatchEquivalence:
         query, plan, names, matrix = case
         model = PlanCostModel(query)
         batch = model.plan_costs(plan, matrix, names)
-        scalar = [model.plan_cost(plan, point) for point in _points(names, matrix)]
+        points = _points(names, matrix)
+        scalar = [model.plan_cost(plan, point) for point in points]
+        oracle = [cost_oracle.plan_cost(query, plan, point) for point in points]
         assert batch.shape == (matrix.shape[0],)
-        assert np.array_equal(batch, np.array(scalar))
+        assert scalar == oracle
+        assert np.array_equal(batch, np.array(oracle))
 
     @settings(max_examples=60, deadline=None)
     @given(case=batch_cases())
@@ -106,8 +111,10 @@ class TestBatchEquivalence:
         batch = model.operator_loads_batch(plan, matrix, names)
         assert set(batch) == set(plan)
         for k, point in enumerate(_points(names, matrix)):
-            scalar = model.operator_loads(plan, point)
-            for op_id, load in scalar.items():
+            oracle = cost_oracle.operator_loads(query, plan, point)
+            assert model.operator_loads(plan, point) == oracle
+            for op_id, load in oracle.items():
+                assert batch[op_id].shape == (matrix.shape[0],)
                 assert batch[op_id][k] == load
 
     @settings(max_examples=60, deadline=None)
@@ -118,8 +125,8 @@ class TestBatchEquivalence:
         batch = model.gradients_batch(plan, matrix, names)
         assert batch.shape == (matrix.shape[0], len(names))
         for k, point in enumerate(_points(names, matrix)):
-            scalar = model.gradient(plan, point)
+            oracle = cost_oracle.gradient(query, plan, point)
             for j, name in enumerate(names):
                 assert batch[k, j] == pytest.approx(
-                    scalar[name], rel=1e-9, abs=1e-12
+                    oracle[name], rel=1e-9, abs=1e-12
                 ), name

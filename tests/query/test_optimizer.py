@@ -45,14 +45,6 @@ class TestCallAccounting:
         opt.plan_cost(plan, three_op_query.estimate_point())
         assert opt.call_count == 1
 
-    def test_memoized_calls_still_counted(self, three_op_query):
-        opt = RankOrderOptimizer(three_op_query, memoize=True)
-        point = three_op_query.estimate_point()
-        a = opt.optimize(point)
-        b = opt.optimize(point)
-        assert a == b
-        assert opt.call_count == 2
-
 
 class TestRankOrder:
     def test_matches_exhaustive_on_fixture(self, three_op_query):

@@ -8,7 +8,7 @@ from repro.core import Cluster, RLDConfig, RLDOptimizer
 from repro.core.physical import InfeasiblePlacementError
 from repro.engine import StreamSimulator
 from repro.runtime import RLDStrategy
-from repro.workloads import RegimeSwitchSelectivity, Workload
+from repro.workloads import RegimeSwitchSelectivity, Workload, build_q1
 
 
 @pytest.fixture
@@ -36,6 +36,28 @@ class TestRLDStrategy:
         point = solution.query.estimate_point()
         decision = strategy.route(0.0, point)
         assert decision.overhead_seconds > 0
+
+    def test_overhead_prices_at_the_driving_rate_when_stats_omit_it(self):
+        """Statistics without a rate are priced at the driving rate, so
+        the overhead's per-tuple cost must divide by that same rate."""
+        query = build_q1()
+        estimate = query.default_estimates(
+            {op.selectivity_param: 3 for op in query.operators}
+        )
+        cluster = Cluster.homogeneous(4, 380.0)
+        solution = RLDOptimizer(query, cluster, config=RLDConfig(epsilon=0.2)).solve(
+            estimate
+        )
+        space = solution.space
+        assert "rate" not in space.names
+        point = space.point_at(tuple(steps // 2 for steps in space.shape))
+        decision = RLDStrategy(solution).route(0.0, point)
+        cost = solution.logical.cost_model.plan_cost(decision.plan, point)
+        per_tuple_cost = cost / query.driving_rate
+        mean_capacity = cluster.total_capacity / cluster.n_nodes
+        expected = 0.02 * (100.0 * per_tuple_cost / mean_capacity)
+        assert decision.overhead_seconds == expected
+        assert decision.overhead_seconds < 0.1
 
     def test_zero_overhead_mode(self, solution):
         strategy = RLDStrategy(solution, classify_overhead_fraction=0.0)
