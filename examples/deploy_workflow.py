@@ -40,7 +40,10 @@ def main() -> None:
         print(f"  {name:<8} estimate {estimate.estimates[name]:8.3f}   level U={level}")
 
     # ── 2. Compile ──────────────────────────────────────────────────────
-    cluster = Cluster.homogeneous(4, 420.0)
+    # The calibrated space is wide (every parameter at level 5): four
+    # nodes of capacity 700 support 5 of its plans, while at 420 no
+    # placement supports any and the replay cannot route a batch.
+    cluster = Cluster.homogeneous(4, 700.0)
     solution = RLDOptimizer(query, cluster, config=RLDConfig(epsilon=0.2)).solve(
         estimate
     )

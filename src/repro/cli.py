@@ -85,11 +85,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     with _bad_input():
         estimate = _estimate(query, args.level, args.rate_level, args.dims)
         cluster = Cluster.homogeneous(args.nodes, args.capacity)
-        config = RLDConfig(
-            epsilon=args.epsilon,
-            physical_algorithm=args.algorithm,
-            jobs=args.jobs,
-        )
+        config = RLDConfig(epsilon=args.epsilon, physical_algorithm=args.algorithm)
     solution = RLDOptimizer(query, cluster, config=config).solve(estimate)
     print(solution.summary())
     print(
@@ -115,19 +111,7 @@ _STAGE_LABELS = {
 
 def _print_profile(solution) -> None:
     """Per-stage compile-time breakdown from the pipeline's StageTimer."""
-    # `workers:` entries are cumulative busy seconds across worker
-    # processes — concurrent with the wall-clock stages, so they are
-    # reported separately and excluded from the total.
-    stages = {
-        name: seconds
-        for name, seconds in solution.stage_seconds.items()
-        if not name.startswith("workers:")
-    }
-    workers = {
-        name: seconds
-        for name, seconds in solution.stage_seconds.items()
-        if name.startswith("workers:")
-    }
+    stages = solution.stage_seconds
     total = sum(stages.values())
     print("\ncompile-time profile:")
     for name, seconds in stages.items():
@@ -135,10 +119,6 @@ def _print_profile(solution) -> None:
         label = _STAGE_LABELS.get(name, name)
         print(f"  {label:<30} {seconds * 1000:>10.2f} ms  ({share:5.1f}%)")
     print(f"  {'total':<30} {total * 1000:>10.2f} ms")
-    for name, seconds in workers.items():
-        stage = name.removeprefix("workers:")
-        label = f"worker busy ({stage})"
-        print(f"  {label:<30} {seconds * 1000:>10.2f} ms  (concurrent)")
     logical = solution.logical
     if logical.uses_sampled_grid:
         print(
@@ -320,14 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="print a per-stage compile-time breakdown",
-    )
-    p_compile.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes pre-solving ERP corners (default 1 = "
-        "serial; any value yields bitwise-identical solutions — see "
-        "docs/architecture.md 'Parallel compile')",
     )
     p_compile.set_defaults(handler=_cmd_compile)
 

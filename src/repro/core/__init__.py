@@ -33,7 +33,6 @@ from repro.core.optprune import (
     opt_prune,
     opt_prune_heterogeneous,
 )
-from repro.core.parallel import CornerPrefetcher
 from repro.core.parameter_space import Dimension, ParameterSpace, Region
 from repro.core.partitioning import (
     EarlyTerminatedRobustPartitioning,
@@ -87,7 +86,6 @@ __all__ = [
     "EarlyTerminatedRobustPartitioning",
     "ExhaustiveSearch",
     "InfeasiblePlacementError",
-    "CornerPrefetcher",
     "NormalOccurrenceModel",
     "ParameterSpace",
     "PartitioningResult",

@@ -28,13 +28,12 @@ from __future__ import annotations
 import heapq
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from repro.core.logical import PlanDiscovery, RobustLogicalSolution
-from repro.core.parallel import CornerPrefetcher
 from repro.core.parameter_space import ParameterSpace, Region
 from repro.core.robustness import RobustnessChecker
 from repro.core.weights import RegionWeights, WeightAssigner
@@ -79,9 +78,6 @@ class PartitioningResult:
     compile-time expense unit).  ``unresolved_regions`` is how many
     regions were left unverified when ERP's aging counter (or a call
     budget) fired; each is still assigned its best-known plan.
-    ``worker_seconds`` is the busy time of corner-prefetch workers
-    (0.0 on a serial run); like all timings it is excluded from
-    equality.
     """
 
     solution: RobustLogicalSolution
@@ -92,7 +88,6 @@ class PartitioningResult:
     unresolved_regions: int
     weight_computations: int = 0
     weight_skips: int = 0
-    worker_seconds: float = field(default=0.0, compare=False)
 
     @property
     def plans_found(self) -> int:
@@ -267,10 +262,6 @@ class WeightedRobustPartitioning(SpacePartitioner):
     §4.2-weight point.  Weight arrays are inherited by children when
     the parent's corner-plan predictions were confirmed (the §4.2
     re-assignment skip).
-
-    With ``jobs > 1`` a :class:`~repro.core.parallel.CornerPrefetcher`
-    pre-solves upcoming corners on ``jobs`` worker processes; the result
-    is bitwise-identical to ``jobs=1``, call accounting included.
     """
 
     #: Set False to disable the aging counter (plain WRP).
@@ -287,25 +278,14 @@ class WeightedRobustPartitioning(SpacePartitioner):
         failure_probability: float = 0.25,
         area_bound: float = 0.3,
         use_cost_weights: bool = True,
-        jobs: int = 1,
     ) -> None:
         super().__init__(
             query, space, optimizer=optimizer, epsilon=epsilon, max_calls=max_calls
         )
         self._age_threshold = aging_threshold(failure_probability, area_bound)
         self._use_cost_weights = use_cost_weights
-        self._jobs = jobs
 
     def run(self) -> PartitioningResult:
-        if self._jobs == 1:
-            return self._run(None)
-        prefetch = CornerPrefetcher(self._space, self._optimizer, self._jobs)
-        try:
-            return self._run(prefetch)
-        finally:
-            prefetch.close()
-
-    def _run(self, prefetch: CornerPrefetcher | None) -> PartitioningResult:
         start = self._optimizer.call_count
         checker = RobustnessChecker(self._optimizer, self._epsilon)
         assigner = WeightAssigner(self._space, self._cost_model)
@@ -348,15 +328,6 @@ class WeightedRobustPartitioning(SpacePartitioner):
                 break
             _, _, entry = heapq.heappop(queue)
             region = entry.region
-            if prefetch is not None:
-                # Speculative wave: pre-solve every unknown corner of this
-                # region and of the next-to-pop queued regions in one pool
-                # map.  The checker still charges each call when it asks,
-                # so budgets and the aging counter are exact.
-                upcoming = heapq.nsmallest(prefetch.wave_regions, queue)
-                prefetch.ensure(
-                    region, (e.region for _, _, e in upcoming), checker
-                )
             check = checker.check_region(region)
             processed += 1
 
@@ -417,7 +388,6 @@ class WeightedRobustPartitioning(SpacePartitioner):
             unresolved_regions=unresolved,
             weight_computations=assigner.computations,
             weight_skips=assigner.skips,
-            worker_seconds=prefetch.busy_seconds if prefetch is not None else 0.0,
         )
 
 

@@ -57,9 +57,7 @@ class RLDConfig:
     and ``area_bound`` parameterize ERP's Theorem 1 stopping rule;
     ``points_per_level`` sets grid resolution per uncertainty level;
     ``sigma_fraction`` shapes the §5.2 occurrence normal;
-    ``physical_algorithm`` picks the §5 mapper; ``jobs`` is the number
-    of worker processes pre-solving ERP's region corners (``1`` is the
-    serial path; any jobs count yields bitwise-identical solutions).
+    ``physical_algorithm`` picks the §5 mapper.
     """
 
     epsilon: float = 0.2
@@ -68,13 +66,10 @@ class RLDConfig:
     points_per_level: int = 2
     sigma_fraction: float = 0.5
     physical_algorithm: str = "optprune"
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.physical_algorithm not in _PHYSICAL_ALGORITHMS:
             raise ValueError(
                 f"unknown physical_algorithm {self.physical_algorithm!r}; "
@@ -193,7 +188,6 @@ class RLDOptimizer:
                 epsilon=config.epsilon,
                 failure_probability=config.failure_probability,
                 area_bound=config.area_bound,
-                jobs=config.jobs,
             )
             partitioning = partitioner.run()
             logical = partitioning.solution
@@ -210,11 +204,6 @@ class RLDOptimizer:
             physical = _PHYSICAL_ALGORITHMS[config.physical_algorithm](
                 load_table, self._cluster
             )
-        if config.jobs > 1:
-            # Worker busy seconds are concurrent with the wall-clock
-            # stages above, so they get their own `workers:` entry
-            # instead of being added into a stage's wall time.
-            timer.add("workers:partitioning", partitioning.worker_seconds)
         return RLDSolution(
             query=self._query,
             cluster=self._cluster,

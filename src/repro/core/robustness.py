@@ -75,7 +75,6 @@ class RobustnessChecker:
         self._optimizer = optimizer
         self._epsilon = epsilon
         self._corner_plans: dict[GridIndex, LogicalPlan] = {}
-        self._prefetched: dict[GridIndex, LogicalPlan] = {}
 
     @property
     def epsilon(self) -> float:
@@ -92,34 +91,12 @@ class RobustnessChecker:
         """Optimizer calls made through this checker's optimizer."""
         return self._optimizer.call_count
 
-    def has_cached(self, index: GridIndex) -> bool:
-        """True when the corner plan at ``index`` is cached or prefetched.
-
-        Used by the corner prefetcher to avoid speculating on corners
-        that would not cost an optimizer search anyway.
-        """
-        return index in self._corner_plans or index in self._prefetched
-
-    def prefetch(self, index: GridIndex, plan: LogicalPlan) -> None:
-        """Hold ``plan``, found by an uncounted search, for ``index``.
-
-        The optimizer call is charged only when :meth:`optimal_plan_at`
-        first asks for ``index``, exactly where the serial search would
-        have made it.
-        """
-        self._prefetched[index] = plan
-
     def optimal_plan_at(self, index: GridIndex, space: ParameterSpace) -> LogicalPlan:
         """Optimal plan at a grid index, cached per index."""
         cached = self._corner_plans.get(index)
         if cached is not None:
             return cached
-        point = space.point_at(index)
-        known = self._prefetched.pop(index, None)
-        if known is None:
-            plan = self._optimizer.optimize(point)
-        else:
-            plan = self._optimizer.charge(point, known)
+        plan = self._optimizer.optimize(space.point_at(index))
         self._corner_plans[index] = plan
         return plan
 

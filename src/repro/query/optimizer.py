@@ -81,24 +81,11 @@ class PointOptimizer(ABC):
     def peek(self, point: Mapping[str, float]) -> LogicalPlan:
         """Cheapest plan at ``point`` *without* charging an optimizer call.
 
-        Two users: the ERP corner prefetch
-        (:class:`~repro.core.parallel.CornerPrefetcher`), whose pool
-        workers pre-solve points with ``peek`` while the serial loop
-        counts each call with :meth:`charge` at the moment it asks; and
-        wrappers that time or instrument the search of another optimizer
+        For wrappers that time or instrument another optimizer's search
         while counting calls themselves (``perfbench``'s
         ``TimedOptimizer``).
         """
         return self._find_best(point)
-
-    def charge(self, point: Mapping[str, float], plan: LogicalPlan) -> LogicalPlan:
-        """Count one optimizer call at ``point`` answered by ``plan``.
-
-        ``plan`` must be what :meth:`peek` returns at ``point``; the
-        call count ends up as if :meth:`optimize` had run.
-        """
-        self._call_count += 1
-        return plan
 
     def optimize(self, point: Mapping[str, float]) -> LogicalPlan:
         """Cheapest plan at ``point`` (counted as one optimizer call)."""

@@ -70,10 +70,6 @@ class StageTimer:
                 self._seconds.get(name, 0.0) + time.perf_counter() - start
             )
 
-    def add(self, name: str, seconds: float) -> None:
-        """Credit externally-measured seconds to a stage."""
-        self._seconds[name] = self._seconds.get(name, 0.0) + seconds
-
     @property
     def seconds(self) -> dict[str, float]:
         """Stage name → accumulated seconds, in insertion order."""

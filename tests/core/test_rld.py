@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core import Cluster, RLDConfig, RLDOptimizer
+from repro.query.optimizer import DPOptimizer
+from repro.workloads import build_nway
+
+GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "erp_dp_nway9.json"
 
 
 @pytest.fixture
@@ -76,3 +83,51 @@ class TestSolve:
         b = RLDOptimizer(four_op_query, cluster).solve(estimate)
         assert a.logical.plans == b.logical.plans
         assert a.physical.physical_plan == b.physical.physical_plan
+
+
+class TestDPGolden:
+    """Serial ERP with the Held–Karp optimizer on a 9-way join.
+
+    The scenario splits deeply (273 calls, 68 plans) before the aging
+    counter stops it, so it pins the exact order of ERP's optimizer
+    calls: any batched or reordered corner search must reproduce the
+    call count and every discovery's ``at_call`` bit for bit.
+    """
+
+    @pytest.fixture(scope="class")
+    def compiled(self):
+        query = build_nway(9, seed=13)
+        estimate = query.default_estimates(
+            {op.selectivity_param: 3 for op in query.operators[:4]}
+        )
+        optimizer = DPOptimizer(query)
+        solution = RLDOptimizer(
+            query,
+            Cluster.homogeneous(4, 420.0),
+            config=RLDConfig(epsilon=0.02),
+            point_optimizer=optimizer,
+        ).solve(estimate)
+        return solution, optimizer
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN.read_text())
+
+    def test_optimizer_calls_and_early_stop(self, compiled, golden):
+        solution, optimizer = compiled
+        assert optimizer.call_count == golden["optimizer_calls"]
+        assert solution.partitioning.optimizer_calls == golden["optimizer_calls"]
+        assert solution.partitioning.terminated_early is golden["terminated_early"]
+
+    def test_discoveries(self, compiled, golden):
+        solution, _ = compiled
+        found = [
+            [list(d.plan.order), d.at_call] for d in solution.logical.discoveries
+        ]
+        assert found == golden["discoveries"]
+
+    def test_supported_plans_and_score(self, compiled, golden):
+        solution, _ = compiled
+        supported = [list(plan.order) for plan in solution.supported_plans]
+        assert supported == golden["supported_plans"]
+        assert solution.physical.score == golden["score"]

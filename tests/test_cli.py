@@ -15,15 +15,6 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _solution_lines(out: str) -> list[str]:
-    """``compile`` output up to its profile, minus the timed line."""
-    text = out.split("compile-time profile:")[0]
-    return [
-        line for line in text.splitlines()
-        if not line.startswith("physical compile:")
-    ]
-
-
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -119,39 +110,16 @@ class TestCompile:
         main(["compile", "--query", "q1", "--level", "2", "--rate-level", "0"])
         assert "compile-time profile:" not in capsys.readouterr().out
 
-    def test_compile_jobs_matches_serial_and_reports_workers(self, capsys):
-        runs = {}
-        for jobs in ("1", "2"):
-            code = main(
-                ["compile", "--query", "q1", "--level", "2",
-                 "--rate-level", "0", "--profile", "--jobs", jobs]
-            )
-            assert code == 0
-            runs[jobs] = capsys.readouterr().out
-        serial, parallel = (_solution_lines(runs[j]) for j in ("1", "2"))
-        assert parallel == serial
-        assert "worker busy (partitioning)" in runs["2"]
-        assert "worker busy" not in runs["1"]
-
-    def test_compile_q2_with_jobs(self, capsys):
-        # A space whose dense grid matrix would take ~10 GiB: the
-        # workers must be sent corner points, not the grid.
+    def test_compile_q2_scans_a_sample(self, capsys):
+        # q2's 1.4e9-point space is above the scan cap: the robustness
+        # pass estimates weights from a fixed-seed sample.
         args = ["compile", "--query", "q2", "--nodes", "4",
                 "--capacity", "380", "--profile"]
-        assert main(args + ["--jobs", "2"]) == 0
-        parallel = _solution_lines(capsys.readouterr().out)
         assert main(args) == 0
-        serial = capsys.readouterr().out
-        assert parallel == _solution_lines(serial)
         assert (
             "robustness scan: sampled 262,144 of 1,412,376,245 points "
-            "(weights estimated)" in serial
+            "(weights estimated)" in capsys.readouterr().out
         )
-
-    def test_compile_rejects_zero_jobs(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["compile", "--jobs", "0"])
-        assert str(excinfo.value) == "jobs must be >= 1, got 0"
 
     def test_compile_nway(self, capsys):
         code = main(
