@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,8 @@ from repro.core.logical import MAX_SCAN_POINTS, SCAN_BLOCK_ROWS, PlanDiscovery
 from repro.core.physical import PlanLoadTable
 from repro.query import LogicalPlan, Operator, PlanCostModel, Query, StreamSchema
 from repro.workloads import build_q1, build_q2
+
+GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "robustness_q1_q2.json"
 
 
 @pytest.fixture
@@ -374,3 +379,62 @@ class TestSampledScan:
             )
             for op_id, load in loads.items():
                 assert np.all(load <= worst[op_id])
+
+
+def _label_array(logical):
+    """Plan index per scanned point, points in ascending flat order."""
+    cells = logical.plan_cells()
+    flat = np.sort(np.concatenate(list(cells.values())))
+    labels = np.empty(len(flat), dtype="<i8")
+    for i, plan in enumerate(logical.plans):
+        labels[np.searchsorted(flat, cells[plan])] = i
+    return labels
+
+
+def golden_record(solution):
+    """What the golden file pins of one compile, as JSON-ready values.
+
+    Floats go through ``json`` unchanged (``repr`` round-trips), so the
+    comparison is bitwise.
+    """
+    logical = solution.logical
+    op_ids = solution.query.operator_ids
+    labels = _label_array(logical)
+    weights = logical.plan_weights(solution.occurrence)
+    return {
+        "plans": [list(plan.order) for plan in logical.plans],
+        "scanned_points": int(len(labels)),
+        "labels_sha256": hashlib.sha256(labels.tobytes()).hexdigest(),
+        "weights": [weights[plan] for plan in logical.plans],
+        "worst_case_loads": [
+            [logical.worst_case_loads(plan)[op] for op in op_ids]
+            for plan in logical.plans
+        ],
+        "typical_loads": [
+            [logical.expected_loads(plan, solution.occurrence)[op] for op in op_ids]
+            for plan in logical.plans
+        ],
+        "placement": repr(solution.physical.physical_plan),
+        "supported_plans": [list(plan.order) for plan in solution.supported_plans],
+        "score": solution.physical.score,
+    }
+
+
+class TestGoldenCompiles:
+    """The CLI-default q1 compile (exact scan) and the sampled q2 compile,
+    pinned bit for bit: labels, weights, worst-case and typical loads,
+    placement and score, recorded before the running-minimum labels and
+    the in-place load fold replaced the stacked argmin and the per-plan
+    load dicts."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        return json.loads(GOLDEN.read_text())
+
+    def test_q1_default_compile(self, q1_cli, golden):
+        assert golden_record(q1_cli) == golden["q1"]
+
+    def test_q2_sampled_compile(self, golden):
+        solution = _cli_compile(build_q2())
+        assert solution.logical.uses_sampled_grid
+        assert golden_record(solution) == golden["q2"]
