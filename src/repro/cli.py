@@ -37,7 +37,7 @@ from repro.engine.faults import FaultSchedule
 from repro.query import make_optimizer
 from repro.query.model import Query
 from repro.runtime.comparison import build_standard_strategies, compare_strategies
-from repro.util.validation import ensure_positive
+from repro.util.validation import ensure_finite, ensure_non_negative, ensure_positive
 from repro.workloads import build_nway, build_q1, build_q2, stock_workload
 
 __all__ = ["main", "build_parser"]
@@ -131,13 +131,16 @@ def _print_profile(solution) -> None:
 
 def _cmd_diagram(args: argparse.Namespace) -> int:
     query = _load_query(args.query)
-    if len(args.dims or ()) != 2:
+    if len(set(args.dims or ())) != 2:
         raise SystemExit("diagram requires exactly two --dims (a 2-D space)")
     with _bad_input():
         estimate = _estimate(query, args.level, 0, args.dims)
         space = ParameterSpace.from_estimates(
             estimate, points_per_level=args.points_per_level
         )
+        if args.reduce_epsilon is not None:
+            flag = "--reduce-epsilon"
+            ensure_non_negative(ensure_finite(args.reduce_epsilon, flag), flag)
     diagram = compute_plan_diagram(space, make_optimizer(query))
     if args.reduce_epsilon is not None:
         diagram = diagram.reduce(args.reduce_epsilon)
@@ -153,8 +156,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         estimate = _estimate(query, args.level, args.rate_level, args.dims)
         cluster = Cluster.homogeneous(args.nodes, args.capacity)
         config = RLDConfig(epsilon=args.epsilon)
-        ensure_positive(args.duration, "--duration")
-        ensure_positive(args.rate_scale, "--rate-scale")
+        ensure_positive(ensure_finite(args.duration, "--duration"), "--duration")
+        ensure_positive(
+            ensure_finite(args.rate_scale, "--rate-scale"), "--rate-scale"
+        )
         workload = stock_workload(
             query, uncertainty_level=args.level, regime_period=args.regime_period
         ).scaled(args.rate_scale)
@@ -320,7 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--rate-scale", type=float, default=1.0)
     p_sim.add_argument("--regime-period", type=float, default=60.0)
     p_sim.add_argument(
-        "--strategies", nargs="+", default=["ROD", "DYN", "RLD"]
+        "--strategies",
+        nargs="+",
+        default=["ROD", "DYN", "RLD"],
+        choices=("ROD", "DYN", "RLD"),
     )
     p_sim.add_argument(
         "--faults",

@@ -161,7 +161,7 @@ class CorrelatedOccurrenceModel:
         The same inclusion–exclusion, with one CDF call per box corner
         over all cells at once.
         """
-        indices = np.unravel_index(np.asarray(flat, dtype=np.intp), self._space.shape)
+        indices = self._space.indices_of_flat(flat)
         d = len(self._active)
         lows = np.empty((len(indices[0]), d))
         highs = np.empty((len(indices[0]), d))

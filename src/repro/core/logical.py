@@ -15,9 +15,14 @@ the plans, this class derives what the rest of the pipeline needs:
   loads over its cells.
 
 All of them come from one fused pass over row-major flat grid indices,
-in blocks: per block, one value matrix, every plan's cost, one label
-argmin, one occurrence-mass lookup and each plan's loads over its own
-rows.  The plan-label array is kept on its own, so
+in blocks: per block, one value matrix, the labels, one
+occurrence-mass lookup and each plan's loads over its own rows.  The
+labels are a running minimum: plans are priced one at a time in
+``plan.order`` rank order, and a point's label moves only to a plan
+strictly cheaper than the best so far, so an exact tie stays with the
+smaller ``plan.order``.  Each plan's loads are written straight into
+one ``(n_operators, rows)`` buffer in ``query.operator_ids`` order and
+folded into maxima and sums.  The plan-label array is kept on its own, so
 :meth:`RobustLogicalSolution.plan_cells` alone needs only the label
 part.  The pass is exact up to :data:`MAX_SCAN_POINTS` grid points;
 above it, the pass visits a fixed-seed sample, weights become
@@ -234,18 +239,23 @@ class RobustLogicalSolution:
     def _label_block(self, values: FloatArray, names: list[str]) -> IntArray:
         """Index of the cheapest plan at each row of a value block.
 
-        Cost rows are stacked in ``plan.order`` rank order and
-        ``np.argmin`` takes the first minimum, so an exact cost tie goes
-        to the smaller ``plan.order`` — the ``(cost, plan.order)`` key of
-        :meth:`best_plan_at`.
+        The block is resolved once; each plan is then priced in
+        ``plan.order`` rank order against a running minimum, and a row's
+        label moves only where a plan is strictly cheaper.  So an exact
+        cost tie keeps the earlier, smaller ``plan.order`` — the
+        ``(cost, plan.order)`` key of :meth:`best_plan_at`.
         """
-        costs = np.vstack(
-            [
-                self._cost_model.plan_costs(self._plans[i], values, names)
-                for i in self._by_rank
-            ]
-        )
-        return self._by_rank[np.argmin(costs, axis=0)]
+        pricing = self._cost_model
+        rate, sels = pricing.resolve_columns(values, names)
+        first, *rest = self._by_rank
+        best = pricing.cost_at(pricing.steps(self._plans[first]), rate, sels)
+        labels = np.full(len(best), first, dtype=np.intp)
+        for i in rest:
+            costs = pricing.cost_at(pricing.steps(self._plans[i]), rate, sels)
+            cheaper = costs < best
+            np.minimum(best, costs, out=best)
+            labels[cheaper] = i
+        return labels
 
     def _plan_labels(self) -> IntArray:
         """Index into :attr:`plans` of the cheapest plan at each scanned point.
@@ -306,14 +316,20 @@ class RobustLogicalSolution:
             return self._pass
         flat = self._scanned_flat()
         names = list(self._space.names)
-        op_ids = self._query.operator_ids
-        n_plans = len(self._plans)
+        pricing = self._cost_model
+        n_plans, n_ops = len(self._plans), len(self._query.operator_ids)
+        row_of = {op_id: row for row, op_id in enumerate(self._query.operator_ids)}
+        #: Per plan: its steps, and each step's row in ``operator_ids`` order.
+        layouts = [
+            (pricing.steps(plan), [row_of[op_id] for op_id in plan])
+            for plan in self._plans
+        ]
         kept = self._labels
         labels = np.empty(len(flat), dtype=np.intp) if kept is None else kept
         mass = np.zeros(n_plans)
-        worst = np.full((n_plans, len(op_ids)), -np.inf)
-        weighted = np.zeros((n_plans, len(op_ids)))
-        plain = np.zeros((n_plans, len(op_ids)))
+        worst = np.full((n_plans, n_ops), -np.inf)
+        weighted = np.zeros((n_plans, n_ops))
+        plain = np.zeros((n_plans, n_ops))
         for rows in row_blocks(len(flat)):
             block = flat[rows]
             values = self._space.points_matrix(block)
@@ -322,14 +338,14 @@ class RobustLogicalSolution:
             block_labels = labels[rows]
             masses = model.masses(block)
             mass += np.bincount(block_labels, weights=masses, minlength=n_plans)
-            for i, plan in enumerate(self._plans):
+            for i, (steps, op_rows) in enumerate(layouts):
                 mine = np.flatnonzero(block_labels == i)
                 if not len(mine):
                     continue
-                batch = self._cost_model.operator_loads_batch(
-                    plan, values[mine], names
-                )
-                loads = np.vstack([batch[op_id] for op_id in op_ids])
+                rate, sels = pricing.resolve_columns(values[mine], names)
+                loads = np.empty((n_ops, len(mine)))
+                for row, load in zip(op_rows, pricing.loads_at(steps, rate, sels)):
+                    loads[row] = load
                 worst[i] = np.maximum(worst[i], loads.max(axis=1))
                 weighted[i] += loads @ masses[mine]
                 plain[i] += loads.sum(axis=1)

@@ -128,7 +128,7 @@ class NormalOccurrenceModel:
         mass is the product of its entries, taken in dimension order as
         :meth:`cell_probability` takes them, so the two agree bitwise.
         """
-        indices = np.unravel_index(np.asarray(flat, dtype=np.intp), self._space.shape)
+        indices = self._space.indices_of_flat(flat)
         mass = np.ones(len(indices[0]))
         for table, index in zip(self._cell_mass_tables(), indices):
             mass = mass * table[index]

@@ -143,6 +143,8 @@ class ParameterSpace:
         self._axis_values = tuple(d.values_array() for d in self._dimensions)
         for values in self._axis_values:
             values.setflags(write=False)
+        #: The last :meth:`indices_of_flat` call: its positions and indices.
+        self._last_unravel: tuple[IntArray, tuple[IntArray, ...]] | None = None
 
     @classmethod
     def from_estimates(
@@ -227,12 +229,31 @@ class ParameterSpace:
             flat //= d.steps
         return tuple(reversed(index))
 
+    def indices_of_flat(self, flat: IntArray) -> tuple[IntArray, ...]:
+        """:meth:`index_of_flat` for a batch: one grid-index array per
+        dimension, read-only.
+
+        A scan block's value matrix (:meth:`points_matrix`) and its
+        occurrence masses both need these, so the last call's result is
+        kept and returned again while the positions are equal, which
+        saves the block's second ``np.unravel_index``.
+        """
+        flat = np.asarray(flat, dtype=np.intp)
+        last = self._last_unravel
+        if last is not None and np.array_equal(last[0], flat):
+            return last[1]
+        indices = np.unravel_index(flat, self.shape)
+        for index in indices:
+            index.setflags(write=False)
+        self._last_unravel = (flat.copy(), indices)
+        return indices
+
     def points_matrix(self, flat: IntArray) -> FloatArray:
         """Dense ``(len(flat), n_dims)`` value matrix at row-major flat
         grid positions; columns follow :attr:`names`.  Values are
         bitwise identical to :meth:`Dimension.value`.  Callers pass
         bounded blocks of positions, never the whole of a large grid."""
-        indices = np.unravel_index(np.asarray(flat, dtype=np.intp), self.shape)
+        indices = self.indices_of_flat(flat)
         # Filled column by column into column-major storage: the batch
         # cost kernels read the matrix one column at a time.
         columns = np.empty((self.n_dims, len(indices[0])))

@@ -35,6 +35,7 @@ from repro.query.model import Query
 from repro.query.optimizer import PointOptimizer, make_optimizer
 from repro.query.statistics import StatisticsEstimate
 from repro.util.timing import StageTimer
+from repro.util.validation import ensure_finite, ensure_non_negative
 
 __all__ = ["RLDConfig", "RLDSolution", "RLDOptimizer"]
 
@@ -68,8 +69,7 @@ class RLDConfig:
     physical_algorithm: str = "optprune"
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        ensure_non_negative(ensure_finite(self.epsilon, "epsilon"), "epsilon")
         if self.physical_algorithm not in _PHYSICAL_ALGORITHMS:
             raise ValueError(
                 f"unknown physical_algorithm {self.physical_algorithm!r}; "

@@ -8,8 +8,10 @@ specific lives in :mod:`repro.query`, :mod:`repro.core`,
 from repro.util.rng import SeedSequenceFactory, derive_rng
 from repro.util.timing import StageTimer
 from repro.util.validation import (
+    ensure_finite,
     ensure_in_range,
     ensure_non_empty,
+    ensure_non_negative,
     ensure_positive,
     ensure_probability,
 )
@@ -18,8 +20,10 @@ __all__ = [
     "SeedSequenceFactory",
     "StageTimer",
     "derive_rng",
+    "ensure_finite",
     "ensure_in_range",
     "ensure_non_empty",
+    "ensure_non_negative",
     "ensure_positive",
     "ensure_probability",
 ]

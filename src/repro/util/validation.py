@@ -7,20 +7,37 @@ rather than surfacing as NaNs deep inside a simulation or search.
 
 from __future__ import annotations
 
+import math
 from typing import Sized
 
 __all__ = [
+    "ensure_finite",
     "ensure_positive",
+    "ensure_non_negative",
     "ensure_in_range",
     "ensure_probability",
     "ensure_non_empty",
 ]
 
 
+def ensure_finite(value: float, name: str) -> float:
+    """Return ``value`` if it is a finite number (not NaN or ±inf), else raise."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
 def ensure_positive(value: float, name: str) -> float:
     """Return ``value`` if strictly positive, else raise ``ValueError``."""
     if not value > 0:
         raise ValueError(f"{name} must be > 0, got {value!r}")
+    return value
+
+
+def ensure_non_negative(value: float, name: str) -> float:
+    """Return ``value`` if ``>= 0``, else raise ``ValueError``."""
+    if not value >= 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
     return value
 
 

@@ -40,7 +40,7 @@ def costs(three_op_query, space, plans) -> np.ndarray:
     return np.vstack([model.plan_costs(plan, values, space.names) for plan in plans])
 
 
-class TestCostTensor:
+class TestBatchCostKernel:
     def test_matches_scalar_bitwise_in_grid_order(
         self, costs, space, plans, three_op_query
     ):

@@ -157,6 +157,20 @@ class TestParameterSpace:
             ),
         )
 
+    def test_indices_of_flat_reuses_only_equal_positions(self, space_2d):
+        flats = np.arange(space_2d.n_points)[::-1].copy()
+        first = space_2d.indices_of_flat(flats)
+        expected = np.unravel_index(flats, space_2d.shape)
+        assert all(np.array_equal(a, b) for a, b in zip(first, expected))
+        assert not any(index.flags.writeable for index in first)
+        # Equal positions in another array: the kept indices come back.
+        assert space_2d.indices_of_flat(flats.copy()) is first
+        # The caller's array changed in place: the indices are recomputed.
+        flats[0] = 0
+        again = space_2d.indices_of_flat(flats)
+        assert again is not first
+        assert again[0][0] == 0 and again[1][0] == 0
+
     def test_nearest_flat_index_on_grid(self, space_2d):
         for flat, index in enumerate(space_2d.grid_indices()):
             assert space_2d.nearest_flat_index(space_2d.point_at(index)) == flat

@@ -25,6 +25,13 @@ class TestRLDConfig:
         assert config.epsilon == 0.2
         assert config.physical_algorithm == "optprune"
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        # ``nan < 0`` is false: without the finiteness check a NaN
+        # epsilon failed every Def. 1 test yet compiled.
+        with pytest.raises(ValueError, match="epsilon must be finite"):
+            RLDConfig(epsilon=epsilon)
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown physical_algorithm"):
             RLDConfig(physical_algorithm="magic")

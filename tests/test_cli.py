@@ -48,6 +48,21 @@ class TestBadInput:
             (["simulate", "--nodes", "0"], "n_nodes must be >= 1"),
             (["simulate", "--duration", "-1"], "--duration must be > 0"),
             (["simulate", "--rate-scale", "0"], "--rate-scale must be > 0"),
+            (["compile", "--epsilon", "nan"], "epsilon must be finite"),
+            # An infinite horizon never returned; the subprocess timeout
+            # turns a regression into a failure, not a hang.
+            (["simulate", "--duration", "inf"], "--duration must be finite"),
+            (["simulate", "--duration", "nan"], "--duration must be finite"),
+            (["simulate", "--rate-scale", "inf"], "--rate-scale must be finite"),
+            (["diagram", "--dims", "sel:0", "sel:0"], "requires exactly two --dims"),
+            (
+                ["diagram", "--dims", "sel:1", "sel:3", "--reduce-epsilon", "-1"],
+                "--reduce-epsilon must be >= 0",
+            ),
+            (
+                ["diagram", "--dims", "sel:1", "sel:3", "--reduce-epsilon", "nan"],
+                "--reduce-epsilon must be finite",
+            ),
         ],
     )
     def test_exits_with_one_line(self, argv, message):
@@ -63,6 +78,15 @@ class TestBadInput:
         assert "Traceback" not in result.stdout + result.stderr
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and message in lines[0], result.stderr
+
+
+    @pytest.mark.parametrize("name", ["FOO", "rld"])
+    def test_unknown_strategy_is_a_usage_error(self, capsys, name):
+        # It used to print an empty table and exit 0.
+        with pytest.raises(SystemExit) as exited:
+            main(["simulate", "--strategies", "ROD", name])
+        assert exited.value.code == 2
+        assert f"invalid choice: '{name}'" in capsys.readouterr().err
 
 
 class TestCompile:

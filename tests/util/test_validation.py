@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.util import (
+    ensure_finite,
     ensure_in_range,
     ensure_non_empty,
+    ensure_non_negative,
     ensure_positive,
     ensure_probability,
 )
@@ -20,6 +22,28 @@ class TestEnsurePositive:
     def test_rejects_non_positive(self, bad):
         with pytest.raises(ValueError, match="x must be > 0"):
             ensure_positive(bad, "x")
+
+
+class TestEnsureFinite:
+    @pytest.mark.parametrize("ok", [0.0, -2.5, 1e308])
+    def test_accepts_finite(self, ok):
+        assert ensure_finite(ok, "x") == ok
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_nan_and_infinity(self, bad):
+        with pytest.raises(ValueError, match="x must be finite"):
+            ensure_finite(bad, "x")
+
+
+class TestEnsureNonNegative:
+    @pytest.mark.parametrize("ok", [0.0, 0.5])
+    def test_accepts_non_negative(self, ok):
+        assert ensure_non_negative(ok, "x") == ok
+
+    @pytest.mark.parametrize("bad", [-0.001, float("nan")])
+    def test_rejects_negative_and_nan(self, bad):
+        with pytest.raises(ValueError, match="x must be >= 0"):
+            ensure_non_negative(bad, "x")
 
 
 class TestEnsureInRange:
