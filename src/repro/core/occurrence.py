@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.core.parameter_space import GridIndex, ParameterSpace, Region
 from repro.util.types import FloatArray, IntArray
+from repro.util.validation import ensure_finite, ensure_positive
 
 __all__ = ["NormalOccurrenceModel"]
 
@@ -53,8 +54,9 @@ class NormalOccurrenceModel:
         means: Mapping[str, float] | None = None,
         sigma_fraction: float = DEFAULT_SIGMA_FRACTION,
     ) -> None:
-        if sigma_fraction <= 0:
-            raise ValueError(f"sigma_fraction must be > 0, got {sigma_fraction}")
+        ensure_positive(
+            ensure_finite(sigma_fraction, "sigma_fraction"), "sigma_fraction"
+        )
         self._space = space
         self._means: list[float] = []
         self._sigmas: list[float] = []

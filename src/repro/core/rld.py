@@ -35,7 +35,7 @@ from repro.query.model import Query
 from repro.query.optimizer import PointOptimizer, make_optimizer
 from repro.query.statistics import StatisticsEstimate
 from repro.util.timing import StageTimer
-from repro.util.validation import ensure_finite, ensure_non_negative
+from repro.util.validation import ensure_finite, ensure_non_negative, ensure_positive
 
 __all__ = ["RLDConfig", "RLDSolution", "RLDOptimizer"]
 
@@ -70,6 +70,9 @@ class RLDConfig:
 
     def __post_init__(self) -> None:
         ensure_non_negative(ensure_finite(self.epsilon, "epsilon"), "epsilon")
+        ensure_positive(
+            ensure_finite(self.sigma_fraction, "sigma_fraction"), "sigma_fraction"
+        )
         if self.physical_algorithm not in _PHYSICAL_ALGORITHMS:
             raise ValueError(
                 f"unknown physical_algorithm {self.physical_algorithm!r}; "

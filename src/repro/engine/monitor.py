@@ -7,6 +7,12 @@ multiplicative observation noise and smooths them with an exponential
 moving average — so strategies see realistic, slightly stale estimates
 rather than the simulator's exact internals.
 
+The noise is drawn from the monitor's generator in chunks of
+:data:`NOISE_CHUNK` normals and consumed in order.  NumPy's
+``Generator.normal`` fills an array with the same draws, in the same
+order, as that many scalar calls, so the observations are bit for bit
+those of one scalar draw per observation.
+
 Fault injection can *suspend* the monitor (sample dropout): while
 suspended, sampling rounds are counted as dropped and the last
 estimates stay frozen, so strategies decide on increasingly stale
@@ -22,9 +28,17 @@ import numpy as np
 from repro.query.model import Query
 from repro.query.statistics import StatPoint, rate_param
 from repro.util.rng import derive_rng
-from repro.util.validation import ensure_in_range, ensure_positive
+from repro.util.validation import (
+    ensure_finite,
+    ensure_in_range,
+    ensure_non_negative,
+    ensure_positive,
+)
 
-__all__ = ["GroundTruth", "StatisticsMonitor"]
+__all__ = ["GroundTruth", "StatisticsMonitor", "NOISE_CHUNK"]
+
+#: Noise factors drawn per refill of the monitor's buffer.
+NOISE_CHUNK = 4096
 
 
 class GroundTruth(Protocol):
@@ -54,7 +68,9 @@ class StatisticsMonitor:
     smoothing:
         EWMA coefficient on the *new* sample (1.0 = no memory).
     seed:
-        Noise reproducibility.
+        Noise reproducibility.  A generator passed in is drawn from
+        :data:`NOISE_CHUNK` normals at a time, ahead of use, so it
+        should not be shared with code that draws in between.
     """
 
     def __init__(
@@ -66,16 +82,21 @@ class StatisticsMonitor:
         smoothing: float = 0.5,
         seed: int | np.random.Generator | None = 11,
     ) -> None:
-        if noise < 0:
-            raise ValueError(f"noise must be >= 0, got {noise}")
+        ensure_non_negative(ensure_finite(noise, "noise"), "noise")
         ensure_in_range(smoothing, "smoothing", 0.0, 1.0, inclusive=True)
         ensure_positive(smoothing, "smoothing")
-        self._query = query
         self._truth = truth
         self._noise = noise
         self._smoothing = smoothing
         self._rng = derive_rng(seed)
+        self._op_ids = [op.op_id for op in query.operators]
+        self._names = [rate_param()] + [op.selectivity_param for op in query.operators]
+        #: ``1 + Normal(0, noise)`` factors drawn ahead; the next unused
+        #: one is ``_factors[_next_factor]``.
+        self._factors: list[float] = []
+        self._next_factor = 0
         self._estimates: dict[str, float] = {}
+        self._point: StatPoint | None = None
         self._samples = 0
         self._suspended = False
         self._samples_dropped = 0
@@ -103,11 +124,15 @@ class StatisticsMonitor:
         """Resume normal sampling after a dropout."""
         self._suspended = False
 
-    def _observe(self, true_value: float) -> float:
-        if self._noise == 0:
-            return true_value
-        factor = 1.0 + self._rng.normal(0.0, self._noise)
-        return max(true_value * factor, 1e-9)
+    def _noise_factors(self, count: int) -> list[float]:
+        """The next ``count`` noise factors of the stream, in order."""
+        start = self._next_factor
+        if start + count > len(self._factors):
+            drawn = 1.0 + self._rng.normal(0.0, self._noise, NOISE_CHUNK)
+            self._factors = self._factors[start:] + drawn.tolist()
+            start = 0
+        self._next_factor = start + count
+        return self._factors[start : start + count]
 
     def sample(self, time: float) -> StatPoint:
         """Take one sampling round at ``time`` and return the estimates.
@@ -117,26 +142,32 @@ class StatisticsMonitor:
         except for the very first round, which always primes the
         estimates so strategies have *something* to decide on.
         """
-        if self._suspended and self._estimates:
+        if self._suspended and self._point is not None:
             self._samples_dropped += 1
-            return self.current()
-        observations = {rate_param(): self._observe(self._truth.rate(time))}
-        for op in self._query.operators:
-            observations[op.selectivity_param] = self._observe(
-                self._truth.selectivity(op.op_id, time)
-            )
-        alpha = self._smoothing
-        for name, value in observations.items():
-            previous = self._estimates.get(name)
-            if previous is None:
-                self._estimates[name] = value
-            else:
-                self._estimates[name] = alpha * value + (1 - alpha) * previous
+            return self._point
+        truth = self._truth
+        values = [truth.rate(time)]
+        values += [truth.selectivity(op_id, time) for op_id in self._op_ids]
+        if self._noise > 0:
+            factors = self._noise_factors(len(values))
+            values = [max(v * f, 1e-9) for v, f in zip(values, factors)]
+        estimates = self._estimates
+        if self._point is None:
+            estimates.update(zip(self._names, values))
+        else:
+            alpha = self._smoothing
+            for name, value in zip(self._names, values):
+                estimates[name] = alpha * value + (1 - alpha) * estimates[name]
         self._samples += 1
-        return self.current()
+        self._point = StatPoint(estimates)
+        return self._point
 
     def current(self) -> StatPoint:
-        """Latest smoothed estimates; raises before the first sample."""
-        if not self._estimates:
+        """Latest smoothed estimates; raises before the first sample.
+
+        One :class:`StatPoint` is built per sampling round and handed to
+        every caller until the next round.
+        """
+        if self._point is None:
             raise RuntimeError("monitor has no samples yet; call sample() first")
-        return StatPoint(self._estimates)
+        return self._point

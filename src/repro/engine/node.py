@@ -126,12 +126,15 @@ class SimNode:
             raise ValueError(f"work must be >= 0, got {work}")
         return work / self.effective_capacity
 
-    def submit(self, arrival: float, work: float, not_before: float = 0.0) -> float:
-        """Enqueue a job; returns its completion time.
+    def submit(
+        self, arrival: float, work: float, not_before: float = 0.0
+    ) -> tuple[float, float]:
+        """Enqueue a job; returns its completion time and its service.
 
         The job starts at ``max(arrival, available_at, not_before)``
         (``not_before`` models operator suspension during migration) and
-        occupies the server for ``work/effective_capacity`` seconds.
+        occupies the server for ``work/effective_capacity`` seconds, the
+        service it is charged and the second value returned.
         Submitting to an offline node is a simulator bug — callers must
         stall or reroute batches for crashed nodes.
         """
@@ -142,10 +145,10 @@ class SimNode:
             )
         start = max(arrival, self._available_at, not_before)
         service = self.service_seconds(work)
-        self._available_at = start + service
+        done = self._available_at = start + service
         self._busy_seconds += service
         self._jobs += 1
-        return self._available_at
+        return done, service
 
     def utilization(self, horizon: float) -> float:
         """Busy fraction over ``[0, horizon]`` (may exceed 1 under backlog).

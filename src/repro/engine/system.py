@@ -173,7 +173,6 @@ class StreamSimulator:
         self._ops = {op.op_id: op for op in query.operators}
 
         self._loop = EventLoop()
-        self._batch_nodes: dict[int, int] = {}
         self._report: SimulationReport | None = None
         self._next_batch_id = 0
         self._last_plan: LogicalPlan | None = None
@@ -187,12 +186,8 @@ class StreamSimulator:
         #: Batches whose next stage targets an offline node, awaiting
         #: recovery (or a migration that re-homes the operator).
         self._stalled: list[Batch] = []
-        #: crash_epoch of the serving node at stage-submit time, per
-        #: batch — a changed epoch at completion means the work died
-        #: with the node.
-        self._stage_epoch: dict[int, int] = {}
-        #: Live batch ids: injected, not yet completed or dropped.
-        self._active: set[int] = set()
+        #: Batches injected and not yet completed or dropped.
+        self._in_flight = 0
 
     # ------------------------------------------------------------------
     # Introspection for strategies (DYN reads these to rebalance)
@@ -226,7 +221,7 @@ class StreamSimulator:
     @property
     def active_batches(self) -> int:
         """Batches injected but neither completed nor dropped yet."""
-        return len(self._active)
+        return self._in_flight
 
     @property
     def partitioned(self) -> bool:
@@ -296,7 +291,7 @@ class StreamSimulator:
         gap = float(self._rng.exponential(mean_gap))
         next_time = time + gap
         if next_time <= self._duration:
-            self._loop.schedule(next_time, lambda: self._on_arrival(next_time))
+            self._loop.schedule(next_time, self._on_arrival, next_time)
 
     def _on_arrival(self, time: float) -> None:
         self._schedule_arrival(time)
@@ -306,7 +301,7 @@ class StreamSimulator:
             initial_size=self._batch_size,
         )
         self._next_batch_id += 1
-        self._active.add(batch.batch_id)
+        self._in_flight += 1
         report = self.report
         report.batches_injected += 1
         report.tuples_in += batch.initial_size
@@ -330,11 +325,12 @@ class StreamSimulator:
         self._submit_stage(batch, time + decision.overhead_seconds)
 
     def _submit_stage(self, batch: Batch, time: float) -> None:
-        op_id = batch.next_op
-        if op_id is None:
-            self._complete(batch, time)
-            return
-        node = self._nodes[self._placement[op_id]]
+        """Queue the batch's next stage (it has one) on its operator's node."""
+        plan = batch.plan
+        assert plan is not None
+        op_id = plan.order[batch.stage]
+        node_id = self._placement[op_id]
+        node = self._nodes[node_id]
         if not node.online:
             # The operator's host is down: park the batch until the
             # node recovers or the operator migrates elsewhere.
@@ -347,25 +343,28 @@ class StreamSimulator:
                         kind="stall",
                         batch_id=batch.batch_id,
                         op_id=op_id,
-                        node=node.node_id,
+                        node=node_id,
                         size=batch.size,
                     )
                 )
             return
-        previous_node = self._batch_nodes.get(batch.batch_id)
-        crosses_nodes = previous_node is not None and previous_node != node.node_id
-        if crosses_nodes and self._partitioned:
-            self._drop(batch, time, f"partition blocks {previous_node}->{node.node_id}")
-            return
-        if self._network is not None and crosses_nodes:
-            delay = self._network.transfer_seconds(batch.size)
-            time += delay
-            self.report.network_seconds += delay
-        self._batch_nodes[batch.batch_id] = node.node_id
-        work = batch.size * self._ops[op_id].cost_per_tuple
-        self.report.processing_seconds += node.service_seconds(work)
-        done = node.submit(time, work, not_before=self._op_ready_at[op_id])
-        self._stage_epoch[batch.batch_id] = node.crash_epoch
+        previous_node = batch.node
+        if previous_node >= 0 and previous_node != node_id:
+            if self._partitioned:
+                self._drop(batch, time, f"partition blocks {previous_node}->{node_id}")
+                return
+            if self._network is not None:
+                delay = self._network.transfer_seconds(batch.size)
+                time += delay
+                self.report.network_seconds += delay
+        batch.node = node_id
+        done, service = node.submit(
+            time,
+            batch.size * self._ops[op_id].cost_per_tuple,
+            not_before=self._op_ready_at[op_id],
+        )
+        self.report.processing_seconds += service
+        batch.epoch = node.crash_epoch
         if self._trace is not None:
             self._trace.record(
                 TraceEvent(
@@ -373,36 +372,32 @@ class StreamSimulator:
                     kind="stage",
                     batch_id=batch.batch_id,
                     op_id=op_id,
-                    node=node.node_id,
+                    node=node_id,
                     size=batch.size,
                     detail=f"done={done:.3f}",
                 )
             )
-        self._loop.schedule(done, lambda: self._finish_stage(batch))
+        self._loop.schedule(done, self._finish_stage, batch)
 
     def _finish_stage(self, batch: Batch) -> None:
         now = self._loop.now
-        serving = self._nodes[self._batch_nodes[batch.batch_id]]
-        epoch = self._stage_epoch.pop(batch.batch_id, serving.crash_epoch)
-        if epoch != serving.crash_epoch:
+        if batch.epoch != self._nodes[batch.node].crash_epoch:
             # The node crashed after this stage started service: the
             # in-flight work died with its queue.
-            self._drop(batch, now, f"node {serving.node_id} crashed mid-service")
+            self._drop(batch, now, f"node {batch.node} crashed mid-service")
             return
-        op_id = batch.next_op
-        assert op_id is not None
-        selectivity = self._workload.selectivity(op_id, now)
-        batch.advance(selectivity)
-        if batch.done:
+        plan = batch.plan
+        assert plan is not None
+        order = plan.order
+        batch.advance(self._workload.selectivity(order[batch.stage], now))
+        if batch.stage == len(order):
             self._complete(batch, now)
         else:
             self._submit_stage(batch, now)
 
     def _drop(self, batch: Batch, time: float, reason: str) -> None:
         """Kill a batch mid-flight (crash or partition) and account it."""
-        self._batch_nodes.pop(batch.batch_id, None)
-        self._stage_epoch.pop(batch.batch_id, None)
-        self._active.discard(batch.batch_id)
+        self._in_flight -= 1
         report = self.report
         report.batches_dropped += 1
         report.tuples_dropped += batch.size
@@ -426,8 +421,7 @@ class StreamSimulator:
             self._submit_stage(batch, time)
 
     def _complete(self, batch: Batch, time: float) -> None:
-        self._batch_nodes.pop(batch.batch_id, None)
-        self._active.discard(batch.batch_id)
+        self._in_flight -= 1
         self.report.record_batch(
             created_at=batch.created_at,
             completed_at=time,
@@ -450,13 +444,13 @@ class StreamSimulator:
         self._monitor.sample(time)
         next_time = time + self._monitor_period
         if next_time <= self._duration:
-            self._loop.schedule(next_time, lambda: self._on_monitor(next_time))
+            self._loop.schedule(next_time, self._on_monitor, next_time)
 
     def _on_tick(self, time: float) -> None:
         self._strategy.on_tick(self, time)
         next_time = time + self._tick_period
         if next_time <= self._duration:
-            self._loop.schedule(next_time, lambda: self._on_tick(next_time))
+            self._loop.schedule(next_time, self._on_tick, next_time)
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -543,17 +537,15 @@ class StreamSimulator:
         self._duration = duration
         self._report = SimulationReport(duration=duration)
         self._monitor.sample(0.0)
-        self._loop.schedule(self._tick_period, lambda: self._on_tick(self._tick_period))
+        self._loop.schedule(self._tick_period, self._on_tick, self._tick_period)
         if self._monitor_period <= duration:
             self._loop.schedule(
-                self._monitor_period, lambda: self._on_monitor(self._monitor_period)
+                self._monitor_period, self._on_monitor, self._monitor_period
             )
         if self._faults is not None:
             for fault in self._faults.events:
                 if fault.time <= duration:
-                    self._loop.schedule(
-                        fault.time, lambda f=fault: self._apply_fault(f)
-                    )
+                    self._loop.schedule(fault.time, self._apply_fault, fault)
         self._schedule_arrival(0.0)
         self._loop.run_until(duration)
         self._report.node_busy_seconds = [node.busy_seconds for node in self._nodes]
@@ -563,6 +555,6 @@ class StreamSimulator:
                 self._report.node_downtime_seconds += duration - node.offline_since
         if self._partitioned:
             self._report.partition_seconds += duration - self._partition_since
-        self._report.batches_in_flight = len(self._active)
+        self._report.batches_in_flight = self._in_flight
         self._report.monitor_samples_dropped = self._monitor.samples_dropped
         return self._report

@@ -175,21 +175,6 @@ class PlanCostModel:
         costs = self.cost_at(self.steps(plan), rate, sels)
         return np.asarray(costs, dtype=np.float64)
 
-    def operator_loads_batch(
-        self, plan: LogicalPlan, values: FloatArray, names: Sequence[str]
-    ) -> dict[int, FloatArray]:
-        """Per-operator loads of ``plan`` at every point of a batch.
-
-        The batch counterpart of :meth:`operator_loads`: a mapping from
-        operator id to its ``(n_points,)`` load vector.
-        """
-        rate, sels = self.resolve_columns(values, names)
-        loads = self.loads_at(self.steps(plan), rate, sels)
-        return {
-            op_id: np.asarray(load, dtype=np.float64)
-            for op_id, load in zip(plan, loads)
-        }
-
     def gradients_batch(
         self, plan: LogicalPlan, values: FloatArray, names: Sequence[str]
     ) -> FloatArray:

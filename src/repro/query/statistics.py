@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, TypeVar, overload
 
 from repro.util.validation import ensure_non_empty, ensure_positive
 
@@ -32,6 +32,8 @@ __all__ = [
 #: Algorithm 1's unit step Δ: an uncertainty level of ``u`` widens an
 #: estimate ``e`` to the interval ``[e·(1 − Δ·u), e·(1 + Δ·u)]``.
 UNCERTAINTY_UNIT_STEP = 0.1
+
+T = TypeVar("T")
 
 
 def selectivity_param(op_id: int) -> str:
@@ -64,6 +66,20 @@ class StatPoint(Mapping[str, float]):
 
     def __getitem__(self, name: str) -> float:
         return self._values[name]
+
+    @overload
+    def get(self, name: str, /) -> float | None: ...
+
+    @overload
+    def get(self, name: str, /, default: float | T) -> float | T: ...
+
+    def get(self, name: str, /, default: object = None) -> object:
+        """The value of ``name``, or ``default`` when absent.
+
+        One dictionary lookup, not the ``__getitem__``-and-``KeyError``
+        route ``Mapping.get`` takes.
+        """
+        return self._values.get(name, default)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._values)

@@ -44,6 +44,10 @@ __all__ = [
 ]
 
 
+#: ``2.0 * math.pi``, the leading product of the sine argument.
+_TWO_PI = 2.0 * math.pi
+
+
 # ----------------------------------------------------------------------
 # Rate profiles
 # ----------------------------------------------------------------------
@@ -156,6 +160,11 @@ class RegimeSwitchSelectivity(SelectivityProfile):
     motivating multiple robust logical plans.
 
     ``mode="square"`` switches regimes abruptly instead of smoothly.
+
+    Each fluctuating operator's ``(amplitude, phase)`` is fixed at
+    construction; :meth:`value` evaluates the wave with the same
+    floating-point operations, in the same order, as computing both on
+    every call.
     """
 
     def __init__(
@@ -169,25 +178,28 @@ class RegimeSwitchSelectivity(SelectivityProfile):
         ensure_positive(period, "period")
         if mode not in ("sine", "square"):
             raise ValueError(f"mode must be 'sine' or 'square', got {mode!r}")
-        self._levels = dict(levels)
         self._period = period
-        self._mode = mode
+        self._square = mode == "square"
         if phases is None:
             # Anti-phase by operator parity: evens peak when odds trough.
             phases = {
                 op_id: 0.0 if i % 2 == 0 else math.pi
-                for i, op_id in enumerate(sorted(self._levels))
+                for i, op_id in enumerate(sorted(levels))
             }
-        self._phases = dict(phases)
+        #: op id → (amplitude, phase), for operators that fluctuate.
+        self._waves = {
+            op_id: (UNCERTAINTY_UNIT_STEP * level, phases.get(op_id, 0.0))
+            for op_id, level in levels.items()
+            if level != 0
+        }
 
     def value(self, op_id: int, time: float, base: float) -> float:
-        level = self._levels.get(op_id, 0)
-        if level == 0:
+        wave_params = self._waves.get(op_id)
+        if wave_params is None:
             return base
-        amplitude = UNCERTAINTY_UNIT_STEP * level
-        phase = self._phases.get(op_id, 0.0)
-        wave = math.sin(2.0 * math.pi * time / self._period + phase)
-        if self._mode == "square":
+        amplitude, phase = wave_params
+        wave = math.sin(_TWO_PI * time / self._period + phase)
+        if self._square:
             wave = 1.0 if wave >= 0 else -1.0
         return base * (1.0 + amplitude * wave)
 

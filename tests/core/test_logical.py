@@ -179,9 +179,8 @@ class TestWorstCaseLoads:
             names = list(solution.space.names)
             for plan, cells in solution.plan_cells().items():
                 worst = solution.worst_case_loads(plan)
-                loads = solution.cost_model.operator_loads_batch(
-                    plan, solution.space.points_matrix(cells), names
-                )
+                matrix = solution.space.points_matrix(cells)
+                loads = _batch_loads(solution.cost_model, plan, matrix, names)
                 for op_id, load in loads.items():
                     assert np.all(load <= worst[op_id]), (plan, op_id)
 
@@ -232,6 +231,12 @@ class TestScanMatchesOracle:
                 typical = solution.expected_loads(plan, occurrence)
                 oracle = oracle_expected_loads(solution, plan, occurrence)
                 assert typical == pytest.approx(oracle, rel=1e-12)
+
+
+def _batch_loads(model, plan, values, names):
+    """Operator id → load vector of ``plan`` over a block of points."""
+    rate, sels = model.resolve_columns(values, names)
+    return dict(zip(plan, model.loads_at(model.steps(plan), rate, sels)))
 
 
 def _fresh(solution):
@@ -347,9 +352,8 @@ class TestCliDefaultCompile:
         cells = logical.plan_cells()
         placement = q1_cli.physical.physical_plan
         for plan in q1_cli.supported_plans:
-            loads = logical.cost_model.operator_loads_batch(
-                plan, q1_cli.space.points_matrix(cells[plan]), names
-            )
+            matrix = q1_cli.space.points_matrix(cells[plan])
+            loads = _batch_loads(logical.cost_model, plan, matrix, names)
             for ops, capacity in zip(placement.assignment, q1_cli.cluster.capacities):
                 node_load = np.zeros(len(cells[plan]))
                 for op_id in sorted(ops):
@@ -374,9 +378,8 @@ class TestSampledScan:
         for plan in logical.plans:
             worst = logical.worst_case_loads(plan)
             assert worst == logical.cost_model.operator_loads(plan, corner)
-            loads = logical.cost_model.operator_loads_batch(
-                plan, solution.space.points_matrix(cells[plan]), names
-            )
+            matrix = solution.space.points_matrix(cells[plan])
+            loads = _batch_loads(logical.cost_model, plan, matrix, names)
             for op_id, load in loads.items():
                 assert np.all(load <= worst[op_id])
 

@@ -128,3 +128,9 @@ class TestRegionProbability:
     def test_invalid_sigma_fraction(self, unit_space):
         with pytest.raises(ValueError, match="sigma_fraction"):
             NormalOccurrenceModel(unit_space, sigma_fraction=0.0)
+
+    @pytest.mark.parametrize("sigma_fraction", [float("nan"), float("inf")])
+    def test_non_finite_sigma_fraction_rejected(self, unit_space, sigma_fraction):
+        # ``nan <= 0`` is false: a bare sign test let NaN through.
+        with pytest.raises(ValueError, match="sigma_fraction must be finite"):
+            NormalOccurrenceModel(unit_space, sigma_fraction=sigma_fraction)

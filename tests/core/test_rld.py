@@ -32,6 +32,17 @@ class TestRLDConfig:
         with pytest.raises(ValueError, match="epsilon must be finite"):
             RLDConfig(epsilon=epsilon)
 
+    @pytest.mark.parametrize("sigma_fraction", [float("nan"), float("inf")])
+    def test_non_finite_sigma_fraction_rejected(self, sigma_fraction):
+        # A NaN sigma_fraction used to compile a solution scored NaN.
+        with pytest.raises(ValueError, match="sigma_fraction must be finite"):
+            RLDConfig(sigma_fraction=sigma_fraction)
+
+    @pytest.mark.parametrize("sigma_fraction", [0.0, -0.5])
+    def test_non_positive_sigma_fraction_rejected(self, sigma_fraction):
+        with pytest.raises(ValueError, match="sigma_fraction must be > 0"):
+            RLDConfig(sigma_fraction=sigma_fraction)
+
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError, match="unknown physical_algorithm"):
             RLDConfig(physical_algorithm="magic")

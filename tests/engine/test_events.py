@@ -11,9 +11,9 @@ class TestEventLoop:
     def test_runs_in_time_order(self):
         loop = EventLoop()
         fired = []
-        loop.schedule(2.0, lambda: fired.append("b"))
-        loop.schedule(1.0, lambda: fired.append("a"))
-        loop.schedule(3.0, lambda: fired.append("c"))
+        loop.schedule(2.0, fired.append, "b")
+        loop.schedule(1.0, fired.append, "a")
+        loop.schedule(3.0, fired.append, "c")
         loop.run_until(10.0)
         assert fired == ["a", "b", "c"]
 
@@ -21,14 +21,14 @@ class TestEventLoop:
         loop = EventLoop()
         fired = []
         for tag in ("first", "second", "third"):
-            loop.schedule(1.0, lambda t=tag: fired.append(t))
+            loop.schedule(1.0, fired.append, tag)
         loop.run_until(1.0)
         assert fired == ["first", "second", "third"]
 
     def test_events_past_horizon_stay_pending(self):
         loop = EventLoop()
         fired = []
-        loop.schedule(5.0, lambda: fired.append("late"))
+        loop.schedule(5.0, fired.append, "late")
         loop.run_until(4.0)
         assert fired == []
         assert loop.pending == 1
@@ -42,10 +42,12 @@ class TestEventLoop:
 
     def test_scheduling_into_past_rejected(self):
         loop = EventLoop()
-        loop.schedule(1.0, lambda: None)
+        fired = []
+        loop.schedule(1.0, fired.append, "on time")
         loop.run_until(2.0)
         with pytest.raises(ValueError, match="before current time"):
-            loop.schedule(1.5, lambda: None)
+            loop.schedule(1.5, fired.append, "late")
+        assert fired == ["on time"]
 
     def test_handlers_can_schedule_more_events(self):
         loop = EventLoop()
@@ -54,9 +56,9 @@ class TestEventLoop:
         def chain(n: int) -> None:
             fired.append(n)
             if n < 3:
-                loop.schedule(loop.now + 1.0, lambda: chain(n + 1))
+                loop.schedule(loop.now + 1.0, chain, n + 1)
 
-        loop.schedule(0.0, lambda: chain(0))
+        loop.schedule(0.0, chain, 0)
         loop.run_until(10.0)
         assert fired == [0, 1, 2, 3]
         assert loop.processed == 4

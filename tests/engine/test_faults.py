@@ -198,7 +198,7 @@ class TestNodeFaultStates:
         node.fail(1.0)
         node.recover(4.0)
         assert node.online
-        done = node.submit(2.0, 100.0)
+        done, _ = node.submit(2.0, 100.0)
         assert done == pytest.approx(5.0)  # starts at recovery, not arrival
 
     def test_slowdown_scales_service(self):

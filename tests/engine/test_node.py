@@ -14,19 +14,20 @@ class TestSimNode:
 
     def test_idle_job_starts_at_arrival(self):
         node = SimNode(0, capacity=10.0)
-        done = node.submit(arrival=5.0, work=20.0)
+        done, service = node.submit(arrival=5.0, work=20.0)
         assert done == pytest.approx(7.0)
+        assert service == pytest.approx(2.0)
 
     def test_busy_jobs_queue_fifo(self):
         node = SimNode(0, capacity=10.0)
-        first = node.submit(arrival=0.0, work=50.0)  # busy until 5
-        second = node.submit(arrival=1.0, work=10.0)  # starts at 5
+        first, _ = node.submit(arrival=0.0, work=50.0)  # busy until 5
+        second, _ = node.submit(arrival=1.0, work=10.0)  # starts at 5
         assert first == pytest.approx(5.0)
         assert second == pytest.approx(6.0)
 
     def test_not_before_delays_start(self):
         node = SimNode(0, capacity=10.0)
-        done = node.submit(arrival=0.0, work=10.0, not_before=4.0)
+        done, _ = node.submit(arrival=0.0, work=10.0, not_before=4.0)
         assert done == pytest.approx(5.0)
 
     def test_busy_seconds_accumulate(self):
@@ -44,7 +45,7 @@ class TestSimNode:
     def test_suspend_until_pushes_horizon(self):
         node = SimNode(0, capacity=10.0)
         node.suspend_until(8.0)
-        done = node.submit(arrival=0.0, work=10.0)
+        done, _ = node.submit(arrival=0.0, work=10.0)
         assert done == pytest.approx(9.0)
 
     def test_suspend_never_rewinds(self):

@@ -105,10 +105,11 @@ class TestBatchEquivalence:
 
     @settings(max_examples=60, deadline=None)
     @given(case=batch_cases())
-    def test_operator_loads_batch_matches_scalar_bitwise(self, case):
+    def test_loads_at_columns_matches_scalar_bitwise(self, case):
         query, plan, names, matrix = case
         model = PlanCostModel(query)
-        batch = model.operator_loads_batch(plan, matrix, names)
+        rate, sels = model.resolve_columns(matrix, names)
+        batch = dict(zip(plan, model.loads_at(model.steps(plan), rate, sels)))
         assert set(batch) == set(plan)
         for k, point in enumerate(_points(names, matrix)):
             oracle = cost_oracle.operator_loads(query, plan, point)

@@ -42,7 +42,8 @@ def oracle_decisions(
     down_load = np.zeros((n_plans, n_points))
     for p, plan in enumerate(plans):
         costs[p] = model.plan_costs(plan, matrix, names)
-        loads = model.operator_loads_batch(plan, matrix, names)
+        rate, sels = model.resolve_columns(matrix, names)
+        loads = dict(zip(plan, model.loads_at(model.steps(plan), rate, sels)))
         node_loads = np.zeros((len(capacities), n_points))
         for op_id, load in loads.items():
             node_loads[placement.node_of(op_id)] += load
