@@ -44,10 +44,6 @@ __all__ = [
 ]
 
 
-#: ``2.0 * math.pi``, the leading product of the sine argument.
-_TWO_PI = 2.0 * math.pi
-
-
 # ----------------------------------------------------------------------
 # Rate profiles
 # ----------------------------------------------------------------------
@@ -198,7 +194,7 @@ class RegimeSwitchSelectivity(SelectivityProfile):
         if wave_params is None:
             return base
         amplitude, phase = wave_params
-        wave = math.sin(_TWO_PI * time / self._period + phase)
+        wave = math.sin(2.0 * math.pi * time / self._period + phase)
         if self._square:
             wave = 1.0 if wave >= 0 else -1.0
         return base * (1.0 + amplitude * wave)
