@@ -33,7 +33,7 @@ lint:
 
 chaos:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro simulate --query q1 --duration 150 \
-		--faults random:crashes=1:slowdowns=1:partitions=1
+		--faults random:crashes=1:slowdowns=1:partitions=1:dropouts=1:degradations=1
 
 bench:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest benchmarks/ --benchmark-only

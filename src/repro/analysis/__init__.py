@@ -1,12 +1,12 @@
 """`repro-lint`: AST-based enforcement of the repo's reproducibility contracts.
 
-PRs 1-2 made determinism and scalar/batch parity *load-bearing*: seeded
-fault injection replays bit-identically, and every argmin-based plan
-decision assumes the cost tensors it reads are immutable and bitwise
-equal to the scalar path.  Nothing in Python stops one stray
-``random.random()``, ``time.time()``, or in-place write to a cached
-tensor from silently breaking those contracts — so this package checks
-them statically.
+Determinism is *load-bearing*: seeded fault injection replays
+bit-identically.  Nothing in Python stops one stray ``random.random()``
+or ``time.time()`` from silently breaking that contract — so this
+package checks it statically.  Frozen shared arrays are a runtime
+invariant instead: every array a compiled solution holds is read-only,
+and a test walks the solution to prove it (``docs/static-analysis.md``,
+"Runtime freeze").
 
 Layout:
 
@@ -22,8 +22,8 @@ Layout:
   graph, symbol index, and the approximate call graph.
 * :mod:`repro.analysis.program` / :mod:`repro.analysis.audit` — the
   :class:`AuditPass` framework and the interprocedural passes behind
-  ``repro audit`` (tensor escape, cross-node aliasing, fault-path
-  exception safety, RNG discipline).
+  ``repro audit`` (cross-node aliasing, fault-path exception safety,
+  RNG discipline).
 * :mod:`repro.analysis.auditor` — the :class:`AuditRunner` driving
   passes over one parsed program.
 

@@ -10,7 +10,6 @@ approximations each one makes.
 from __future__ import annotations
 
 from repro.analysis.audit.aliasing import SharedNodeStatePass
-from repro.analysis.audit.escape import TensorEscapePass
 from repro.analysis.audit.faultpath import FaultHookRaisesPass
 from repro.analysis.audit.rngflow import SharedRngPass
 from repro.analysis.program import AuditPass
@@ -19,7 +18,6 @@ __all__ = [
     "FaultHookRaisesPass",
     "SharedNodeStatePass",
     "SharedRngPass",
-    "TensorEscapePass",
     "all_passes",
 ]
 
@@ -27,7 +25,6 @@ __all__ = [
 def all_passes() -> tuple[AuditPass, ...]:
     """The full audit-pass catalog, in stable (documentation) order."""
     return (
-        TensorEscapePass(),
         SharedNodeStatePass(),
         FaultHookRaisesPass(),
         SharedRngPass(),

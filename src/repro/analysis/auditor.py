@@ -8,7 +8,7 @@ contract — but parses *all* requested files up front, builds one
 files one at a time.  ``repro audit`` is the CLI shell around it.
 
 Suppression semantics are shared with the linter verbatim: a
-``# repro-lint: disable=tensor-escape -- why`` comment absorbs an audit
+``# repro-lint: disable=shared-rng -- why`` comment absorbs an audit
 finding on its line, malformed comments are ``bad-suppression``
 findings, and suppressions naming a pass that is active for the file
 but absorbed nothing are ``unused-suppression``.  Lint-rule

@@ -11,7 +11,6 @@ from repro.analysis.checks.floateq import NoFloatEqRule
 from repro.analysis.checks.module_state import NoModuleMutableStateRule
 from repro.analysis.checks.mutable_defaults import NoMutableDefaultRule
 from repro.analysis.checks.rng import NoUnseededRngRule
-from repro.analysis.checks.tensor_mutation import NoCachedTensorMutationRule
 from repro.analysis.checks.wallclock import NoWallclockRule
 from repro.analysis.rules import Rule
 
@@ -24,7 +23,6 @@ def all_rules() -> tuple[Rule, ...]:
         NoUnseededRngRule(),
         NoWallclockRule(),
         NoFloatEqRule(),
-        NoCachedTensorMutationRule(),
         NoMutableDefaultRule(),
         NoModuleMutableStateRule(),
     )
@@ -36,7 +34,7 @@ def known_rule_names() -> frozenset[str]:
 
     ``repro lint`` and ``repro audit`` share one suppression syntax, so
     each command must recognise the other's names (a lint run finding a
-    ``disable=tensor-escape`` comment reports nothing; only a genuinely
+    ``disable=shared-rng`` comment reports nothing; only a genuinely
     unknown name is a ``bad-suppression``).
     """
     from repro.analysis.audit import all_passes

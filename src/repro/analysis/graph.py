@@ -1,11 +1,11 @@
 """Whole-program structure: import graph, symbol index, call graph.
 
-``repro lint`` (PR 3) checks invariants one file at a time; the audit
-passes in :mod:`repro.analysis.audit` check invariants that only exist
-*between* files — a cached tensor produced in ``core`` and mutated in
-``runtime``, an ``on_fault`` hook whose exception originates three
-calls away in ``engine``.  This module builds the shared substrate
-those passes walk:
+``repro lint`` checks invariants one file at a time; the audit passes in
+:mod:`repro.analysis.audit` check invariants that only exist *between*
+files — node state shared by two constructors in ``runtime``, an
+``on_fault`` hook whose exception originates three calls away in
+``engine``.  This module builds the shared substrate those passes
+walk:
 
 * :class:`ModuleInfo` — one parsed module with its import bindings
   (absolute *and* relative imports resolved to canonical dotted names).

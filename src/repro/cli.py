@@ -160,6 +160,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ensure_positive(
             ensure_finite(args.rate_scale, "--rate-scale"), "--rate-scale"
         )
+        ensure_non_negative(args.seed, "--seed")
+        if args.fault_seed is not None:
+            ensure_non_negative(args.fault_seed, "--fault-seed")
         workload = stock_workload(
             query, uncertainty_level=args.level, regime_period=args.regime_period
         ).scaled(args.rate_scale)

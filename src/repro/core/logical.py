@@ -149,6 +149,7 @@ class RobustLogicalSolution:
         self._by_rank = np.array(
             sorted(range(len(unique)), key=lambda i: unique[i].order), dtype=np.intp
         )
+        self._by_rank.setflags(write=False)
         self._labels: IntArray | None = None
         self._sample: IntArray | None = None
         self._default_occurrence: NormalOccurrenceModel | None = None
@@ -231,9 +232,9 @@ class RobustLogicalSolution:
             return np.arange(n_points)
         if self._sample is None:
             rng = derive_rng(20121107)  # fixed: results must be stable
-            self._sample = np.sort(
-                rng.choice(n_points, size=MAX_SCAN_POINTS, replace=False)
-            )
+            sample = np.sort(rng.choice(n_points, size=MAX_SCAN_POINTS, replace=False))
+            sample.setflags(write=False)
+            self._sample = sample
         return self._sample
 
     def _label_block(self, values: FloatArray, names: list[str]) -> IntArray:
@@ -352,10 +353,13 @@ class RobustLogicalSolution:
         if kept is None:
             labels.setflags(write=False)
             self._labels = labels
+        counts = np.bincount(labels, minlength=n_plans)
+        for fold in (mass, counts, worst, weighted, plain):
+            fold.setflags(write=False)
         self._pass = _PassResult(
             occurrence=model,
             mass=mass,
-            counts=np.bincount(labels, minlength=n_plans),
+            counts=counts,
             worst=worst,
             weighted=weighted,
             plain=plain,

@@ -243,9 +243,10 @@ class ParameterSpace:
         if last is not None and np.array_equal(last[0], flat):
             return last[1]
         indices = np.unravel_index(flat, self.shape)
-        for index in indices:
-            index.setflags(write=False)
-        self._last_unravel = (flat.copy(), indices)
+        key = flat.copy()
+        for array in (key, *indices):
+            array.setflags(write=False)
+        self._last_unravel = (key, indices)
         return indices
 
     def points_matrix(self, flat: IntArray) -> FloatArray:

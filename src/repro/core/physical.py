@@ -125,6 +125,7 @@ class PlanLoadTable:
         # so consumers cannot corrupt the mask/score queries below.
         self._load_matrix.setflags(write=False)
         self._weight_vector = np.array(self._weights)
+        self._weight_vector.setflags(write=False)
         if typical_loads is None:
             self._typical = None
             self._typical_matrix = None
@@ -136,6 +137,7 @@ class PlanLoadTable:
                     for table in self._typical
                 ]
             )
+            self._typical_matrix.setflags(write=False)
 
     @classmethod
     def from_solution(

@@ -62,23 +62,9 @@ class Batch:
         if self.size <= 0.0:
             self.size = self.initial_size
 
-    @property
-    def next_op(self) -> int | None:
-        """Operator id of the next stage, or ``None`` when finished."""
-        if self.plan is None:
-            raise RuntimeError(f"batch {self.batch_id} has no plan assigned")
-        if self.stage >= len(self.plan.order):
-            return None
-        return self.plan.order[self.stage]
-
     def advance(self, selectivity: float) -> None:
         """Apply one operator: thin the batch and move to the next stage."""
         if selectivity < 0:
             raise ValueError(f"selectivity must be >= 0, got {selectivity}")
         self.size *= selectivity
         self.stage += 1
-
-    @property
-    def done(self) -> bool:
-        """True once every operator of the plan has been applied."""
-        return self.plan is not None and self.stage >= len(self.plan.order)

@@ -40,7 +40,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.util.rng import derive_rng
-from repro.util.validation import ensure_positive
+from repro.util.validation import ensure_non_negative, ensure_positive
 
 __all__ = [
     "FAULT_KINDS",
@@ -116,8 +116,7 @@ class FaultEvent:
     factor: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.time < 0:
-            raise ValueError(f"fault time must be >= 0, got {self.time}")
+        ensure_non_negative(self.time, "fault time")
         if self.kind not in FAULT_KINDS:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; expected one of "
@@ -273,6 +272,15 @@ class FaultSchedule:
         """
         ensure_positive(n_nodes, "n_nodes")
         ensure_positive(duration, "duration")
+        counts = {
+            "crashes": crashes,
+            "slowdowns": slowdowns,
+            "partitions": partitions,
+            "dropouts": dropouts,
+            "degradations": degradations,
+        }
+        for name, count in counts.items():
+            ensure_non_negative(count, name)
         if not 0 < min_outage_fraction <= max_outage_fraction < 1:
             raise ValueError(
                 "need 0 < min_outage_fraction <= max_outage_fraction < 1, got "

@@ -1,10 +1,1 @@
-"""Fixture: sanctioned idioms for every audit pass — must stay clean.
-
-The re-export below also exercises resolution of ``from . import``
-inside a package ``__init__`` (the anchor is this package, not its
-parent).
-"""
-
-from .cache import FrozenCache
-
-__all__ = ["FrozenCache"]
+"""Fixture: sanctioned idioms for every audit pass — must stay clean."""

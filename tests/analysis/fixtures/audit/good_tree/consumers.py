@@ -1,12 +1,4 @@
-"""Consumers that copy before writing, nodes that copy on retain."""
-
-from good_tree import FrozenCache
-
-
-def snapshot(cache: FrozenCache):
-    grid = cache.cost_tensor().copy()
-    grid[0, 0] = 1.0  # fine: it is a private copy
-    return grid
+"""Nodes that copy on retain."""
 
 
 class ReportNode:

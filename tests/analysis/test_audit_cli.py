@@ -22,7 +22,6 @@ def test_audit_list_passes(capsys: pytest.CaptureFixture) -> None:
     assert main(["audit", "--list-passes"]) == 0
     out = capsys.readouterr().out
     for name in (
-        "tensor-escape",
         "shared-node-state",
         "fault-hook-raises",
         "shared-rng",

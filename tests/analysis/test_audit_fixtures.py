@@ -20,11 +20,6 @@ FIXTURES = Path(__file__).parent / "fixtures" / "audit"
 
 #: package -> (exact rule set, exact count, exact set of finding files)
 BAD_PACKAGES = {
-    "bad_escape": (
-        {"tensor-escape"},
-        2,
-        {"bad_escape/cache.py", "bad_escape/user.py"},
-    ),
     "bad_aliasing": (
         {"shared-node-state"},
         2,
@@ -78,13 +73,6 @@ def test_finding_messages_carry_provenance() -> None:
     # The chain names the function the exception actually comes from.
     assert "EvacuationError" in finding.message
     assert "relocate" in finding.message
-
-
-def test_escape_finding_names_the_producer() -> None:
-    report = _audit("bad_escape")
-    consumer = [d for d in report.diagnostics if d.path.endswith("user.py")]
-    assert len(consumer) == 1
-    assert "tensor_of" in consumer[0].message
 
 
 def test_suppression_absorbs_audit_finding(tmp_path: Path) -> None:

@@ -59,7 +59,6 @@ def test_lint_list_rules(capsys: pytest.CaptureFixture) -> None:
         "no-unseeded-rng",
         "no-wallclock",
         "no-float-eq",
-        "no-cached-tensor-mutation",
         "no-mutable-default",
         "no-module-mutable-state",
     ):

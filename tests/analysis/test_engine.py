@@ -20,7 +20,6 @@ def test_default_rules_catalog() -> None:
         "no-unseeded-rng",
         "no-wallclock",
         "no-float-eq",
-        "no-cached-tensor-mutation",
         "no-mutable-default",
         "no-module-mutable-state",
     ]

@@ -22,7 +22,6 @@ BAD_FIXTURES = {
     "bad_rng.py": ({"no-unseeded-rng"}, 3),
     "bad_wallclock.py": ({"no-wallclock"}, 3),
     "bad_floateq.py": ({"no-float-eq"}, 2),
-    "bad_tensor_mutation.py": ({"no-cached-tensor-mutation"}, 4),
     "bad_mutable_default.py": ({"no-mutable-default"}, 2),
     "bad_module_state.py": ({"no-module-mutable-state"}, 2),
     "bad_syntax.py": ({"syntax-error"}, 1),
@@ -37,7 +36,6 @@ GOOD_FIXTURES = [
     "good_rng.py",
     "good_wallclock.py",
     "good_floateq.py",
-    "good_tensor_mutation.py",
     "good_mutable_default.py",
     "good_module_state.py",
     "suppressed_ok.py",

@@ -63,6 +63,12 @@ def q1_cli():
     return _cli_compile(build_q1())
 
 
+@pytest.fixture(scope="module")
+def q2_cli():
+    """The CLI-default q2 compile (1.4e9-point space, scanned by sample)."""
+    return _cli_compile(build_q2())
+
+
 def _small_solutions(four_op_query):
     """Exact-grid fixtures: three plans on a 2-D space, an ERP plan set
     on q1, and plans whose costs tie exactly at every point."""
@@ -437,7 +443,51 @@ class TestGoldenCompiles:
     def test_q1_default_compile(self, q1_cli, golden):
         assert golden_record(q1_cli) == golden["q1"]
 
-    def test_q2_sampled_compile(self, golden):
-        solution = _cli_compile(build_q2())
-        assert solution.logical.uses_sampled_grid
-        assert golden_record(solution) == golden["q2"]
+    def test_q2_sampled_compile(self, q2_cli, golden):
+        assert q2_cli.logical.uses_sampled_grid
+        assert golden_record(q2_cli) == golden["q2"]
+
+
+def _arrays_reachable_from(root):
+    """Every ndarray reachable from ``root``, with its attribute path.
+
+    Follows ``vars()`` and ``__slots__`` of objects defined in
+    :mod:`repro`, and the items of dicts, lists, tuples and sets; any
+    other object is a leaf.  No attribute is named, so a new memo is
+    walked without editing this function.
+    """
+    found, seen, stack = [], set(), [("solution", root)]
+    while stack:
+        path, obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append((path, obj))
+        elif isinstance(obj, dict):
+            stack.extend((f"{path}[{key!r}]", value) for key, value in obj.items())
+            stack.extend((f"{path} key", key) for key in obj)
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend((f"{path}[{i}]", item) for i, item in enumerate(obj))
+        elif type(obj).__module__.startswith("repro."):
+            attrs = dict(getattr(obj, "__dict__", {}))
+            for cls in type(obj).__mro__:
+                for slot in getattr(cls, "__slots__", ()):
+                    if hasattr(obj, slot):
+                        attrs[slot] = getattr(obj, slot)
+            stack.extend((f"{path}.{name}", value) for name, value in attrs.items())
+    return found
+
+
+@pytest.mark.parametrize("compiled", ["q1_cli", "q2_cli"])
+def test_every_array_a_compiled_solution_holds_is_frozen(compiled, request):
+    # RLD compiles once and then serves its arrays, by reference, to
+    # OptPrune and the runtime classifier: none of them may be writable.
+    solution = request.getfixturevalue(compiled)
+    logical = solution.logical
+    logical.plan_cells()
+    logical.plan_weights()
+    logical.area_fractions()
+    arrays = _arrays_reachable_from(solution)
+    assert len(arrays) > 10  # the walk reached the memos
+    assert [path for path, array in arrays if array.flags.writeable] == []

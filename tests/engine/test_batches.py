@@ -15,20 +15,14 @@ class TestBatch:
 
     def test_advance_thins_and_steps(self):
         batch = Batch(0, 0.0, 100.0, plan=LogicalPlan((2, 0, 1)))
-        assert batch.next_op == 2
+        assert (batch.stage, batch.size) == (0, 100.0)
         batch.advance(0.5)
-        assert batch.size == 50.0
-        assert batch.next_op == 0
+        assert (batch.stage, batch.size) == (1, 50.0)
         batch.advance(2.0)  # join fan-out
-        assert batch.size == 100.0
+        assert (batch.stage, batch.size) == (2, 100.0)
         batch.advance(0.1)
-        assert batch.done
-        assert batch.next_op is None
-
-    def test_next_op_without_plan_raises(self):
-        batch = Batch(0, 0.0, 10.0)
-        with pytest.raises(RuntimeError, match="no plan"):
-            _ = batch.next_op
+        assert (batch.stage, batch.size) == (3, 10.0)
+        assert batch.initial_size == 100.0
 
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError, match="batch size"):
@@ -40,4 +34,6 @@ class TestBatch:
             batch.advance(-0.1)
 
     def test_not_done_without_plan(self):
-        assert not Batch(0, 0.0, 10.0).done
+        batch = Batch(0, 0.0, 10.0)
+        assert batch.plan is None
+        assert (batch.stage, batch.node) == (0, -1)

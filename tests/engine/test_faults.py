@@ -93,6 +93,19 @@ class TestFaultEvent:
         with pytest.raises(ValueError, match="time"):
             FaultEvent(time=-1.0, kind="partition")
 
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError, match="fault time must be >= 0, got nan"):
+            FaultEvent(time=float("nan"), kind="crash", node=0)
+
+    def test_infinite_outage_is_permanent(self):
+        schedule = FaultSchedule.parse(
+            "crash@10:node=0:for=inf", n_nodes=1, duration=60.0
+        )
+        assert [(e.kind, e.time) for e in schedule] == [
+            ("crash", 10.0),
+            ("recover", float("inf")),
+        ]
+
     def test_paired_builders_expand(self):
         crash, recover = node_crash(10.0, 1, 5.0)
         assert (crash.kind, recover.kind) == ("crash", "recover")
@@ -129,6 +142,15 @@ class TestFaultSchedule:
         c = FaultSchedule.random(4, 100.0, 8, crashes=2, partitions=1)
         assert a == b
         assert a != c
+
+    @pytest.mark.parametrize(
+        "counter", ["crashes", "slowdowns", "partitions", "dropouts", "degradations"]
+    )
+    def test_random_rejects_negative_counts(self, counter):
+        with pytest.raises(ValueError, match=f"{counter} must be >= 0, got -1"):
+            FaultSchedule.random(4, 100.0, 7, **{counter: -1})
+        with pytest.raises(ValueError, match=f"{counter} must be >= 0"):
+            FaultSchedule.parse(f"random:{counter}=-1", n_nodes=4, duration=100.0)
 
     def test_parse_explicit_entries(self):
         schedule = FaultSchedule.parse(

@@ -63,6 +63,19 @@ class TestBadInput:
                 ["diagram", "--dims", "sel:1", "sel:3", "--reduce-epsilon", "nan"],
                 "--reduce-epsilon must be finite",
             ),
+            (["simulate", "--seed", "-1"], "--seed must be >= 0"),
+            (
+                ["simulate", "--faults", "random", "--fault-seed", "-3"],
+                "--fault-seed must be >= 0",
+            ),
+            (
+                ["simulate", "--faults", "crash@nan:node=0"],
+                "fault time must be >= 0, got nan",
+            ),
+            (
+                ["simulate", "--faults", "random:crashes=-1"],
+                "crashes must be >= 0, got -1",
+            ),
         ],
     )
     def test_exits_with_one_line(self, argv, message):

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.audit import all_passes
+from repro.analysis.checks import all_rules
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -64,3 +67,19 @@ class TestReferencesResolve:
         text = (ROOT / "README.md").read_text()
         for ref in re.findall(r"python (examples/[\w.]+\.py)", text):
             assert (ROOT / ref).exists(), f"README references missing {ref}"
+
+
+class TestStaticAnalysisCatalog:
+    """``docs/static-analysis.md`` lists exactly the rules and passes the
+    code registers: a stale row or an undocumented rule fails here."""
+
+    def _catalog(self, heading: str) -> list[str]:
+        text = (ROOT / "docs" / "static-analysis.md").read_text()
+        section = text.split(f"{heading}\n", 1)[1].split("\n#", 1)[0]
+        return re.findall(r"^\| `([\w-]+)` \|", section, flags=re.MULTILINE)
+
+    def test_rule_catalog_matches_all_rules(self):
+        assert self._catalog("## Rule catalog") == [r.name for r in all_rules()]
+
+    def test_pass_catalog_matches_all_passes(self):
+        assert self._catalog("### Pass catalog") == [p.name for p in all_passes()]
