@@ -107,6 +107,79 @@ class TestMasses:
         assert np.array_equal(build().masses(flat), first)
 
 
+def _flat_space() -> ParameterSpace:
+    return ParameterSpace(
+        [Dimension("x", 0.0, 1.0, 5), Dimension("y", 0.0, 2.0, 4)]
+    )
+
+
+def _pinned_space() -> ParameterSpace:
+    return ParameterSpace(
+        [
+            Dimension("x", 0.0, 1.0, 4),
+            Dimension("p", 2.0, 2.0, 1),
+            Dimension("y", 0.0, 1.0, 3),
+            Dimension("z", 0.5, 1.5, 3),
+        ]
+    )
+
+
+class TestPinnedMasses:
+    """Exact masses, to the last bit.
+
+    Two correlated dimensions take SciPy's deterministic CDF, three take
+    its seeded quasi-Monte Carlo one; the second space also has a pinned
+    dimension the model must skip.  A change to how a box's bounds or
+    its inclusion–exclusion sum are formed moves these hex values even
+    where an approximate comparison would not notice.
+    """
+
+    CASES = [
+        (_flat_space, -0.3,
+         {(0, 0): "0x1.7b91941b50600p-10",
+          (2, 1): "0x1.47dbea09ef936p-3",
+          (4, 3): "0x1.7b91941b50600p-10"},
+         {((0, 0), (4, 3)): "0x1.f5e72271fecc4p-1",
+          ((1, 1), (3, 2)): "0x1.6e9c6fcd241f4p-1"}),
+        (_flat_space, 0.5,
+         {(0, 0): "0x1.26897284ae3a0p-6",
+          (2, 1): "0x1.55a78cc8f1ea0p-3",
+          (4, 3): "0x1.26897284ae3a0p-6"},
+         {((0, 0), (4, 3)): "0x1.f634fe852ffcdp-1",
+          ((1, 1), (3, 2)): "0x1.75c29ce2b9b07p-1"}),
+        (_pinned_space, -0.3,
+         {(0, 0, 0, 0): "0x1.544267d1b91f0p-16",
+          (1, 0, 1, 2): "0x1.c1462e611f0c0p-5",
+          (3, 0, 2, 1): "0x1.be6fdf231de00p-10"},
+         {((0, 0, 0, 0), (3, 0, 2, 2)): "0x1.f9724ecbf17cbp-1",
+          ((1, 0, 0, 1), (2, 0, 1, 2)): "0x1.35dcf5640aba0p-1"}),
+        (_pinned_space, 0.5,
+         {(0, 0, 0, 0): "0x1.57fad7a242c1ap-6",
+          (1, 0, 1, 2): "0x1.67556bc51c010p-6",
+          (3, 0, 2, 1): "0x1.0a399e72b2ba0p-6"},
+         {((0, 0, 0, 0), (3, 0, 2, 2)): "0x1.f9b4a02e71ff4p-1",
+          ((1, 0, 0, 1), (2, 0, 1, 2)): "0x1.2d908cfc62684p-1"}),
+    ]
+
+    @pytest.mark.parametrize(
+        "make_space, rho, cells, regions",
+        CASES,
+        ids=["flat-neg", "flat-pos", "pinned-neg", "pinned-pos"],
+    )
+    def test_masses_are_pinned(self, make_space, rho, cells, regions):
+        space = make_space()
+        model = CorrelatedOccurrenceModel.anti_synchronized(space, rho=rho)
+        got_cells = {
+            index: model.cell_probability(index).hex() for index in cells
+        }
+        got_regions = {
+            bounds: model.region_probability(Region(space, *bounds)).hex()
+            for bounds in regions
+        }
+        assert got_cells == cells
+        assert got_regions == regions
+
+
 class TestPlanWeightsIntegration:
     def test_anti_synchronized_weights_shift_toward_regime_plans(self):
         """Under regime-style correlation the weights re-rank plans."""
