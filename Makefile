@@ -34,6 +34,8 @@ lint:
 chaos:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro simulate --query q1 --duration 150 \
 		--faults random:crashes=1:slowdowns=1:partitions=1:dropouts=1:degradations=1
+	$(PYTHONPATH_SRC) $(PYTHON) -m repro simulate --query q1 --duration 120 \
+		--faults "crash@20:node=1:for=15,slowdown@30:node=0:factor=0.5:for=20,partition@50:for=5,dropout@10:for=30,degrade@40:factor=4:for=20"
 
 bench:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest benchmarks/ --benchmark-only

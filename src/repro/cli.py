@@ -163,23 +163,24 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ensure_non_negative(args.seed, "--seed")
         if args.fault_seed is not None:
             ensure_non_negative(args.fault_seed, "--fault-seed")
+        faults = None
+        if args.faults:
+            try:
+                faults = FaultSchedule.parse(
+                    args.faults,
+                    n_nodes=args.nodes,
+                    duration=args.duration,
+                    seed=args.fault_seed if args.fault_seed is not None else args.seed,
+                )
+            except ValueError as exc:
+                raise SystemExit(f"invalid --faults spec: {exc}") from exc
         workload = stock_workload(
             query, uncertainty_level=args.level, regime_period=args.regime_period
         ).scaled(args.rate_scale)
     strategies = build_standard_strategies(
         query, cluster, estimate=estimate, rld_config=config
     )
-    faults = None
-    if args.faults:
-        try:
-            faults = FaultSchedule.parse(
-                args.faults,
-                n_nodes=args.nodes,
-                duration=args.duration,
-                seed=args.fault_seed if args.fault_seed is not None else args.seed,
-            )
-        except ValueError as exc:
-            raise SystemExit(f"invalid --faults spec: {exc}") from exc
+    if faults is not None:
         print(f"fault schedule ({len(faults)} events):")
         for event in faults:
             print(f"  {event.describe()}")

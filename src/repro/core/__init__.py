@@ -18,8 +18,12 @@ Layered as in the paper:
   support bitmasks, clusters.
 * :mod:`repro.core.greedy_phy` / :mod:`repro.core.optprune` /
   :mod:`repro.core.exhaustive_phy` — §5's GreedyPhy (Algorithm 4),
-  OptPrune (Algorithm 5), and the exhaustive baseline.
+  OptPrune (Algorithm 5), and the exhaustive baseline.  OptPrune and
+  the exhaustive search take the paper's homogeneous machines; GreedyPhy
+  also places onto unequal nodes.
 * :mod:`repro.core.rld` — the end-to-end two-step RLD optimizer.
+* :mod:`repro.core.theory` — Theorem 2's bound and a Monte-Carlo check
+  of Theorems 1–2; Theorem 1's threshold is :func:`aging_threshold`.
 """
 
 from repro.core.correlation import CorrelatedOccurrenceModel
@@ -28,11 +32,7 @@ from repro.core.exhaustive_phy import enumerate_partitions, exhaustive_physical
 from repro.core.greedy_phy import greedy_phy, largest_load_first
 from repro.core.logical import PlanDiscovery, RobustLogicalSolution
 from repro.core.occurrence import NormalOccurrenceModel
-from repro.core.optprune import (
-    enumerate_feasible_configs,
-    opt_prune,
-    opt_prune_heterogeneous,
-)
+from repro.core.optprune import enumerate_feasible_configs, opt_prune
 from repro.core.parameter_space import Dimension, ParameterSpace, Region
 from repro.core.partitioning import (
     EarlyTerminatedRobustPartitioning,
@@ -65,7 +65,6 @@ from repro.core.robustness import (
 )
 from repro.core.theory import (
     simulate_uniform_discovery,
-    theorem1_threshold,
     theorem2_miss_probability_bound,
 )
 from repro.core.weights import RegionWeights, WeightAssigner
@@ -79,7 +78,6 @@ __all__ = [
     "simulate_uniform_discovery",
     "solution_from_dict",
     "solution_to_dict",
-    "theorem1_threshold",
     "theorem2_miss_probability_bound",
     "Cluster",
     "Dimension",
@@ -112,7 +110,6 @@ __all__ = [
     "largest_load_first",
     "measure_coverage",
     "opt_prune",
-    "opt_prune_heterogeneous",
     "robust_mask",
     "robust_region_of_plan",
 ]

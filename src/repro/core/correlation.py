@@ -130,64 +130,49 @@ class CorrelatedOccurrenceModel:
         self._mvn.random_state = derive_rng(CDF_SEED)
         return np.asarray(self._mvn.cdf(upper))
 
-    def _box_mass(self, lows: FloatArray, highs: FloatArray) -> float:
-        """Inclusion–exclusion over the 2^d corners of the box."""
-        d = len(lows)
-        total = 0.0
-        for corner in iter_product((0, 1), repeat=d):
-            point = np.where(np.array(corner) == 1, highs, lows)
-            sign = (-1) ** (d - sum(corner))
-            total += sign * float(self._cdf(point))
-        return max(total, 0.0)
+    def _box_masses(
+        self, lo: Sequence[IntArray], hi: Sequence[IntArray]
+    ) -> FloatArray:
+        """Mass of each box spanning grid cells ``lo[k]..hi[k]``.
 
-    def _interval(self, dim_position: int, lo_index: int, hi_index: int) -> tuple[float, float]:
-        dimension = self._space.dimensions[self._active[dim_position]]
-        half = 0.5 * dimension.cell_width
-        return dimension.value(lo_index) - half, dimension.value(hi_index) + half
-
-    def cell_probability(self, index: GridIndex) -> float:
-        """Probability mass of the single grid cell at ``index``."""
-        lows = np.empty(len(self._active))
-        highs = np.empty(len(self._active))
-        for position, dim_index in enumerate(self._active):
-            lows[position], highs[position] = self._interval(
-                position, index[dim_index], index[dim_index]
-            )
-        return self._box_mass(lows, highs)
-
-    def masses(self, flat: IntArray) -> FloatArray:
-        """:meth:`cell_probability` at every row-major flat grid position.
-
-        The same inclusion–exclusion, with one CDF call per box corner
-        over all cells at once.
+        ``lo`` and ``hi`` hold one index array per space dimension, one
+        entry per box.  Inclusion–exclusion over the 2^d corners of every
+        box, with one CDF call per corner for all boxes at once.
         """
-        indices = self._space.indices_of_flat(flat)
         d = len(self._active)
-        lows = np.empty((len(indices[0]), d))
-        highs = np.empty((len(indices[0]), d))
+        n = len(lo[0])
+        lows = np.empty((n, d))
+        highs = np.empty((n, d))
         for position, dim_index in enumerate(self._active):
             dimension = self._space.dimensions[dim_index]
             half = 0.5 * dimension.cell_width
-            values = dimension.values_array()[indices[dim_index]]
-            lows[:, position], highs[:, position] = values - half, values + half
-        total = np.zeros(len(lows))
-        if not len(lows):
+            values = dimension.values_array()
+            lows[:, position] = values[lo[dim_index]] - half
+            highs[:, position] = values[hi[dim_index]] + half
+        total = np.zeros(n)
+        if not n:
             return total
         for corner in iter_product((0, 1), repeat=d):
             points = np.where(np.array(corner) == 1, highs, lows)
             sign = (-1) ** (d - sum(corner))
-            total += sign * self._cdf(points).reshape(len(points))
+            total += sign * self._cdf(points).reshape(n)
         return np.maximum(total, 0.0)
+
+    def cell_probability(self, index: GridIndex) -> float:
+        """Probability mass of the single grid cell at ``index``."""
+        cell = tuple(index)
+        return self.region_probability(Region(self._space, cell, cell))
+
+    def masses(self, flat: IntArray) -> FloatArray:
+        """:meth:`cell_probability` at every row-major flat grid position."""
+        indices = self._space.indices_of_flat(flat)
+        return self._box_masses(indices, indices)
 
     def region_probability(self, region: Region) -> float:
         """Probability mass of an axis-aligned region."""
-        lows = np.empty(len(self._active))
-        highs = np.empty(len(self._active))
-        for position, dim_index in enumerate(self._active):
-            lows[position], highs[position] = self._interval(
-                position, region.lo[dim_index], region.hi[dim_index]
-            )
-        return self._box_mass(lows, highs)
+        lo = [np.array([i]) for i in region.lo]
+        hi = [np.array([i]) for i in region.hi]
+        return float(self._box_masses(lo, hi)[0])
 
     def total_mass(self) -> float:
         """Mass of the whole space (< 1: tails extend beyond it)."""

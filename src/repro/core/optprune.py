@@ -34,7 +34,6 @@ from repro.util.types import FloatArray
 
 __all__ = [
     "opt_prune",
-    "opt_prune_heterogeneous",
     "enumerate_feasible_configs",
 ]
 
@@ -216,111 +215,6 @@ def opt_prune(
         best_score = table.score(best_mask)
     return PhysicalPlanResult(
         algorithm="OptPrune",
-        physical_plan=plan,
-        supported_plans=table.plans_in_mask(best_mask),
-        score=best_score,
-        compile_seconds=elapsed,
-        nodes_explored=nodes_explored,
-    )
-
-
-def opt_prune_heterogeneous(
-    table: PlanLoadTable, cluster: Cluster
-) -> PhysicalPlanResult:
-    """Optimal robust physical plan for *heterogeneous* clusters.
-
-    The paper's OptPrune assumes homogeneous machines (§5.3); this
-    extension lifts that: operators are assigned one at a time to
-    concrete nodes, branch-and-bound style.  Correctness rests on the
-    same monotonicity as Lemma 1 — adding an operator to any node can
-    only shrink that node's support mask, hence the partial assignment's
-    AND-mask is an upper bound on any completion's score and pruning
-    against the incumbent (seeded by GreedyPhy, which already handles
-    heterogeneous capacity) is safe.  Symmetry is broken among
-    equal-capacity *empty* nodes only.
-
-    Exponential in the worst case (``n^m`` assignments); intended for
-    the moderate sizes of this library's experiments.  For homogeneous
-    clusters prefer :func:`opt_prune`, whose set-partition search is
-    far tighter.
-    """
-    watch = Stopwatch()
-    ops = list(table.operator_ids)
-    if len(ops) > _MAX_OPERATORS:
-        raise ValueError(
-            f"opt_prune_heterogeneous supports at most {_MAX_OPERATORS} "
-            f"operators, got {len(ops)}"
-        )
-    capacities = cluster.capacities
-    n_nodes = cluster.n_nodes
-
-    greedy = greedy_phy(table, cluster)
-    best_score = greedy.score
-    best_assignment: list[frozenset[int]] | None = None
-    best_mask = table.mask_of(greedy.supported_plans) if greedy.feasible else 0
-    full_score = table.score(table.full_mask)
-    nodes_explored = 0
-
-    node_ops: list[set[int]] = [set() for _ in range(n_nodes)]
-    node_masks: list[int] = [table.full_mask] * n_nodes
-
-    def combined_mask() -> int:
-        mask = table.full_mask
-        for node_mask in node_masks:
-            mask &= node_mask
-        return mask
-
-    def search(op_index: int) -> bool:
-        nonlocal best_score, best_assignment, best_mask, nodes_explored
-        if op_index == len(ops):
-            mask = combined_mask()
-            score = table.score(mask)
-            if score > best_score:
-                best_score = score
-                best_assignment = [frozenset(s) for s in node_ops]
-                best_mask = mask
-                if best_score >= full_score * (1 - 1e-12):
-                    return True
-            return False
-
-        op_id = ops[op_index]
-        seen_empty_capacities: set[float] = set()
-        for node in range(n_nodes):
-            if not node_ops[node]:
-                # Symmetry: among empty nodes, try one per capacity class.
-                if capacities[node] in seen_empty_capacities:
-                    continue
-                seen_empty_capacities.add(capacities[node])
-            saved_mask = node_masks[node]
-            node_ops[node].add(op_id)
-            node_masks[node] = saved_mask & table.support_mask(
-                node_ops[node], capacities[node]
-            )
-            nodes_explored += 1
-            upper = table.score(combined_mask())
-            if upper > best_score:
-                if search(op_index + 1):
-                    node_ops[node].discard(op_id)
-                    node_masks[node] = saved_mask
-                    return True
-            node_ops[node].discard(op_id)
-            node_masks[node] = saved_mask
-        return False
-
-    search(0)
-    elapsed = watch.seconds
-    if best_assignment is None:
-        return PhysicalPlanResult(
-            algorithm="OptPrune-hetero",
-            physical_plan=greedy.physical_plan,
-            supported_plans=greedy.supported_plans,
-            score=greedy.score,
-            compile_seconds=elapsed,
-            nodes_explored=nodes_explored,
-        )
-    plan = PhysicalPlan(tuple(best_assignment))
-    return PhysicalPlanResult(
-        algorithm="OptPrune-hetero",
         physical_plan=plan,
         supported_plans=table.plans_in_mask(best_mask),
         score=best_score,

@@ -11,10 +11,11 @@ ERP's early termination rests on two probabilistic guarantees:
   ``e^{−γ(1 + ε^{-1/2})}``: the miss probability decays exponentially
   with the plan's area.
 
-This module exposes the bound formulas (used by the ERP implementation
-and the documentation) plus a seeded Monte-Carlo harness that draws
-plans-as-areas at random and *empirically verifies* both bounds — the
-property test in ``tests/core/test_theory.py`` runs it.
+Theorem 1's threshold is :func:`repro.core.partitioning.aging_threshold`,
+the one ERP stops on.  This module adds Theorem 2's bound plus a seeded
+Monte-Carlo harness that draws plans-as-areas at random and
+*empirically verifies* both bounds — the property test in
+``tests/core/test_theory.py`` runs it.
 """
 
 from __future__ import annotations
@@ -30,20 +31,10 @@ from repro.util.rng import derive_rng
 from repro.util.validation import ensure_in_range, ensure_positive
 
 __all__ = [
-    "theorem1_threshold",
     "theorem2_miss_probability_bound",
     "MonteCarloBoundCheck",
     "simulate_uniform_discovery",
 ]
-
-
-def theorem1_threshold(failure_probability: float, area_bound: float) -> int:
-    """Theorem 1's aging threshold ``c0 = (1 + ε^{-1/2}) / δ``.
-
-    Alias of :func:`repro.core.partitioning.aging_threshold`, exported
-    here for discoverability next to the Theorem 2 bound.
-    """
-    return aging_threshold(failure_probability, area_bound)
 
 
 def theorem2_miss_probability_bound(

@@ -40,7 +40,11 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.util.rng import derive_rng
-from repro.util.validation import ensure_non_negative, ensure_positive
+from repro.util.validation import (
+    ensure_finite,
+    ensure_non_negative,
+    ensure_positive,
+)
 
 __all__ = [
     "FAULT_KINDS",
@@ -125,7 +129,7 @@ class FaultEvent:
         if self.kind in NODE_KINDS:
             if self.node is None or self.node < 0:
                 raise ValueError(f"{self.kind!r} fault requires a node index >= 0")
-        ensure_positive(self.factor, "factor")
+        ensure_positive(ensure_finite(self.factor, "factor"), "factor")
 
     def describe(self) -> str:
         """Human-readable one-liner (traces and CLI output)."""
@@ -393,7 +397,15 @@ class FaultSchedule:
             if not eq:
                 raise ValueError(f"bad fault option {token!r}; use key=value")
             params[key] = float(value)
-        node = int(params.pop("node")) if "node" in params else None
+        node_value = params.pop("node", None)
+        node = None
+        if node_value is not None:
+            if not (node_value >= 0 and node_value.is_integer()):
+                raise ValueError(
+                    f"node must be a non-negative integer, got {node_value!r} "
+                    f"in {entry!r}"
+                )
+            node = int(node_value)
         factor = params.pop("factor", 1.0)
         hold = params.pop("for", None)
         if params:

@@ -160,11 +160,6 @@ class SimNode:
         ensure_positive(horizon, "horizon")
         return self._busy_seconds / horizon
 
-    def suspend_until(self, time: float) -> None:
-        """Block the server until ``time`` (migration stall on this node)."""
-        if time > self._available_at:
-            self._available_at = time
-
     def __repr__(self) -> str:
         state = "online" if self._online else "OFFLINE"
         return (

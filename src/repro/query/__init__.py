@@ -9,10 +9,10 @@ This package implements the paper's §2.1 distributed query-plan basics:
   and stream input rates), point estimates, and uncertainty levels.
 * :mod:`repro.query.plans` — logical plans, validity with respect to the
   join graph, and plan enumeration.
-* :mod:`repro.query.cost` — the multilinear plan cost model of §2.3 and
-  least-squares cost-surface fitting.  :class:`PlanCostModel` is the
-  only code that reads statistics and prices plans: one kernel per
-  formula serves scalar, batch and runtime callers alike.
+* :mod:`repro.query.cost` — the multilinear plan cost model of §2.3.
+  :class:`PlanCostModel` is the only code that reads statistics and
+  prices plans: one kernel per formula serves scalar, batch and runtime
+  callers alike.
 * :mod:`repro.query.optimizer` — optimal plan-at-a-point optimizers with
   optimizer-call accounting (the unit of cost in Figures 10–12).
 """
@@ -22,12 +22,7 @@ from repro.query.estimation import (
     estimate_from_samples,
     uncertainty_level_for,
 )
-from repro.query.cost import (
-    PlanCostModel,
-    PlanCostSurface,
-    fit_cost_surface,
-    multilinear_features,
-)
+from repro.query.cost import PlanCostModel
 from repro.query.model import JoinGraph, Operator, Query, StreamSchema
 from repro.query.optimizer import (
     DPOptimizer,
@@ -51,7 +46,6 @@ __all__ = [
     "LogicalPlan",
     "Operator",
     "PlanCostModel",
-    "PlanCostSurface",
     "PointOptimizer",
     "Query",
     "RankOrderOptimizer",
@@ -62,10 +56,8 @@ __all__ = [
     "enumerate_plans",
     "estimate_from_samples",
     "uncertainty_level_for",
-    "fit_cost_surface",
     "is_valid_order",
     "make_optimizer",
-    "multilinear_features",
     "rate_param",
     "selectivity_param",
 ]

@@ -1,4 +1,4 @@
-"""Plan cost model and cost-surface fitting (§2.3).
+"""Plan cost model (§2.3).
 
 The cost of a pipeline plan at a statistics point is the classic
 cascaded-selectivity form
@@ -11,38 +11,25 @@ out) by all earlier operators' selectivities.  This is *multilinear* in
 the uncertain parameters, exactly the polynomial family the paper fits
 ("cost(p, pnt) = c1·σi + c2·σj + c3·σi·σj + c4" for 2-D).
 
-Two views are provided:
-
-* :class:`PlanCostModel` — exact analytic costs, per-operator loads (the
-  input to physical-plan feasibility), and gradients (the input to the
-  §4.2 weight function), from one kernel per formula that runs on
-  floats (one point) and on NumPy columns (a batch) alike.
-* :class:`PlanCostSurface` — a fitted multilinear surface obtained from
-  sampled (point, cost) observations via least squares, the paper's
-  "standard surface-fitting techniques", for when costs come from
-  measurements rather than a formula.
+Because the formula is known, no surface is fitted: :class:`PlanCostModel`
+gives exact analytic costs, per-operator loads (the input to
+physical-plan feasibility), and gradients (the input to the §4.2 weight
+function), from one kernel per formula that runs on floats (one point)
+and on NumPy columns (a batch) alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping, Sequence, Union, overload
 
 import numpy as np
 
 from repro.query.model import Query
 from repro.query.plans import LogicalPlan
-from repro.query.statistics import StatPoint, rate_param
+from repro.query.statistics import rate_param
 from repro.util.types import FloatArray
 
-__all__ = [
-    "PlanCostModel",
-    "PlanCostSurface",
-    "multilinear_features",
-    "fit_cost_surface",
-    "surface_for_plan",
-]
+__all__ = ["PlanCostModel"]
 
 
 #: A plan as one ``(cost per tuple, slot)`` step per operator, in plan
@@ -202,119 +189,3 @@ class PlanCostModel:
                 grads[:, j] = rate * upstream * suffix
             upstream = upstream * sels[slot]
         return grads
-
-
-def multilinear_features(values: Sequence[float]) -> FloatArray:
-    """Feature vector of all subset products of ``values``.
-
-    For values ``(x, y)`` the features are ``[1, x, y, x·y]`` — the 2-D
-    cost family of §2.3.  For ``d`` values there are ``2^d`` features,
-    ordered by subset size then lexicographically, matching the
-    coefficient layout of :class:`PlanCostSurface`.
-    """
-    d = len(values)
-    features = np.empty(2**d)
-    idx = 0
-    for size in range(d + 1):
-        for subset in combinations(range(d), size):
-            product = 1.0
-            for j in subset:
-                product *= values[j]
-            features[idx] = product
-            idx += 1
-    return features
-
-
-@dataclass(frozen=True)
-class PlanCostSurface:
-    """A fitted multilinear cost surface over named dimensions.
-
-    ``dimensions`` are the parameter names (in feature order) and
-    ``coefficients`` the fitted weights over all subset-product features.
-    """
-
-    dimensions: tuple[str, ...]
-    coefficients: FloatArray
-
-    def __post_init__(self) -> None:
-        expected = 2 ** len(self.dimensions)
-        if len(self.coefficients) != expected:
-            raise ValueError(
-                f"need {expected} coefficients for {len(self.dimensions)} dimensions, "
-                f"got {len(self.coefficients)}"
-            )
-
-    def evaluate(self, point: Mapping[str, float]) -> float:
-        """Surface value at ``point`` (must cover all dimensions)."""
-        values = [float(point[name]) for name in self.dimensions]
-        return float(self.coefficients @ multilinear_features(values))
-
-    def gradient(self, point: Mapping[str, float]) -> dict[str, float]:
-        """Analytic surface gradient at ``point``, per dimension."""
-        values = [float(point[name]) for name in self.dimensions]
-        grads: dict[str, float] = {}
-        for i, name in enumerate(self.dimensions):
-            # d/dx_i of each subset product is the product over the
-            # subset minus {i} when i is in the subset, else zero.
-            total = 0.0
-            idx = 0
-            for size in range(len(values) + 1):
-                for subset in combinations(range(len(values)), size):
-                    if i in subset:
-                        product = 1.0
-                        for j in subset:
-                            if j != i:
-                                product *= values[j]
-                        total += self.coefficients[idx] * product
-                    idx += 1
-            grads[name] = total
-        return grads
-
-
-def fit_cost_surface(
-    dimensions: Sequence[str],
-    points: Sequence[Mapping[str, float]],
-    costs: Sequence[float],
-) -> PlanCostSurface:
-    """Least-squares fit of a multilinear surface to observed costs.
-
-    ``points`` are statistics points covering at least ``2^d`` distinct
-    parameter combinations; ``costs`` the corresponding measured plan
-    costs.  Raises ``ValueError`` when the system is underdetermined.
-    """
-    dimensions = tuple(dimensions)
-    if len(points) != len(costs):
-        raise ValueError(
-            f"points ({len(points)}) and costs ({len(costs)}) lengths differ"
-        )
-    n_features = 2 ** len(dimensions)
-    if len(points) < n_features:
-        raise ValueError(
-            f"need at least {n_features} samples to fit {len(dimensions)} "
-            f"dimensions, got {len(points)}"
-        )
-    design = np.vstack(
-        [
-            multilinear_features([float(p[name]) for name in dimensions])
-            for p in points
-        ]
-    )
-    target = np.asarray(costs, dtype=float)
-    coefficients, *_ = np.linalg.lstsq(design, target, rcond=None)
-    return PlanCostSurface(dimensions, coefficients)
-
-
-def surface_for_plan(
-    model: PlanCostModel,
-    plan: LogicalPlan,
-    dimensions: Sequence[str],
-    sample_points: Sequence[StatPoint],
-) -> PlanCostSurface:
-    """Fit a surface to a plan's *analytic* costs at the given samples.
-
-    Convenience bridging the exact model and the fitted representation;
-    for multilinear true costs the fit is exact up to rounding, which
-    the test suite verifies.
-    """
-    costs = [model.plan_cost(plan, p) for p in sample_points]
-    return fit_cost_surface(dimensions, sample_points, costs)

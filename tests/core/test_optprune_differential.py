@@ -1,30 +1,20 @@
 """Differential tests: OptPrune vs exhaustive ground truth.
 
 On small instances (≤ 3 nodes, ≤ 6 operators) the whole search space is
-enumerable, so agreement is checkable exactly:
-
-* ``opt_prune`` must match ``exhaustive_physical``'s optimal score and
-  supported set (§6.4's optimality claim — Figure 14), with and
-  without the LLF rebalance, feasible or not;
-* ``opt_prune_heterogeneous`` must match brute force over all ``n^m``
-  operator→node assignments.
+enumerable, so agreement is checkable exactly: ``opt_prune`` must match
+``exhaustive_physical``'s optimal score and supported set (§6.4's
+optimality claim — Figure 14), with and without the LLF rebalance,
+feasible or not.
 """
 
 from __future__ import annotations
-
-from itertools import product as iter_product
 
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    Cluster,
-    PhysicalPlan,
-    PlanLoadTable,
-    exhaustive_physical,
-)
-from repro.core.optprune import opt_prune, opt_prune_heterogeneous
+from repro.core import Cluster, PlanLoadTable, exhaustive_physical
+from repro.core.optprune import opt_prune
 from repro.query import LogicalPlan
 
 _SETTINGS = settings(
@@ -63,20 +53,6 @@ def _random_table(n_ops: int, n_plans: int, seed: int) -> PlanLoadTable:
     return PlanLoadTable(plans, loads, weights)
 
 
-def _brute_force_score(table: PlanLoadTable, cluster: Cluster) -> float:
-    """Ground truth for heterogeneous clusters: all n^m assignments."""
-    ops = list(table.operator_ids)
-    best = 0.0
-    for assignment in iter_product(range(cluster.n_nodes), repeat=len(ops)):
-        blocks = [set() for _ in range(cluster.n_nodes)]
-        for op_id, node in zip(ops, assignment):
-            blocks[node].add(op_id)
-        plan = PhysicalPlan(tuple(frozenset(b) for b in blocks))
-        mask = plan.support_mask(table, cluster)
-        best = max(best, table.score(mask))
-    return best
-
-
 class TestHomogeneousDifferential:
     @_SETTINGS
     @given(
@@ -103,35 +79,3 @@ class TestHomogeneousDifferential:
         assert result.feasible == truth.feasible
         assert result.score == truth.score
         assert set(result.supported_plans) == set(truth.supported_plans)
-
-
-class TestHeterogeneousDifferential:
-    @_SETTINGS
-    @given(
-        instance=_INSTANCES,
-        capacity_profile=st.sampled_from(
-            [(1.4, 0.5), (1.0, 0.8, 0.4), (0.9, 0.9)]
-        ),
-    )
-    def test_serial_matches_brute_force(self, instance, capacity_profile):
-        n_ops, n_plans, seed = instance
-        if n_ops > 5:
-            n_ops = 5  # keep the n^m brute force cheap
-        table = _random_table(n_ops, n_plans, seed)
-        total = float(table.load_matrix.sum(axis=1).max())
-        share = total / len(capacity_profile)
-        cluster = Cluster(tuple(f * share for f in capacity_profile))
-
-        result = opt_prune_heterogeneous(table, cluster)
-        assert result.score == _brute_force_score(table, cluster)
-
-    def test_equal_capacity_symmetry_break_matches_serial(self):
-        # All-equal capacities exercise the empty-node symmetry skip; it
-        # must lose no assignment, so the score matches brute force and
-        # the homogeneous serial search on the same machines.
-        table = _random_table(5, 3, seed=77)
-        total = float(table.load_matrix.sum(axis=1).max())
-        cluster = Cluster((total / 2,) * 3)
-        result = opt_prune_heterogeneous(table, cluster)
-        assert result.score == _brute_force_score(table, cluster)
-        assert result.score == opt_prune(table, cluster).score

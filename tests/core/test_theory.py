@@ -11,14 +11,16 @@ from hypothesis import strategies as st
 from repro.core import (
     aging_threshold,
     simulate_uniform_discovery,
-    theorem1_threshold,
     theorem2_miss_probability_bound,
 )
 
 
 class TestFormulas:
     def test_theorem1_matches_partitioning_threshold(self):
-        assert theorem1_threshold(0.25, 0.3) == aging_threshold(0.25, 0.3)
+        # ERP stops on Theorem 1's c0 = (1 + ε^{-1/2}) / δ, rounded up.
+        for eps, delta in [(0.25, 0.3), (0.25, 0.4), (0.04, 0.5), (0.5, 1.0)]:
+            expected = math.ceil((1.0 + eps**-0.5) / delta)
+            assert aging_threshold(eps, delta) == expected
 
     def test_theorem2_decays_with_gamma(self):
         p1 = theorem2_miss_probability_bound(0.5, 0.25)

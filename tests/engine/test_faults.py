@@ -106,6 +106,13 @@ class TestFaultEvent:
             ("recover", float("inf")),
         ]
 
+    @pytest.mark.parametrize("factor", [math.inf, -math.inf, math.nan])
+    def test_non_finite_factor_rejected(self, factor):
+        with pytest.raises(ValueError, match="factor must be finite"):
+            FaultEvent(time=1.0, kind="slowdown", node=0, factor=factor)
+        with pytest.raises(ValueError, match="factor must be finite"):
+            FaultEvent(time=1.0, kind="degrade", factor=factor)
+
     def test_paired_builders_expand(self):
         crash, recover = node_crash(10.0, 1, 5.0)
         assert (crash.kind, recover.kind) == ("crash", "recover")
@@ -198,6 +205,15 @@ class TestFaultSchedule:
             FaultSchedule.parse("crash@1:node=0:frob=2", n_nodes=2, duration=10.0)
         with pytest.raises(ValueError, match="requires node"):
             FaultSchedule.parse("crash@1:for=2", n_nodes=2, duration=10.0)
+        for node in ("inf", "nan", "1.7", "-1"):
+            with pytest.raises(ValueError, match="node must be a non-negative integer"):
+                FaultSchedule.parse(
+                    f"crash@10:node={node}:for=5", n_nodes=4, duration=60.0
+                )
+        for spec in ("degrade@10:factor=inf:for=5",
+                     "slowdown@10:node=0:factor=inf:for=30"):
+            with pytest.raises(ValueError, match="factor must be finite"):
+                FaultSchedule.parse(spec, n_nodes=2, duration=60.0)
         with pytest.raises(ValueError, match="unknown random-spec key"):
             FaultSchedule.parse("random:bogus=1", n_nodes=2, duration=10.0)
         with pytest.raises(ValueError, match="bad random-spec value"):

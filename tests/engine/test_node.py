@@ -42,18 +42,6 @@ class TestSimNode:
         node.submit(0.0, 500.0)  # 50s of work
         assert node.utilization(horizon=10.0) == pytest.approx(5.0)
 
-    def test_suspend_until_pushes_horizon(self):
-        node = SimNode(0, capacity=10.0)
-        node.suspend_until(8.0)
-        done, _ = node.submit(arrival=0.0, work=10.0)
-        assert done == pytest.approx(9.0)
-
-    def test_suspend_never_rewinds(self):
-        node = SimNode(0, capacity=10.0)
-        node.submit(0.0, 100.0)  # busy until 10
-        node.suspend_until(3.0)
-        assert node.available_at == pytest.approx(10.0)
-
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             SimNode(0, capacity=0.0)

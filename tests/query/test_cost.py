@@ -1,4 +1,4 @@
-"""Tests for the plan cost model and cost-surface fitting."""
+"""Tests for the plan cost model."""
 
 from __future__ import annotations
 
@@ -15,10 +15,7 @@ from repro.query import (
     Query,
     StatPoint,
     StreamSchema,
-    fit_cost_surface,
-    multilinear_features,
 )
-from repro.query.cost import surface_for_plan
 
 
 @pytest.fixture
@@ -130,61 +127,23 @@ class TestResolve:
         assert model.steps(LogicalPlan((2, 0, 1))) is steps
 
 
-class TestMultilinearFeatures:
-    def test_two_dims(self):
-        feats = multilinear_features([2.0, 3.0])
-        assert feats.tolist() == [1.0, 2.0, 3.0, 6.0]
-
-    def test_feature_count_is_power_of_two(self):
-        assert len(multilinear_features([1.0] * 4)) == 16
-
-    def test_zero_dims(self):
-        assert multilinear_features([]).tolist() == [1.0]
-
-
-class TestSurfaceFitting:
-    def test_exact_fit_of_multilinear_cost(self, model, three_op_query):
-        plan = LogicalPlan((0, 1, 2))
-        dims = ("sel:0", "sel:1")
-        grid = [
-            StatPoint({"sel:0": a, "sel:1": b})
-            for a in (0.3, 0.5, 0.7)
-            for b in (0.2, 0.5, 0.8)
-        ]
-        surface = surface_for_plan(model, plan, dims, grid)
-        probe = StatPoint({"sel:0": 0.44, "sel:1": 0.61})
-        assert surface.evaluate(probe) == pytest.approx(
-            model.plan_cost(plan, probe), rel=1e-9
-        )
-
-    def test_surface_gradient_matches_model(self, model):
-        plan = LogicalPlan((2, 1, 0))
-        dims = ("sel:1", "sel:2")
-        grid = [
-            StatPoint({"sel:1": a, "sel:2": b})
-            for a in (0.3, 0.6)
-            for b in (0.3, 0.6)
-        ]
-        surface = surface_for_plan(model, plan, dims, grid)
-        probe = StatPoint({"sel:1": 0.5, "sel:2": 0.5})
-        model_grads = _gradient(model, plan, probe)
-        surface_grads = surface.gradient(probe)
-        for name in dims:
-            assert surface_grads[name] == pytest.approx(model_grads[name], rel=1e-9)
-
-    def test_underdetermined_fit_rejected(self):
-        with pytest.raises(ValueError, match="at least 4 samples"):
-            fit_cost_surface(("a", "b"), [{"a": 1.0, "b": 1.0}], [1.0])
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError, match="lengths differ"):
-            fit_cost_surface(("a",), [{"a": 1.0}, {"a": 2.0}], [1.0])
-
-    def test_wrong_coefficient_count_rejected(self):
-        from repro.query.cost import PlanCostSurface
-
-        with pytest.raises(ValueError, match="need 4 coefficients"):
-            PlanCostSurface(("a", "b"), np.ones(3))
+class TestMultilinearity:
+    def test_cost_is_linear_along_each_parameter(self, model):
+        # §2.3's cost family is multilinear: with every other parameter
+        # fixed, cost is a straight line in each one, so the midpoint
+        # cost is the mean of the two endpoint costs.
+        base = {"sel:0": 0.3, "sel:1": 0.7, "sel:2": 0.45, "rate": 80.0}
+        ends = {"sel:0": (0.1, 0.9), "sel:1": (0.2, 1.5),
+                "sel:2": (0.05, 0.6), "rate": (10.0, 250.0)}
+        for order in [(0, 1, 2), (2, 1, 0), (1, 2, 0)]:
+            plan = LogicalPlan(order)
+            for name, (lo, hi) in ends.items():
+                low = model.plan_cost(plan, {**base, name: lo})
+                high = model.plan_cost(plan, {**base, name: hi})
+                mid = model.plan_cost(plan, {**base, name: 0.5 * (lo + hi)})
+                assert mid == pytest.approx(
+                    0.5 * (low + high), rel=1e-12
+                ), (order, name)
 
 
 @settings(max_examples=30)

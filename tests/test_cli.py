@@ -76,6 +76,22 @@ class TestBadInput:
                 ["simulate", "--faults", "random:crashes=-1"],
                 "crashes must be >= 0, got -1",
             ),
+            (
+                ["simulate", "--faults", "crash@10:node=inf:for=5"],
+                "node must be a non-negative integer, got inf",
+            ),
+            (
+                ["simulate", "--faults", "crash@10:node=1.7:for=5"],
+                "node must be a non-negative integer, got 1.7",
+            ),
+            (
+                ["simulate", "--faults", "degrade@10:factor=inf:for=5"],
+                "factor must be finite, got inf",
+            ),
+            (
+                ["simulate", "--faults", "slowdown@10:node=0:factor=inf:for=30"],
+                "factor must be finite, got inf",
+            ),
         ],
     )
     def test_exits_with_one_line(self, argv, message):
@@ -92,6 +108,18 @@ class TestBadInput:
         lines = result.stderr.strip().splitlines()
         assert len(lines) == 1 and message in lines[0], result.stderr
 
+    @pytest.mark.parametrize(
+        "spec", ["random:crashes=-1", "crash@10:node=1.7:for=5", "explode"]
+    )
+    def test_bad_faults_spec_fails_before_the_compile(self, monkeypatch, spec):
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled before rejecting --faults")
+
+        monkeypatch.setattr("repro.cli.build_standard_strategies", no_compile)
+        with pytest.raises(SystemExit) as exited:
+            main(["simulate", "--faults", spec])
+        assert str(exited.value).startswith("invalid --faults spec: ")
+        assert "\n" not in str(exited.value)
 
     @pytest.mark.parametrize("name", ["FOO", "rld"])
     def test_unknown_strategy_is_a_usage_error(self, capsys, name):
