@@ -15,16 +15,15 @@ install:
 test:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest -x -q
 
-# Static gates: the repro-lint invariant checker, the whole-program
-# repro-audit (call-graph + interprocedural passes), then mypy --strict
-# over the determinism/parity-critical packages (core + query + engine
+# Static gates: repro lint (the per-file rules and the whole-program
+# call-graph passes, in one run), then mypy --strict over the
+# determinism/parity-critical packages (core + query + engine
 # + runtime + workloads; config in pyproject.toml).  mypy is an optional dev
 # dependency — when it is not installed the type gate is skipped with a
 # notice so `make lint` still works in minimal environments; CI always
 # installs it, so the gate is enforced there.
 lint:
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro lint
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro audit
 	@if $(PYTHON) -c "import mypy" 2>/dev/null; then \
 		$(PYTHON) -m mypy --strict src/repro/core src/repro/query src/repro/engine src/repro/runtime src/repro/workloads; \
 	else \

@@ -12,42 +12,37 @@ Layout:
 
 * :mod:`repro.analysis.report` — :class:`Diagnostic` and the
   text/JSON renderers.
-* :mod:`repro.analysis.rules` — the :class:`Rule` protocol, the
-  per-file :class:`FileContext`, and the rule registry.
+* :mod:`repro.analysis.rules` — the :class:`Rule` base class (a
+  per-file ``check`` hook and a whole-program ``check_program`` hook),
+  the per-file :class:`FileContext`, and the catalog accessor.
 * :mod:`repro.analysis.engine` — file discovery, suppression-comment
-  parsing, and the :class:`LintRunner` that drives rules over a tree.
-* :mod:`repro.analysis.checks` — one module per rule (the rule
-  catalog lives in ``docs/static-analysis.md``).
+  parsing, and the :class:`LintRunner` that parses each file once,
+  runs every check, and audits the suppressions.
+* :mod:`repro.analysis.checks` — the catalog (``all_rules()``) and one
+  module per per-file rule.
 * :mod:`repro.analysis.graph` — the whole-program substrate: import
   graph, symbol index, and the approximate call graph.
 * :mod:`repro.analysis.program` / :mod:`repro.analysis.audit` — the
-  :class:`AuditPass` framework and the interprocedural passes behind
-  ``repro audit`` (cross-node aliasing, fault-path exception safety,
-  RNG discipline).
-* :mod:`repro.analysis.auditor` — the :class:`AuditRunner` driving
-  passes over one parsed program.
+  :class:`ProgramContext` and the interprocedural passes (cross-node
+  aliasing, fault-path exception safety, RNG discipline).
 
-The CLI front-ends are ``repro lint`` and ``repro audit`` (see
-:mod:`repro.cli`); CI and ``make lint`` gate on both exit codes.
+The CLI front-end is ``repro lint`` (see :mod:`repro.cli`); CI and
+``make lint`` gate on its exit code.
 """
 
 from __future__ import annotations
 
-from repro.analysis.auditor import AuditRunner, audit_paths
-from repro.analysis.engine import LintRunner, lint_paths
+from repro.analysis.engine import LintRunner
 from repro.analysis.report import Diagnostic, LintReport, render_json, render_text
 from repro.analysis.rules import FileContext, Rule, default_rules
 
 __all__ = [
-    "AuditRunner",
     "Diagnostic",
     "FileContext",
     "LintReport",
     "LintRunner",
     "Rule",
-    "audit_paths",
     "default_rules",
-    "lint_paths",
     "render_json",
     "render_text",
 ]

@@ -1,10 +1,10 @@
-"""The whole-program audit passes behind ``repro audit``.
+"""The whole-program passes: checks that implement ``check_program``.
 
-Each pass is an :class:`~repro.analysis.program.AuditPass` run over the
-:class:`~repro.analysis.graph.ProgramGraph`; ``all_passes()`` is the
-catalog in documentation order (mirroring ``all_rules()`` for the
-linter).  See ``docs/static-analysis.md`` for the pass catalog and the
-approximations each one makes.
+Each pass is a :class:`~repro.analysis.rules.Rule` run once over the
+:class:`~repro.analysis.graph.ProgramGraph`; the catalog that lists
+them beside the per-file rules is ``all_rules()`` in
+:mod:`repro.analysis.checks`.  See ``docs/static-analysis.md`` for the
+pass catalog and the approximations each one makes.
 """
 
 from __future__ import annotations
@@ -12,20 +12,5 @@ from __future__ import annotations
 from repro.analysis.audit.aliasing import SharedNodeStatePass
 from repro.analysis.audit.faultpath import FaultHookRaisesPass
 from repro.analysis.audit.rngflow import SharedRngPass
-from repro.analysis.program import AuditPass
 
-__all__ = [
-    "FaultHookRaisesPass",
-    "SharedNodeStatePass",
-    "SharedRngPass",
-    "all_passes",
-]
-
-
-def all_passes() -> tuple[AuditPass, ...]:
-    """The full audit-pass catalog, in stable (documentation) order."""
-    return (
-        SharedNodeStatePass(),
-        FaultHookRaisesPass(),
-        SharedRngPass(),
-    )
+__all__ = ["FaultHookRaisesPass", "SharedNodeStatePass", "SharedRngPass"]

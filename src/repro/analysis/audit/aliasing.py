@@ -34,7 +34,8 @@ from repro.analysis.graph import (
     FunctionInfo,
     ProgramGraph,
 )
-from repro.analysis.program import AuditPass, ProgramContext
+from repro.analysis.program import ProgramContext
+from repro.analysis.rules import Rule
 
 __all__ = ["SharedNodeStatePass"]
 
@@ -106,7 +107,7 @@ def _retaining_names(value: ast.expr) -> set[str]:
     return set()
 
 
-class SharedNodeStatePass(AuditPass):
+class SharedNodeStatePass(Rule):
     name = "shared-node-state"
     description = (
         "a mutable object reachable from more than one Node/Monitor "

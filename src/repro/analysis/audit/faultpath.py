@@ -36,7 +36,8 @@ from repro.analysis.graph import (
     FunctionInfo,
     ProgramGraph,
 )
-from repro.analysis.program import AuditPass, ProgramContext
+from repro.analysis.program import ProgramContext
+from repro.analysis.rules import Rule
 
 __all__ = ["FaultHookRaisesPass"]
 
@@ -130,7 +131,7 @@ class _ExceptionModel:
         return SANCTIONED in self.base_chain(raised)
 
 
-class FaultHookRaisesPass(AuditPass):
+class FaultHookRaisesPass(Rule):
     name = "fault-hook-raises"
     description = (
         "on_fault hooks must not raise anything but FaultError past the "

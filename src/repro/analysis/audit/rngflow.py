@@ -33,7 +33,8 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.graph import ClassInfo, FunctionInfo, ProgramGraph
-from repro.analysis.program import AuditPass, ProgramContext
+from repro.analysis.program import ProgramContext
+from repro.analysis.rules import Rule
 
 __all__ = ["SharedRngPass"]
 
@@ -95,7 +96,7 @@ def rng_retained_params(cls: ClassInfo) -> set[str]:
     return retained
 
 
-class SharedRngPass(AuditPass):
+class SharedRngPass(Rule):
     name = "shared-rng"
     description = (
         "a seeded Generator handed to per-node code must go through "

@@ -1,6 +1,6 @@
-"""The rule catalog: one module per rule, assembled here.
+"""The check catalog: one module per check, assembled here.
 
-Adding a rule = adding a module with a :class:`~repro.analysis.rules.Rule`
+Adding a check = adding a module with a :class:`~repro.analysis.rules.Rule`
 subclass, instantiating it in :func:`all_rules`, and documenting it in
 ``docs/static-analysis.md`` (the doc test cross-checks the catalog).
 """
@@ -14,34 +14,26 @@ from repro.analysis.checks.rng import NoUnseededRngRule
 from repro.analysis.checks.wallclock import NoWallclockRule
 from repro.analysis.rules import Rule
 
-__all__ = ["all_rules", "known_rule_names"]
+__all__ = ["all_rules"]
 
 
 def all_rules() -> tuple[Rule, ...]:
-    """Fresh instances of every rule, in documentation order."""
+    """Fresh instances of every check, in documentation order: the
+    per-file rules, then the whole-program passes."""
+    # Lazy: the passes import the graph, which imports checks.common.
+    from repro.analysis.audit import (
+        FaultHookRaisesPass,
+        SharedNodeStatePass,
+        SharedRngPass,
+    )
+
     return (
         NoUnseededRngRule(),
         NoWallclockRule(),
         NoFloatEqRule(),
         NoMutableDefaultRule(),
         NoModuleMutableStateRule(),
-    )
-
-
-def known_rule_names() -> frozenset[str]:
-    """Every valid ``disable=`` target: lint rules, audit passes, and
-    the suppression-audit pseudo-rules.
-
-    ``repro lint`` and ``repro audit`` share one suppression syntax, so
-    each command must recognise the other's names (a lint run finding a
-    ``disable=shared-rng`` comment reports nothing; only a genuinely
-    unknown name is a ``bad-suppression``).
-    """
-    from repro.analysis.audit import all_passes
-    from repro.analysis.rules import BAD_SUPPRESSION, UNUSED_SUPPRESSION
-
-    return frozenset(
-        {rule.name for rule in all_rules()}
-        | {audit_pass.name for audit_pass in all_passes()}
-        | {BAD_SUPPRESSION, UNUSED_SUPPRESSION}
+        SharedNodeStatePass(),
+        FaultHookRaisesPass(),
+        SharedRngPass(),
     )

@@ -1,21 +1,23 @@
-"""The lint driver: discovery, suppression parsing, rule dispatch.
+"""The analysis runner: discovery, suppression parsing, check dispatch.
 
 :class:`LintRunner` is the library entry point (``repro lint`` is a
 thin CLI shell around it).  A run
 
 1. expands the requested paths into ``.py`` files (skipping anything
    under a hidden or ``__pycache__`` directory),
-2. tokenizes each file to collect ``# repro-lint: disable=...``
-   suppression comments (tokenize, not regex-over-lines, so ``#``
-   inside string literals can never masquerade as a suppression),
-3. parses the AST once and hands a shared :class:`FileContext` to each
-   rule whose scope covers the file, and
+2. parses each file once — the AST, plus its ``# repro-lint:
+   disable=...`` suppression comments (tokenize, not regex-over-lines,
+   so ``#`` inside string literals can never masquerade as a
+   suppression) — and runs every per-file check whose scope covers it,
+3. builds one :class:`~repro.analysis.graph.ProgramGraph` over the
+   parsed files and runs every whole-program check over it, and
 4. appends ``bad-suppression`` / ``unused-suppression`` findings for
-   malformed or dead escape hatches.
+   malformed or dead escape hatches, judged against every check that
+   ran on the file.
 
-Paths are matched against rule scopes *relative to the repo root*
+Paths are matched against check scopes *relative to the repo root*
 (the directory passed as ``root``), with ``/`` separators on every
-platform, so scopes in rule classes stay portable.
+platform, so scopes in check classes stay portable.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ import tokenize
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from repro.analysis.graph import build_graph, module_name_for
+from repro.analysis.program import ProgramContext
 from repro.analysis.report import Diagnostic, LintReport
 from repro.analysis.rules import (
     BAD_SUPPRESSION,
@@ -37,7 +41,7 @@ from repro.analysis.rules import (
     default_rules,
 )
 
-__all__ = ["LintRunner", "lint_paths", "parse_suppressions"]
+__all__ = ["LintRunner", "parse_suppressions"]
 
 _SUPPRESSION_RE = re.compile(
     r"#\s*repro-lint:\s*disable=(?P<rules>[A-Za-z0-9_,\- ]+?)"
@@ -114,27 +118,25 @@ def _iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
 
 
 class LintRunner:
-    """Runs a rule set over files; see the module docstring.
+    """Runs a check set over files; see the module docstring.
 
-    ``respect_scopes=False`` applies every rule to every file — the
-    mode the fixture tests use to exercise rules on synthetic paths
+    ``respect_scopes=False`` applies every check to every file — the
+    mode the fixture tests use to exercise checks on synthetic paths
     outside their production scopes.
     """
 
     def __init__(
         self,
-        rules: Iterable[Rule] | None = None,
+        checks: Iterable[Rule] | None = None,
         *,
         root: Path | None = None,
         respect_scopes: bool = True,
-        report_unused_suppressions: bool = True,
     ) -> None:
-        self.rules: tuple[Rule, ...] = (
-            tuple(rules) if rules is not None else default_rules()
+        self.checks: tuple[Rule, ...] = (
+            tuple(checks) if checks is not None else default_rules()
         )
         self.root = (root or Path.cwd()).resolve()
         self.respect_scopes = respect_scopes
-        self.report_unused_suppressions = report_unused_suppressions
 
     def _relpath(self, path: Path) -> str:
         resolved = path.resolve()
@@ -143,71 +145,69 @@ class LintRunner:
         except ValueError:
             return resolved.as_posix()
 
+    def _active(self, relpath: str) -> list[Rule]:
+        return [
+            check
+            for check in self.checks
+            if not self.respect_scopes or check.applies_to(relpath)
+        ]
+
     def run(self, paths: Sequence[Path | str]) -> LintReport:
-        """Lint every ``.py`` file under ``paths``; aggregate findings."""
+        """Check every ``.py`` file under ``paths``; aggregate findings."""
         report = LintReport()
+        contexts: list[FileContext] = []
+        modules: dict[str, FileContext] = {}
+        parsed: list[tuple[Path, str, ast.Module, str]] = []
         for path in _iter_python_files([Path(p) for p in paths]):
-            context = self.check_file(path)
-            if context is None:
-                continue
+            relpath = self._relpath(path)
+            source = path.read_text(encoding="utf-8")
             report.files_checked += 1
+            try:
+                tree = ast.parse(source, filename=str(path))
+            except SyntaxError as exc:
+                report.diagnostics.append(
+                    Diagnostic(
+                        path=relpath,
+                        line=exc.lineno or 1,
+                        col=(exc.offset or 0) + 1,
+                        rule="syntax-error",
+                        message=f"file does not parse: {exc.msg}",
+                    )
+                )
+                continue
+            context = FileContext(
+                path=relpath,
+                tree=tree,
+                source=source,
+                suppressions=parse_suppressions(source),
+            )
+            for check in self._active(relpath):
+                check.check(context)
+            contexts.append(context)
+            modules[module_name_for(path, self.root)] = context
+            parsed.append((path, relpath, tree, source))
+
+        # Unknown-name detection consults the full catalog, not this
+        # run's (possibly --disable-filtered) check set, so disabling a
+        # check does not reclassify its suppressions.
+        known_names = {
+            check.name for check in (*default_rules(), *self.checks)
+        } | {BAD_SUPPRESSION, UNUSED_SUPPRESSION}
+        program = ProgramContext(
+            build_graph(parsed, self.root), modules, respect_scopes=self.respect_scopes
+        )
+        for check in self.checks:
+            check.check_program(program)
+        for context in contexts:
+            self._audit_suppressions(context, known_names)
             report.diagnostics.extend(context.diagnostics)
         report.diagnostics.sort()
         return report
 
-    def check_file(self, path: Path) -> FileContext | None:
-        """Lint one file; returns its context, or ``None`` off-scope."""
-        relpath = self._relpath(path)
-        active = [
-            rule
-            for rule in self.rules
-            if not self.respect_scopes or rule.applies_to(relpath)
-        ]
-        suppression_capable = bool(active) or self.report_unused_suppressions
-        if not suppression_capable:
-            return None
-        source = path.read_text(encoding="utf-8")
-        try:
-            tree = ast.parse(source, filename=str(path))
-        except SyntaxError as exc:
-            context = FileContext(path=relpath, tree=ast.Module(body=[], type_ignores=[]), source=source)
-            context.diagnostics.append(
-                Diagnostic(
-                    path=relpath,
-                    line=exc.lineno or 1,
-                    col=(exc.offset or 0) + 1,
-                    rule="syntax-error",
-                    message=f"file does not parse: {exc.msg}",
-                )
-            )
-            return context
-        context = FileContext(
-            path=relpath,
-            tree=tree,
-            source=source,
-            suppressions=parse_suppressions(source),
-        )
-        for rule in active:
-            rule.check(context)
-        self._audit_suppressions(context, active)
-        return context
-
     def _audit_suppressions(
-        self, context: FileContext, active: Sequence[Rule]
+        self, context: FileContext, known_names: set[str]
     ) -> None:
-        active_names = {rule.name for rule in active}
-        # Unknown-rule detection must consult the full catalog — every
-        # lint rule AND every audit pass (the two commands share one
-        # suppression syntax), not just this run's (possibly
-        # --disable-filtered) rule set, so that disabling a rule does
-        # not reclassify its suppressions.
-        from repro.analysis.checks import known_rule_names
-
-        known_names = (
-            {rule.name for rule in self.rules}
-            | known_rule_names()
-            | {BAD_SUPPRESSION, UNUSED_SUPPRESSION}
-        )
+        active_names = {check.name for check in self._active(context.path)}
         for suppressions in context.suppressions.values():
             for suppression in suppressions:
                 anchor = ast.Pass()
@@ -230,25 +230,13 @@ class LintRunner:
                         f"{', '.join(sorted(unknown))}",
                     )
                     continue
-                if (
-                    self.report_unused_suppressions
-                    and not suppression.used
-                    and suppression.rules & active_names
-                ):
+                # A name is dead when its check ran on this file and
+                # absorbed nothing on this line.
+                dead = (suppression.rules & active_names) - suppression.absorbed
+                if dead:
                     context.report(
                         UNUSED_SUPPRESSION,
                         anchor,
-                        f"suppression for "
-                        f"{', '.join(sorted(suppression.rules))} matched no "
+                        f"suppression for {', '.join(sorted(dead))} matched no "
                         f"finding; delete it or fix the justification target",
                     )
-
-
-def lint_paths(
-    paths: Sequence[Path | str],
-    *,
-    root: Path | None = None,
-    rules: Iterable[Rule] | None = None,
-) -> LintReport:
-    """Convenience wrapper: lint ``paths`` with the default rule set."""
-    return LintRunner(rules, root=root).run(paths)

@@ -1,6 +1,6 @@
 """Whole-program structure: import graph, symbol index, call graph.
 
-``repro lint`` checks invariants one file at a time; the audit passes in
+Per-file rules check invariants one file at a time; the passes in
 :mod:`repro.analysis.audit` check invariants that only exist *between*
 files — node state shared by two constructors in ``runtime``, an
 ``on_fault`` hook whose exception originates three calls away in
@@ -168,9 +168,13 @@ def module_name_for(path: Path, root: Path) -> str:
     """Dotted module name of ``path`` relative to the analysis root.
 
     A leading ``src/`` component is dropped (the repo's layout), and a
-    package ``__init__.py`` maps to the package name itself.
+    package ``__init__.py`` maps to the package name itself.  A file
+    outside the root is named by its absolute path.
     """
-    parts = list(path.resolve().relative_to(root.resolve()).parts)
+    try:
+        parts = list(path.resolve().relative_to(root.resolve()).parts)
+    except ValueError:
+        parts = list(path.resolve().parts[1:])
     if parts and parts[0] == "src":
         parts = parts[1:]
     if parts and parts[-1] == "__init__.py":
@@ -542,7 +546,7 @@ def build_graph(
     """Assemble a :class:`ProgramGraph` from parsed files.
 
     ``files`` rows are ``(path, relpath, tree, source)`` — the shape the
-    audit runner already has after discovery/parsing.
+    runner already has after discovery/parsing.
     """
     modules: dict[str, ModuleInfo] = {}
     for path, relpath, tree, source in files:

@@ -1,12 +1,12 @@
-"""Whole-program pass framework: :class:`AuditPass` over a built graph.
+"""The whole-program context a :class:`~repro.analysis.rules.Rule`'s
+``check_program`` hook sees.
 
-``repro lint`` rules see one :class:`~repro.analysis.rules.FileContext`
-at a time; ``repro audit`` passes see the whole program at once — a
-:class:`ProgramContext` bundling the :class:`~repro.analysis.graph.
-ProgramGraph` with every file's context.  Findings still flow through
-``FileContext.report``, so path scopes, ``# repro-lint: disable=...``
-suppressions, and the text/JSON report pipeline are shared verbatim
-with the linter: one engine, two granularities.
+Per-file rules see one :class:`~repro.analysis.rules.FileContext` at a
+time; whole-program passes see a :class:`ProgramContext` bundling the
+:class:`~repro.analysis.graph.ProgramGraph` with every file's context.
+Findings still flow through ``FileContext.report``, so path scopes,
+``# repro-lint: disable=...`` suppressions, and the text/JSON report
+pipeline are shared verbatim: one engine, two granularities.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from typing import Mapping
 from repro.analysis.graph import ProgramGraph
 from repro.analysis.rules import FileContext, Rule
 
-__all__ = ["AuditPass", "ProgramContext"]
+__all__ = ["ProgramContext"]
 
 
 class ProgramContext:
-    """Everything an audit pass may consult about the analyzed program.
+    """Everything a whole-program pass may consult about the program.
 
     ``contexts`` maps module names (``repro.engine.node``) to the
     per-file contexts carrying suppressions and collecting diagnostics.
@@ -38,33 +38,11 @@ class ProgramContext:
         self.contexts = dict(contexts)
         self.respect_scopes = respect_scopes
 
-    def report(
-        self, audit_pass: "AuditPass", module: str, node: ast.AST, message: str
-    ) -> None:
+    def report(self, rule: Rule, module: str, node: ast.AST, message: str) -> None:
         """File a finding in ``module`` unless off-scope or suppressed."""
         context = self.contexts.get(module)
         if context is None:
             return
-        if self.respect_scopes and not audit_pass.applies_to(context.path):
+        if self.respect_scopes and not rule.applies_to(context.path):
             return
-        context.report(audit_pass, node, message)
-
-
-class AuditPass(Rule):
-    """Base class for whole-program passes.
-
-    Subclasses implement :meth:`check_program` instead of ``check``;
-    ``name``/``description``/``scope``/``allow`` keep their lint-rule
-    meaning, with scopes applied to the file a finding *lands in* (the
-    analysis itself always sees the whole program).
-    """
-
-    def check(self, context: FileContext) -> None:
-        """Audit passes have no per-file mode; the runner never calls this."""
-        raise NotImplementedError(
-            f"{self.name} is a whole-program pass; use check_program()"
-        )
-
-    def check_program(self, program: ProgramContext) -> None:
-        """Analyze the whole program; report via ``program.report``."""
-        raise NotImplementedError
+        context.report(rule, node, message)

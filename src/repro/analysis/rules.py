@@ -1,10 +1,12 @@
 """The rule framework: per-file context, the rule base class, registry.
 
-A rule is a stateless object with a ``name``, a default path ``scope``
-(directory prefixes relative to the repo root), and a ``check`` method
-that walks one file's AST and reports findings through the
-:class:`FileContext`.  Scoping and suppression filtering happen in the
-context, so rule bodies contain nothing but invariant logic.
+A rule (a *check*) is a stateless object with a ``name``, a default
+path ``scope`` (directory prefixes relative to the repo root), and one
+of two hooks: ``check`` walks one file's AST and reports through the
+:class:`FileContext`; ``check_program`` walks the whole program and
+reports through a :class:`~repro.analysis.program.ProgramContext`.
+Scoping and suppression filtering happen in the contexts, so rule
+bodies contain nothing but invariant logic.
 
 Suppressions
 ------------
@@ -24,9 +26,12 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.analysis.report import Diagnostic
+
+if TYPE_CHECKING:
+    from repro.analysis.program import ProgramContext
 
 __all__ = [
     "BAD_SUPPRESSION",
@@ -52,15 +57,16 @@ class Suppression:
     standalone comment line, the first code line below it);
     ``comment_line`` is where the comment itself sits.  ``rules`` is
     the set of rule names disabled; ``justification`` the text after
-    ``--`` (empty means malformed).  ``used`` flips when a finding is
-    actually absorbed, enabling unused-suppression reporting.
+    ``--`` (empty means malformed).  ``absorbed`` collects the names
+    whose findings it actually swallowed; the unused-suppression audit
+    reads it name by name.
     """
 
     line: int
     comment_line: int
     rules: frozenset[str]
     justification: str
-    used: bool = False
+    absorbed: set[str] = field(default_factory=set)
 
     @property
     def valid(self) -> bool:
@@ -85,7 +91,7 @@ class FileContext:
         col = getattr(node, "col_offset", 0) + 1
         for suppression in self.suppressions.get(line, ()):
             if suppression.valid and rule_name in suppression.rules:
-                suppression.used = True
+                suppression.absorbed.add(rule_name)
                 return
         self.diagnostics.append(
             Diagnostic(path=self.path, line=line, col=col, rule=rule_name, message=message)
@@ -93,13 +99,16 @@ class FileContext:
 
 
 class Rule:
-    """Base class for all lint rules.
+    """Base class for every check, per-file rule or whole-program pass.
 
     Subclasses set :attr:`name` (the suppression/CLI identifier),
     :attr:`description` (one line, for ``--list-rules`` and docs),
     :attr:`scope` (directory prefixes, ``/``-separated and relative to
     the repo root, the rule applies to — empty means everywhere), and
-    :attr:`allow` (exact relative paths exempt even inside the scope).
+    :attr:`allow` (exact relative paths exempt even inside the scope),
+    and override :meth:`check` or :meth:`check_program`.  A pass's
+    scope applies to the file a finding *lands in*; the analysis itself
+    always sees the whole program.
     """
 
     name: str = ""
@@ -120,12 +129,14 @@ class Rule:
         )
 
     def check(self, context: FileContext) -> None:
-        """Walk ``context.tree`` and report findings; override me."""
-        raise NotImplementedError
+        """Walk one file's ``context.tree`` and report findings."""
+
+    def check_program(self, program: "ProgramContext") -> None:
+        """Analyze the whole program; report via ``program.report``."""
 
 
 def default_rules() -> tuple[Rule, ...]:
-    """The full rule catalog, in stable (documentation) order."""
+    """The full check catalog, in stable (documentation) order."""
     from repro.analysis.checks import all_rules
 
     return all_rules()

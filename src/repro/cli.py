@@ -1,18 +1,20 @@
 """Command-line interface: compile, inspect, and simulate RLD solutions.
 
-Three subcommands, mirroring the library's workflow::
+Four subcommands, mirroring the library's workflow::
 
     python -m repro compile  --query q1 --nodes 4 --capacity 380 --level 3
     python -m repro diagram  --query q1 --dims sel:1 sel:3 --level 4
     python -m repro simulate --query q1 --nodes 4 --capacity 380 --level 3 \
         --duration 300 --strategies ROD DYN RLD
+    python -m repro lint
 
 ``compile`` prints the robust logical solution and physical plan;
 ``diagram`` renders the 2-D plan diagram of a space as ASCII;
 ``simulate`` runs the §6.5 strategy comparison and prints the table;
-``lint`` runs the :mod:`repro.analysis` invariant checker over the
-tree (``repro lint --format json`` for machine consumption, exit code
-1 on findings — the gate ``make lint`` and CI run).
+``lint`` runs every :mod:`repro.analysis` check — the per-file rules
+and the whole-program passes — over the tree in one run
+(``--format json`` for machine consumption, exit code 1 on findings —
+the gate ``make lint`` and CI run).
 ``simulate --faults`` additionally injects infrastructure failures
 (see :meth:`repro.engine.faults.FaultSchedule.parse` for the grammar;
 ``--faults random`` generates seeded chaos)::
@@ -219,68 +221,28 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _analysis_paths(args: argparse.Namespace) -> tuple[Path, list[Path]]:
-    """Resolve ``--root`` and the requested paths; exit on missing ones."""
+def _cmd_lint(args: argparse.Namespace) -> int:
+    from repro.analysis import LintRunner, render_json, render_text
+    from repro.analysis.rules import default_rules, resolve_rules
+
+    checks = default_rules()
+    if args.list_rules:
+        width = max(len(check.name) for check in checks)
+        for check in checks:
+            print(f"{check.name:<{width}}  {check.description}")
+        return 0
+    try:
+        checks = resolve_rules(checks, args.disable or ())
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from exc
     root = Path(args.root).resolve()
     paths = [root / p for p in (args.paths or ["src/repro"])]
     missing = [str(p) for p in paths if not p.exists()]
     if missing:
         raise SystemExit(f"no such path(s): {', '.join(missing)}")
-    return root, paths
-
-
-def _emit_report(report, args: argparse.Namespace, root: Path) -> int:
-    """Apply ``--diff`` filtering, render, and return the exit code."""
-    from repro.analysis import render_json, render_text
-
-    if args.diff is not None:
-        from repro.analysis.diff import changed_files, filter_report
-
-        try:
-            report = filter_report(report, changed_files(root, args.diff))
-        except ValueError as exc:
-            raise SystemExit(str(exc)) from exc
+    report = LintRunner(checks, root=root).run(paths)
     print(render_json(report) if args.format == "json" else render_text(report))
     return report.exit_code
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import LintRunner
-    from repro.analysis.rules import default_rules, resolve_rules
-
-    rules = default_rules()
-    if args.list_rules:
-        width = max(len(rule.name) for rule in rules)
-        for rule in rules:
-            print(f"{rule.name:<{width}}  {rule.description}")
-        return 0
-    try:
-        rules = resolve_rules(rules, args.disable or ())
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
-    root, paths = _analysis_paths(args)
-    report = LintRunner(rules, root=root).run(paths)
-    return _emit_report(report, args, root)
-
-
-def _cmd_audit(args: argparse.Namespace) -> int:
-    from repro.analysis import AuditRunner
-    from repro.analysis.audit import all_passes
-    from repro.analysis.rules import resolve_rules
-
-    passes = all_passes()
-    if args.list_passes:
-        width = max(len(p.name) for p in passes)
-        for audit_pass in passes:
-            print(f"{audit_pass.name:<{width}}  {audit_pass.description}")
-        return 0
-    try:
-        passes = resolve_rules(passes, args.disable or ())
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
-    root, paths = _analysis_paths(args)
-    report = AuditRunner(passes, root=root).run(paths)
-    return _emit_report(report, args, root)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,61 +312,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.set_defaults(handler=_cmd_simulate)
 
-    def analysis_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "paths",
-            nargs="*",
-            help="files/directories relative to --root (default: src/repro)",
-        )
-        p.add_argument(
-            "--format", choices=("text", "json"), default="text", help="output format"
-        )
-        p.add_argument(
-            "--root",
-            default=".",
-            help="repository root that rule path scopes are resolved against",
-        )
-        p.add_argument(
-            "--disable",
-            nargs="*",
-            metavar="RULE",
-            help="rule names to skip for this run",
-        )
-        p.add_argument(
-            "--diff",
-            metavar="REV",
-            default=None,
-            help=(
-                "report only findings in files changed since REV "
-                "(git diff + untracked); analysis still covers everything"
-            ),
-        )
-
     p_lint = sub.add_parser(
-        "lint", help="run the repro-lint invariant checker (repro.analysis)"
+        "lint",
+        help="run the static checks: per-file rules and whole-program passes",
     )
-    analysis_common(p_lint)
+    p_lint.add_argument(
+        "paths",
+        nargs="*",
+        help="files/directories relative to --root (default: src/repro)",
+    )
+    p_lint.add_argument(
+        "--format", choices=("text", "json"), default="text", help="output format"
+    )
+    p_lint.add_argument(
+        "--root",
+        default=".",
+        help="repository root that check path scopes are resolved against",
+    )
+    p_lint.add_argument(
+        "--disable",
+        nargs="*",
+        metavar="RULE",
+        help="check names to skip for this run",
+    )
     p_lint.add_argument(
         "--list-rules",
         action="store_true",
-        help="print the rule catalog and exit",
+        help="print the check catalog and exit",
     )
     p_lint.set_defaults(handler=_cmd_lint)
-
-    p_audit = sub.add_parser(
-        "audit",
-        help=(
-            "run the whole-program audit passes (call-graph, aliasing, "
-            "fault-path, RNG discipline)"
-        ),
-    )
-    analysis_common(p_audit)
-    p_audit.add_argument(
-        "--list-passes",
-        action="store_true",
-        help="print the audit-pass catalog and exit",
-    )
-    p_audit.set_defaults(handler=_cmd_audit)
     return parser
 
 

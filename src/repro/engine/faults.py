@@ -71,7 +71,7 @@ class FaultError(Exception):
     Deliberately a direct ``Exception`` subclass (not ``RuntimeError``)
     so a strategy's own ``except RuntimeError`` cleanup can never
     swallow the sanctioned signal by accident.  The static side of the
-    same contract is the ``fault-hook-raises`` audit pass.
+    same contract is ``repro lint``'s ``fault-hook-raises`` pass.
     """
 
 #: Every fault kind the simulator understands.
@@ -148,6 +148,7 @@ class FaultEvent:
 
 def node_crash(time: float, node: int, duration: float) -> tuple[FaultEvent, ...]:
     """A node failing at ``time`` and rejoining after ``duration``."""
+    ensure_finite(time, "fault time")
     ensure_positive(duration, "duration")
     return (
         FaultEvent(time=time, kind="crash", node=node),
@@ -159,6 +160,7 @@ def node_slowdown(
     time: float, node: int, factor: float, duration: float
 ) -> tuple[FaultEvent, ...]:
     """A node running at ``factor`` of its capacity for ``duration``."""
+    ensure_finite(time, "fault time")
     ensure_positive(duration, "duration")
     return (
         FaultEvent(time=time, kind="slowdown", node=node, factor=factor),
@@ -170,6 +172,7 @@ def network_degradation(
     time: float, factor: float, duration: float
 ) -> tuple[FaultEvent, ...]:
     """Inter-node transfers slowed ``factor``× for ``duration``."""
+    ensure_finite(time, "fault time")
     ensure_positive(duration, "duration")
     return (
         FaultEvent(time=time, kind="degrade", factor=factor),
@@ -179,6 +182,7 @@ def network_degradation(
 
 def network_partition(time: float, duration: float) -> tuple[FaultEvent, ...]:
     """Cross-node hops dropped for ``duration`` seconds."""
+    ensure_finite(time, "fault time")
     ensure_positive(duration, "duration")
     return (
         FaultEvent(time=time, kind="partition"),
@@ -188,6 +192,7 @@ def network_partition(time: float, duration: float) -> tuple[FaultEvent, ...]:
 
 def monitor_dropout(time: float, duration: float) -> tuple[FaultEvent, ...]:
     """Statistics sampling suspended for ``duration`` seconds."""
+    ensure_finite(time, "fault time")
     ensure_positive(duration, "duration")
     return (
         FaultEvent(time=time, kind="monitor_dropout"),
@@ -390,7 +395,10 @@ class FaultSchedule:
         if not at:
             raise ValueError(f"bad fault entry {entry!r}; expected kind@time[:...]")
         fields = rest.split(":")
-        time = float(fields[0])
+        # NaN keeps its ">= 0" message; +inf would schedule nothing.
+        time = ensure_finite(
+            ensure_non_negative(float(fields[0]), "fault time"), "fault time"
+        )
         params: dict[str, float] = {}
         for token in fields[1:]:
             key, eq, value = token.partition("=")

@@ -63,8 +63,11 @@ class SimulationReport:
     #: FaultError` — the strategy failed to degrade, but the run (and
     #: this ledger) survived.
     fault_hook_errors: int = 0
-    #: (completion time, input-tuple weight, latency seconds) per batch.
-    _completions: list[tuple[float, float, float]] = field(default_factory=list)
+    #: (completion time, input-tuple weight, latency seconds, output
+    #: tuples) per batch.
+    _completions: list[tuple[float, float, float, float]] = field(
+        default_factory=list
+    )
 
     def record_batch(
         self,
@@ -79,7 +82,7 @@ class SimulationReport:
         self.batches_completed += 1
         self.tuples_out += output_tuples
         self._completions.append(
-            (completed_at, input_tuples, completed_at - created_at)
+            (completed_at, input_tuples, completed_at - created_at, output_tuples)
         )
 
     # ------------------------------------------------------------------
@@ -93,10 +96,10 @@ class SimulationReport:
         NaN when nothing completed — an honest signal of a total stall
         rather than a misleading zero.
         """
-        total_weight = sum(w for _, w, _ in self._completions)
+        total_weight = sum(w for _, w, _, _ in self._completions)
         if total_weight == 0:
             return math.nan
-        weighted = sum(w * latency for _, w, latency in self._completions)
+        weighted = sum(w * latency for _, w, latency, _ in self._completions)
         return 1000.0 * weighted / total_weight
 
     def latency_percentile_ms(self, percentile: float) -> float:
@@ -105,7 +108,7 @@ class SimulationReport:
             raise ValueError(f"percentile must be in [0, 100], got {percentile}")
         if not self._completions:
             return math.nan
-        latencies = sorted(latency for _, _, latency in self._completions)
+        latencies = sorted(latency for _, _, latency, _ in self._completions)
         rank = (percentile / 100.0) * (len(latencies) - 1)
         lo = int(math.floor(rank))
         hi = int(math.ceil(rank))
@@ -125,14 +128,15 @@ class SimulationReport:
             raise ValueError(f"interval must be > 0, got {interval_seconds}")
         if weights not in ("output", "input"):
             raise ValueError(f"weights must be 'output' or 'input', got {weights!r}")
-        completions = sorted(self._completions)
-        outputs = self._outputs_sorted() if weights == "output" else None
+        # Each series keeps its own sort key — (t, output) and
+        # (t, input, latency) — so tied completions sum in a fixed order.
+        if weights == "output":
+            events = sorted((t, out) for t, _, _, out in self._completions)
+        else:
+            events = [(t, w) for t, w, _, _ in sorted(self._completions)]
         series: list[tuple[float, float]] = []
         cumulative = 0.0
         i = 0
-        events = outputs if outputs is not None else [
-            (t, w) for t, w, _ in completions
-        ]
         boundary = interval_seconds
         while boundary <= self.duration + 1e-9:
             while i < len(events) and events[i][0] <= boundary:
@@ -141,16 +145,6 @@ class SimulationReport:
             series.append((boundary, cumulative))
             boundary += interval_seconds
         return series
-
-    #: (completion time, output tuples) per batch, for the timeline.
-    _output_events: list[tuple[float, float]] = field(default_factory=list)
-
-    def record_output(self, completed_at: float, output_tuples: float) -> None:
-        """Record a batch's output contribution for the throughput timeline."""
-        self._output_events.append((completed_at, output_tuples))
-
-    def _outputs_sorted(self) -> list[tuple[float, float]]:
-        return sorted(self._output_events)
 
     @property
     def overhead_fraction(self) -> float:

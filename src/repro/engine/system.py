@@ -428,7 +428,6 @@ class StreamSimulator:
             input_tuples=batch.initial_size,
             output_tuples=batch.size,
         )
-        self.report.record_output(time, batch.size)
         if self._trace is not None:
             self._trace.record(
                 TraceEvent(

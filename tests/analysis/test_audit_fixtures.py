@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import AuditRunner
+from repro.analysis import LintRunner
 
 FIXTURES = Path(__file__).parent / "fixtures" / "audit"
 
@@ -41,7 +41,7 @@ GOOD_PACKAGES = ["good_tree"]
 
 
 def _audit(package: str):
-    runner = AuditRunner(respect_scopes=False, root=FIXTURES)
+    runner = LintRunner(respect_scopes=False, root=FIXTURES)
     return runner.run([FIXTURES / package])
 
 
@@ -95,6 +95,6 @@ def test_suppression_absorbs_audit_finding(tmp_path: Path) -> None:
         "# repro-lint: disable=shared-node-state -- test shared ledger\n"
         "    return a, b\n"
     )
-    runner = AuditRunner(respect_scopes=False, root=tmp_path)
+    runner = LintRunner(respect_scopes=False, root=tmp_path)
     report = runner.run([package])
     assert report.diagnostics == []

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import LintRunner, lint_paths, render_json, render_text
+from repro.analysis import LintRunner, render_json, render_text
 from repro.analysis.rules import default_rules, resolve_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -22,6 +22,9 @@ def test_default_rules_catalog() -> None:
         "no-float-eq",
         "no-mutable-default",
         "no-module-mutable-state",
+        "shared-node-state",
+        "fault-hook-raises",
+        "shared-rng",
     ]
     for rule in rules:
         assert rule.description
@@ -53,6 +56,20 @@ def test_allowlisted_file_is_exempt(tmp_path: Path) -> None:
     rng_home.write_text("import random\n")
     report = LintRunner(root=tmp_path).run([tmp_path])
     assert report.diagnostics == []
+
+
+def test_file_outside_root_is_checked(tmp_path: Path) -> None:
+    """A requested file outside ``root`` is still parsed, checked and
+    placed in the program graph, under its absolute path."""
+    outside = tmp_path / "elsewhere" / "mod.py"
+    outside.parent.mkdir()
+    outside.write_text("import random\n")
+    (tmp_path / "root").mkdir()
+    runner = LintRunner(respect_scopes=False, root=tmp_path / "root")
+    report = runner.run([outside])
+    assert [(d.path, d.rule) for d in report.diagnostics] == [
+        (outside.resolve().as_posix(), "no-unseeded-rng")
+    ]
 
 
 def test_hidden_and_pycache_dirs_skipped(tmp_path: Path) -> None:
@@ -88,8 +105,13 @@ def test_clean_report_exit_code_zero(tmp_path: Path) -> None:
 
 
 def test_repo_tree_is_lint_clean() -> None:
-    """The acceptance gate: the shipped tree has zero findings."""
-    report = lint_paths([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
+    """The acceptance gate: the shipped tree has zero findings under
+    every check, per-file rules and whole-program passes alike.
+
+    Frozen shared arrays are checked at runtime, not here: see
+    ``tests/core/test_logical.py::test_every_array_a_compiled_solution_holds_is_frozen``.
+    """
+    report = LintRunner(root=REPO_ROOT).run([REPO_ROOT / "src" / "repro"])
     assert report.files_checked > 50
     offenders = [d.location() + f" {d.rule}" for d in report.diagnostics]
     assert offenders == []

@@ -43,10 +43,7 @@ GOOD_FIXTURES = [
 
 
 def _check(name: str):
-    runner = LintRunner(respect_scopes=False, root=FIXTURES)
-    context = runner.check_file(FIXTURES / name)
-    assert context is not None
-    return context
+    return LintRunner(respect_scopes=False, root=FIXTURES).run([FIXTURES / name])
 
 
 @pytest.mark.parametrize("name", sorted(BAD_FIXTURES))

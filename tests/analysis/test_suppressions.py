@@ -61,10 +61,7 @@ def test_unparsable_source_yields_no_suppressions() -> None:
 def _lint_snippet(tmp_path: Path, source: str):
     target = tmp_path / "snippet.py"
     target.write_text(source)
-    runner = LintRunner(respect_scopes=False, root=tmp_path)
-    context = runner.check_file(target)
-    assert context is not None
-    return context
+    return LintRunner(respect_scopes=False, root=tmp_path).run([target])
 
 
 def test_valid_suppression_absorbs_and_counts_as_used(tmp_path: Path) -> None:
@@ -107,10 +104,8 @@ def test_unused_suppression_not_reported_for_inactive_rules(tmp_path: Path) -> N
         "    return time.time()  # repro-lint: disable=no-wallclock -- test\n"
     )
     rules = resolve_rules(default_rules(), ["no-wallclock"])
-    runner = LintRunner(rules, respect_scopes=False, root=tmp_path)
-    context = runner.check_file(target)
-    assert context is not None
-    assert context.diagnostics == []
+    report = LintRunner(rules, respect_scopes=False, root=tmp_path).run([target])
+    assert report.diagnostics == []
 
 
 def test_bad_suppression_reported_at_comment_line(tmp_path: Path) -> None:

@@ -127,6 +127,31 @@ class TestFaultEvent:
         degrade, heal = network_degradation(1.0, 4.0, 2.0)
         assert degrade.factor == 4.0 and heal.factor == 1.0
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda t: node_crash(t, 0, 5.0),
+            lambda t: node_slowdown(t, 0, 0.5, 5.0),
+            lambda t: network_degradation(t, 4.0, 5.0),
+            lambda t: network_partition(t, 5.0),
+            lambda t: monitor_dropout(t, 5.0),
+        ],
+    )
+    def test_fault_pairs_reject_infinite_start(self, build):
+        with pytest.raises(ValueError, match="fault time must be finite, got inf"):
+            build(math.inf)
+
+    @pytest.mark.parametrize(
+        "spec", ["crash@inf:node=0", "crash@inf:node=0:for=5", "partition@inf:for=5"]
+    )
+    def test_parse_rejects_infinite_start(self, spec):
+        with pytest.raises(ValueError, match="fault time must be finite, got inf"):
+            FaultSchedule.parse(spec, n_nodes=1, duration=60.0)
+
+    def test_event_still_accepts_infinite_time(self):
+        # A for=inf outage builds its reversal at inf (see above).
+        assert FaultEvent(time=math.inf, kind="heal").time == math.inf
+
 
 class TestFaultSchedule:
     def test_events_sorted_by_time(self):
@@ -411,7 +436,7 @@ class TestFaultHookErrors:
     ``on_fault`` hooks may raise :class:`FaultError` (and only that);
     the simulator counts each in ``report.fault_hook_errors`` and keeps
     going — the fault it injected must still be measured.  The static
-    counterpart is the ``fault-hook-raises`` audit pass.
+    counterpart is ``repro lint``'s ``fault-hook-raises`` pass.
     """
 
     def _run(self, scenario, strategy_cls, *, trace=None):

@@ -44,9 +44,9 @@ class TestLatency:
 class TestTimeline:
     def test_cumulative_output_series(self):
         report = SimulationReport(duration=180.0)
-        report.record_output(30.0, 10.0)
-        report.record_output(70.0, 20.0)
-        report.record_output(130.0, 5.0)
+        report.record_batch(0.0, 30.0, input_tuples=100.0, output_tuples=10.0)
+        report.record_batch(0.0, 70.0, input_tuples=100.0, output_tuples=20.0)
+        report.record_batch(0.0, 130.0, input_tuples=100.0, output_tuples=5.0)
         series = report.produced_timeline(60.0)
         assert series == [(60.0, 10.0), (120.0, 30.0), (180.0, 35.0)]
 

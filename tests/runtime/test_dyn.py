@@ -109,7 +109,7 @@ class _ExplodingSimulator:
 
 class TestDYNFaultHook:
     def test_evacuation_failure_becomes_fault_error(self, skewed_query):
-        """Regression (found by `repro audit`): migrate() can raise
+        """Regression (found by the `fault-hook-raises` pass): migrate() can raise
         RuntimeError/ValueError out of on_fault, past the engine's
         fault accounting.  The hook must convert to FaultError."""
         strategy = DYNStrategy(skewed_query, Cluster.homogeneous(2, 600.0))

@@ -92,6 +92,15 @@ class TestBadInput:
                 ["simulate", "--faults", "slowdown@10:node=0:factor=inf:for=30"],
                 "factor must be finite, got inf",
             ),
+            # An infinite start time used to be accepted and never fire.
+            (
+                ["simulate", "--faults", "crash@inf:node=0:for=5"],
+                "fault time must be finite, got inf",
+            ),
+            (
+                ["simulate", "--faults", "partition@inf:for=5"],
+                "fault time must be finite, got inf",
+            ),
         ],
     )
     def test_exits_with_one_line(self, argv, message):
@@ -109,7 +118,14 @@ class TestBadInput:
         assert len(lines) == 1 and message in lines[0], result.stderr
 
     @pytest.mark.parametrize(
-        "spec", ["random:crashes=-1", "crash@10:node=1.7:for=5", "explode"]
+        "spec",
+        [
+            "random:crashes=-1",
+            "crash@10:node=1.7:for=5",
+            "explode",
+            "crash@inf:node=0:for=5",
+            "partition@inf:for=5",
+        ],
     )
     def test_bad_faults_spec_fails_before_the_compile(self, monkeypatch, spec):
         def no_compile(*args, **kwargs):
