@@ -10,7 +10,8 @@ thin CLI shell around it).  A run
    so ``#`` inside string literals can never masquerade as a
    suppression) — and runs every per-file check whose scope covers it,
 3. builds one :class:`~repro.analysis.graph.ProgramGraph` over the
-   parsed files and runs every whole-program check over it, and
+   parsed files and runs every whole-program check over it (no graph
+   is built when no such check is active), and
 4. appends ``bad-suppression`` / ``unused-suppression`` findings for
    malformed or dead escape hatches, judged against every check that
    ran on the file.
@@ -193,11 +194,21 @@ class LintRunner:
         known_names = {
             check.name for check in (*default_rules(), *self.checks)
         } | {BAD_SUPPRESSION, UNUSED_SUPPRESSION}
-        program = ProgramContext(
-            build_graph(parsed, self.root), modules, respect_scopes=self.respect_scopes
-        )
-        for check in self.checks:
-            check.check_program(program)
+        # The call graph is built only for a whole-program pass: a run
+        # of per-file rules alone never reads it.
+        passes = [
+            check
+            for check in self.checks
+            if type(check).check_program is not Rule.check_program
+        ]
+        if passes:
+            program = ProgramContext(
+                build_graph(parsed, self.root),
+                modules,
+                respect_scopes=self.respect_scopes,
+            )
+            for check in passes:
+                check.check_program(program)
         for context in contexts:
             self._audit_suppressions(context, known_names)
             report.diagnostics.extend(context.diagnostics)

@@ -14,22 +14,31 @@ the plans, this class derives what the rest of the pipeline needs:
 * each plan's **worst-case** (Def. 3) and **typical** per-operator
   loads over its cells.
 
-All of them come from one fused pass over row-major flat grid indices,
-in blocks: per block, one value matrix, the labels, one
-occurrence-mass lookup and each plan's loads over its own rows.  The
-labels are a running minimum: plans are priced one at a time in
+The labels are a running minimum: plans are priced one at a time in
 ``plan.order`` rank order, and a point's label moves only to a plan
 strictly cheaper than the best so far, so an exact tie stays with the
-smaller ``plan.order``.  Each plan's loads are written straight into
-one ``(n_operators, rows)`` buffer in ``query.operator_ids`` order and
-folded into maxima and sums.  The plan-label array is kept on its own, so
+smaller ``plan.order``.  An exact grid (up to :data:`MAX_SCAN_POINTS`
+points) is priced on its product structure: each axis's frozen values,
+reshaped to broadcast along that axis only, go through the cost
+kernels slab by slab (:data:`SCAN_SLAB_ROWS`), so no coordinate matrix
+is gathered and no whole-grid float temporary is built.  Above the
+cap, the scan visits a fixed-seed sample, one gathered value matrix
+per block; weights become estimates, and worst-case loads come from
+the space's top corner, which bounds every point.
+
+Weights and loads come from one fold over blocks of
+:data:`SCAN_BLOCK_ROWS` rows (:func:`row_blocks`), shared by both
+scans.  An exact block expands its axis values and, under the normal
+model, the outer product of the per-dimension mass tables over its
+run of flat positions; a sampled block gathers them.  Each block is
+sorted by label once, and each plan's loads over its own points are
+written into one ``(n_operators, rows)`` buffer in
+``query.operator_ids`` order and folded into maxima and sums, one
+term per block, so every sum adds in the same order however the
+labels were made.  The plan-label array is kept on its own, so
 :meth:`RobustLogicalSolution.plan_cells` alone needs only the label
-part.  The pass is exact up to :data:`MAX_SCAN_POINTS` grid points;
-above it, the pass visits a fixed-seed sample, weights become
-estimates, and worst-case loads come from the space's top corner,
-which bounds every point.  The pass's block iterator
-(:func:`row_blocks`) also drives the ε-coverage harness in
-:mod:`repro.core.robustness`.
+part.  The ε-coverage harness in :mod:`repro.core.robustness` prices
+its slabs at the same :data:`SCAN_SLAB_ROWS`.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ import numpy as np
 from repro.core.correlation import CorrelatedOccurrenceModel
 from repro.core.occurrence import NormalOccurrenceModel
 from repro.core.parameter_space import ParameterSpace, Region
-from repro.query.cost import PlanCostModel
+from repro.query.cost import PlanCostModel, Value
 from repro.query.model import Query
 from repro.query.plans import LogicalPlan
 from repro.util.rng import derive_rng
@@ -59,7 +68,13 @@ __all__ = ["RobustLogicalSolution", "PlanDiscovery"]
 MAX_SCAN_POINTS = 1 << 18
 
 #: Grid points evaluated together, bounding the scan's working memory.
+#: Every sum of the pass is grouped by these blocks.
 SCAN_BLOCK_ROWS = 8_192
+
+#: Most grid points in one slab of the exact label scan: the size of
+#: its largest temporaries.  Room for one leading-axis slab of the
+#: default q1 space (16,807 points).
+SCAN_SLAB_ROWS = 1 << 15
 
 #: Either §5.2 occurrence model: both expose ``masses(flat)``.
 OccurrenceModel = NormalOccurrenceModel | CorrelatedOccurrenceModel
@@ -221,64 +236,83 @@ class RobustLogicalSolution:
         """Number of grid points the robustness scan visits."""
         return min(self._space.n_points, MAX_SCAN_POINTS)
 
-    def _scanned_flat(self) -> IntArray:
-        """Row-major flat indices of the scanned grid points, ascending.
+    def _sampled_flat(self) -> IntArray:
+        """Row-major flat indices of the sampled grid points, ascending.
 
-        The whole grid when it is small; otherwise a fixed-seed uniform
-        sample of :data:`MAX_SCAN_POINTS` distinct points.
+        A fixed-seed uniform sample of :data:`MAX_SCAN_POINTS` distinct
+        points, drawn once; exact grids are scanned without one.
         """
-        n_points = self._space.n_points
-        if not self.uses_sampled_grid:
-            return np.arange(n_points)
         if self._sample is None:
             rng = derive_rng(20121107)  # fixed: results must be stable
-            sample = np.sort(rng.choice(n_points, size=MAX_SCAN_POINTS, replace=False))
+            sample = np.sort(
+                rng.choice(self._space.n_points, size=MAX_SCAN_POINTS, replace=False)
+            )
             sample.setflags(write=False)
             self._sample = sample
         return self._sample
 
-    def _label_block(self, values: FloatArray, names: list[str]) -> IntArray:
-        """Index of the cheapest plan at each row of a value block.
+    def _cheapest(
+        self, rate: Value, sels: list[Value], shape: tuple[int, ...]
+    ) -> IntArray:
+        """Index of the cheapest plan at every point of a priced batch.
 
-        The block is resolved once; each plan is then priced in
-        ``plan.order`` rank order against a running minimum, and a row's
-        label moves only where a plan is strictly cheaper.  So an exact
-        cost tie keeps the earlier, smaller ``plan.order`` — the
-        ``(cost, plan.order)`` key of :meth:`best_plan_at`.
+        ``rate`` and ``sels`` are resolved statistics that broadcast to
+        ``shape``; labels come back flat, in C order.  Plans are priced
+        one at a time in ``plan.order`` rank order against a running
+        minimum, and a point's winner moves only to a plan strictly
+        cheaper than the best so far, so an exact cost tie keeps the
+        smaller ``plan.order`` — the ``(cost, plan.order)`` key of
+        :meth:`best_plan_at`.  Ranks only grow along the loop, so the
+        winning rank is a running maximum of ``rank × cheaper``.
         """
         pricing = self._cost_model
-        rate, sels = pricing.resolve_columns(values, names)
         first, *rest = self._by_rank
-        best = pricing.cost_at(pricing.steps(self._plans[first]), rate, sels)
-        labels = np.full(len(best), first, dtype=np.intp)
-        for i in rest:
-            costs = pricing.cost_at(pricing.steps(self._plans[i]), rate, sels)
-            cheaper = costs < best
+        best = np.empty(shape)
+        best[...] = pricing.cost_at(pricing.steps(self._plans[first]), rate, sels)
+        costs = np.empty(shape)
+        cheaper = np.empty(shape, dtype=bool)
+        rank_type = np.min_scalar_type(len(rest)).type
+        winner = np.zeros(shape, dtype=rank_type)
+        for rank, i in enumerate(rest, start=1):
+            costs[...] = pricing.cost_at(pricing.steps(self._plans[i]), rate, sels)
+            np.less(costs, best, out=cheaper)
             np.minimum(best, costs, out=best)
-            labels[cheaper] = i
-        return labels
+            np.maximum(winner, cheaper * rank_type(rank), out=winner)
+        return self._by_rank[winner.reshape(-1)]
 
     def _plan_labels(self) -> IntArray:
         """Index into :attr:`plans` of the cheapest plan at each scanned point.
 
         The label part of the pass alone, for callers that need only
-        the cells; a later full pass reuses it.
+        the cells; a later full pass reuses it.  An exact grid is priced
+        slab by slab on its broadcast axis columns; a sample, block by
+        block on its gathered value matrix.
         """
         if self._labels is None:
-            flat = self._scanned_flat()
-            names = list(self._space.names)
-            labels = np.empty(len(flat), dtype=np.intp)
-            for rows in row_blocks(len(flat)):
-                values = self._space.points_matrix(flat[rows])
-                labels[rows] = self._label_block(values, names)
+            if self.uses_sampled_grid:
+                flat = self._sampled_flat()
+                labels = np.empty(len(flat), dtype=np.intp)
+                for rows in row_blocks(len(flat)):
+                    columns = tuple(self._space.points_matrix(flat[rows]).T)
+                    labels[rows] = self._label_columns(columns)
+            else:
+                labels = np.empty(self._space.n_points, dtype=np.intp)
+                for rows, columns in self._space.slabs(SCAN_SLAB_ROWS):
+                    labels[rows] = self._label_columns(columns)
             labels.setflags(write=False)
             self._labels = labels
         return self._labels
 
+    def _label_columns(self, columns: tuple[FloatArray, ...]) -> IntArray:
+        """:meth:`_cheapest` over value columns in space-dimension order."""
+        rate, sels = self._cost_model.resolve_axes(columns, self._space.names)
+        shape = np.broadcast_shapes(*(column.shape for column in columns))
+        return self._cheapest(rate, sels, shape)
+
     def _cells_of(self, plan: LogicalPlan) -> IntArray:
         """Sorted flat indices of the scanned points where ``plan`` wins."""
         rows = np.flatnonzero(self._plan_labels() == self._plans.index(plan))
-        return self._scanned_flat()[rows] if self.uses_sampled_grid else rows
+        return self._sampled_flat()[rows] if self.uses_sampled_grid else rows
 
     def plan_cells(self) -> dict[LogicalPlan, IntArray]:
         """Partition of the scanned grid points by cheapest plan.
@@ -303,20 +337,55 @@ class RobustLogicalSolution:
             self._default_occurrence = NormalOccurrenceModel(self._space)
         return self._default_occurrence
 
+    def _blocks(
+        self, model: OccurrenceModel
+    ) -> Iterator[tuple[IntArray, tuple[FloatArray, ...], FloatArray]]:
+        """Each scan block's labels, value columns and occurrence masses.
+
+        Blocks are :func:`row_blocks` of the scanned points.  An exact
+        grid expands its axis values and, under the normal model, its
+        per-dimension mass tables over each block's run of flat
+        positions; a sample gathers one value matrix per block and takes
+        its labels from that same matrix unless they are already kept.
+        """
+        space = self._space
+        if not self.uses_sampled_grid:
+            labels = self._plan_labels()
+            for rows in row_blocks(space.n_points):
+                if isinstance(model, NormalOccurrenceModel):
+                    masses = model.range_masses(rows)
+                else:
+                    masses = model.masses(np.arange(*rows.indices(space.n_points)))
+                yield labels[rows], space.range_columns(rows), masses
+            return
+        flat = self._sampled_flat()
+        kept = self._labels
+        labels = np.empty(len(flat), dtype=np.intp) if kept is None else kept
+        for rows in row_blocks(len(flat)):
+            columns = tuple(space.points_matrix(flat[rows]).T)
+            if kept is None:
+                labels[rows] = self._label_columns(columns)
+            yield labels[rows], columns, model.masses(flat[rows])
+        if kept is None:
+            labels.setflags(write=False)
+            self._labels = labels
+
     def _fused_pass(self, occurrence: OccurrenceModel | None) -> _PassResult:
         """One walk over the scanned points, memoized per occurrence model.
 
-        Per block: one value matrix, the labels (unless already kept),
-        one ``masses`` call, the weights' ``bincount``, and each plan's
-        loads over its own rows only, folded into per-operator maxima
-        and sums.  Blocks group weights exactly as the label-only scan
-        does, so weights do not depend on which ran first.
+        Per block (:meth:`_blocks`): the weights' ``bincount``, then one
+        stable sort of the block by label, so each plan's points sit in
+        one run in ascending flat order.  Each plan's loads over its run
+        are written into one ``(n_operators, points)`` buffer in
+        ``query.operator_ids`` order and folded into per-operator maxima
+        and sums.  Exact and sampled scans share this fold; every sum is
+        grouped by block, so results do not depend on whether the labels
+        came first or with the pass.
         """
         model = self._occurrence(occurrence)
         if self._pass is not None and self._pass.occurrence is model:
             return self._pass
-        flat = self._scanned_flat()
-        names = list(self._space.names)
+        names = self._space.names
         pricing = self._cost_model
         n_plans, n_ops = len(self._plans), len(self._query.operator_ids)
         row_of = {op_id: row for row, op_id in enumerate(self._query.operator_ids)}
@@ -325,34 +394,32 @@ class RobustLogicalSolution:
             (pricing.steps(plan), [row_of[op_id] for op_id in plan])
             for plan in self._plans
         ]
-        kept = self._labels
-        labels = np.empty(len(flat), dtype=np.intp) if kept is None else kept
+        #: The narrowest label type: NumPy sorts it by radix.
+        label_type = np.min_scalar_type(n_plans - 1)
         mass = np.zeros(n_plans)
         worst = np.full((n_plans, n_ops), -np.inf)
         weighted = np.zeros((n_plans, n_ops))
         plain = np.zeros((n_plans, n_ops))
-        for rows in row_blocks(len(flat)):
-            block = flat[rows]
-            values = self._space.points_matrix(block)
-            if kept is None:
-                labels[rows] = self._label_block(values, names)
-            block_labels = labels[rows]
-            masses = model.masses(block)
+        for block_labels, columns, masses in self._blocks(model):
             mass += np.bincount(block_labels, weights=masses, minlength=n_plans)
-            for i, (steps, op_rows) in enumerate(layouts):
-                mine = np.flatnonzero(block_labels == i)
-                if not len(mine):
+            ends = np.cumsum(np.bincount(block_labels, minlength=n_plans)).tolist()
+            order = np.argsort(block_labels.astype(label_type), kind="stable")
+            columns = tuple(column[order] for column in columns)
+            masses = masses[order]
+            start = 0
+            for i, ((steps, op_rows), end) in enumerate(zip(layouts, ends)):
+                if end == start:
                     continue
-                rate, sels = pricing.resolve_columns(values[mine], names)
-                loads = np.empty((n_ops, len(mine)))
+                run = slice(start, end)
+                rate, sels = pricing.resolve_axes([c[run] for c in columns], names)
+                loads = np.empty((n_ops, end - start))
                 for row, load in zip(op_rows, pricing.loads_at(steps, rate, sels)):
                     loads[row] = load
                 worst[i] = np.maximum(worst[i], loads.max(axis=1))
-                weighted[i] += loads @ masses[mine]
+                weighted[i] += loads @ masses[run]
                 plain[i] += loads.sum(axis=1)
-        if kept is None:
-            labels.setflags(write=False)
-            self._labels = labels
+                start = end
+        labels = self._plan_labels()
         counts = np.bincount(labels, minlength=n_plans)
         for fold in (mass, counts, worst, weighted, plain):
             fold.setflags(write=False)

@@ -136,6 +136,19 @@ class NormalOccurrenceModel:
             mass = mass * table[index]
         return mass
 
+    def range_masses(self, rows: slice) -> FloatArray:
+        """:meth:`masses` at the row-major flat positions in ``rows``.
+
+        The rows of the outer product of the per-dimension tables, taken
+        in dimension order as :meth:`cell_probability` takes them, so
+        the three agree bitwise; no flat position is unravelled.
+        """
+        columns = self._space.range_columns(rows, self._cell_mass_tables())
+        mass = columns[0]
+        for column in columns[1:]:
+            mass = mass * column
+        return mass
+
     def region_probability(self, region: Region) -> float:
         """Probability mass of an axis-aligned region (product form).
 

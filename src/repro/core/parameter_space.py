@@ -139,10 +139,15 @@ class ParameterSpace:
             raise ValueError(f"duplicate dimension names: {names}")
         self._dimensions = tuple(dimensions)
         #: Each dimension's grid values, built once and frozen: every
-        #: :meth:`points_matrix` block reads them.
+        #: :meth:`points_matrix` block and every slab's columns read them.
         self._axis_values = tuple(d.values_array() for d in self._dimensions)
         for values in self._axis_values:
             values.setflags(write=False)
+        #: Row-major stride of each dimension: flat positions per index step.
+        self._strides = tuple(
+            int(np.prod(self.shape[k + 1 :], dtype=np.int64))
+            for k in range(len(self._dimensions))
+        )
         #: The last :meth:`indices_of_flat` call: its positions and indices.
         self._last_unravel: tuple[IntArray, tuple[IntArray, ...]] | None = None
 
@@ -261,6 +266,85 @@ class ParameterSpace:
         for column, values, index in zip(columns, self._axis_values, indices):
             column[:] = values[index]
         return columns.T
+
+    # ------------------------------------------------------------------
+    # Axis views (the grid's product structure)
+    # ------------------------------------------------------------------
+
+    def slabs(self, max_rows: int) -> Iterator[tuple[slice, tuple[FloatArray, ...]]]:
+        """The grid as consecutive sub-grids of at most ``max_rows`` points.
+
+        Yields each slab's row-major flat rows and its axis columns:
+        each dimension's frozen grid values over the slab, shaped
+        ``(1,…,steps_k,…,1)`` so that column ``k`` varies along axis
+        ``k`` only.  An elementwise formula over the columns broadcasts
+        to the slab in C (row-major flat) order, with values bitwise
+        equal to :meth:`points_matrix`.  A slab fixes the leading axes
+        and cuts the first axis whose trailing sub-grid fits into even
+        runs of indices; a grid of at most ``max_rows`` points is one
+        slab.
+        """
+        ensure_positive(max_rows, "max_rows")
+        shape = self.shape
+        trailing = self.n_points
+        for cut, steps in enumerate(shape):
+            trailing //= steps
+            if trailing <= max_rows:
+                break
+        pieces = -(-shape[cut] // max(1, max_rows // trailing))
+        run = -(-shape[cut] // pieces)
+        rest = tuple(slice(None) for _ in shape[cut + 1 :])
+        start = 0
+        for prefix in iter_product(*(range(steps) for steps in shape[:cut])):
+            fixed = tuple(slice(i, i + 1) for i in prefix)
+            for lo in range(0, shape[cut], run):
+                hi = min(lo + run, shape[cut])
+                stop = start + (hi - lo) * trailing
+                box = fixed + (slice(lo, hi),) + rest
+                yield slice(start, stop), self._columns_of(box)
+                start = stop
+
+    def _columns_of(self, box: tuple[slice, ...]) -> tuple[FloatArray, ...]:
+        """Each dimension's grid values over one index range per dimension,
+        shaped to broadcast along that dimension only."""
+        d = self.n_dims
+        columns = []
+        for k, (values, cut) in enumerate(zip(self._axis_values, box)):
+            part = values[cut]
+            columns.append(part.reshape((1,) * k + (len(part),) + (1,) * (d - k - 1)))
+        return tuple(columns)
+
+    def range_columns(
+        self, rows: slice, tables: Sequence[FloatArray] | None = None
+    ) -> tuple[FloatArray, ...]:
+        """Each dimension's table entry at every flat position in ``rows``.
+
+        ``rows`` is a non-empty run of flat positions; ``tables[k]`` has
+        one entry per grid index of dimension ``k`` (its grid values by
+        default).  Along row-major positions, the
+        index of a dimension with stride ``s`` holds for ``s`` positions
+        and steps, wrapping after ``steps·s``: a short period is tiled, a
+        long one expanded run by run.  No flat position is unravelled.
+        """
+        start, stop, _ = rows.indices(self.n_points)
+        n = stop - start
+        columns = []
+        for table, steps, stride in zip(
+            self._axis_values if tables is None else tables, self.shape, self._strides
+        ):
+            period = steps * stride
+            offset = start % period
+            if period <= n:
+                periods = -(-(offset + n) // period)
+                column = np.tile(np.repeat(table, stride), periods)[offset : offset + n]
+            else:
+                first, last = offset // stride, (offset + n - 1) // stride
+                counts = np.full(last - first + 1, stride)
+                counts[0] -= offset - first * stride
+                counts[-1] -= (last + 1) * stride - (offset + n)
+                column = np.repeat(table[np.arange(first, last + 1) % steps], counts)
+            columns.append(column)
+        return tuple(columns)
 
     def nearest_flat_index(self, point: Mapping[str, float]) -> int | None:
         """Row-major flat index of the grid cell nearest to ``point``.

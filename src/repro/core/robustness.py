@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.logical import row_blocks
+from repro.core.logical import SCAN_SLAB_ROWS
 from repro.core.parameter_space import GridIndex, ParameterSpace, Region
 from repro.query.optimizer import PointOptimizer
 from repro.query.plans import LogicalPlan
@@ -133,19 +133,19 @@ def robust_mask(
 
     Entry ``k`` (row-major flat position) is true when ``plan`` costs at
     most ``(1 + ε)`` times the diagram's optimal cost there.  Costs are
-    evaluated in row blocks, so no whole-grid value matrix is built.
+    priced slab by slab on the grid's broadcast axis columns, so no
+    value matrix is gathered and no whole-grid temporary is built.
     """
     space = diagram.space
-    names = list(space.names)
-    flat = np.arange(space.n_points)
+    pricing = diagram.cost_model
+    steps = pricing.steps(plan)
     mask = np.empty(space.n_points, dtype=bool)
-    for rows in row_blocks(space.n_points):
-        costs = diagram.cost_model.plan_costs(
-            plan, space.points_matrix(flat[rows]), names
-        )
-        mask[rows] = costs <= (1.0 + epsilon) * diagram.optimal_costs[rows] * (
-            1 + 1e-12
-        )
+    for rows, columns in space.slabs(SCAN_SLAB_ROWS):
+        rate, sels = pricing.resolve_axes(columns, space.names)
+        costs = pricing.cost_at(steps, rate, sels)
+        bound = (1.0 + epsilon) * diagram.optimal_costs[rows] * (1 + 1e-12)
+        shape = np.broadcast_shapes(*(column.shape for column in columns))
+        mask[rows] = np.less_equal(costs, bound.reshape(shape)).reshape(-1)
     return mask
 
 

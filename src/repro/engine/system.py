@@ -48,6 +48,11 @@ from repro.util.validation import ensure_positive
 
 __all__ = ["RoutingDecision", "LoadDistributionStrategy", "StreamSimulator"]
 
+#: Unit-mean exponential arrival gaps drawn per refill.  The stream is
+#: the one scalar ``exponential(mean_gap)`` draws would give: NumPy
+#: draws those as ``mean_gap · standard_exponential()``.
+ARRIVAL_CHUNK = 4096
+
 
 class RoutingDecision(NamedTuple):
     """A strategy's per-batch answer: the plan plus routing overhead."""
@@ -156,6 +161,8 @@ class StreamSimulator:
         self._tick_period = tick_period
         self._migration_unit = migration_seconds_per_state
         self._rng = derive_rng(seed)
+        self._unit_gaps: list[float] = []
+        self._next_gap = 0
         self._monitor = monitor or StatisticsMonitor(query, workload)
         self._trace = trace
         self._network = network
@@ -287,8 +294,11 @@ class StreamSimulator:
         rate = self._workload.rate(time)
         if rate <= 0:
             raise ValueError(f"workload rate must be > 0 (got {rate} at t={time})")
-        mean_gap = self._batch_size / rate
-        gap = float(self._rng.exponential(mean_gap))
+        if self._next_gap == len(self._unit_gaps):
+            self._unit_gaps = self._rng.standard_exponential(ARRIVAL_CHUNK).tolist()
+            self._next_gap = 0
+        gap = self._batch_size / rate * self._unit_gaps[self._next_gap]
+        self._next_gap += 1
         next_time = time + gap
         if next_time <= self._duration:
             self._loop.schedule(next_time, self._on_arrival, next_time)

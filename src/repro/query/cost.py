@@ -37,7 +37,8 @@ __all__ = ["PlanCostModel"]
 #: where :meth:`PlanCostModel.resolve` puts its selectivity.
 Steps = tuple[tuple[float, int], ...]
 
-#: A statistic's value: one float, or one column of a batch.
+#: A statistic's value: one float, a batch column, or a grid axis that
+#: broadcasts along its own dimension.
 Value = Union[float, FloatArray]
 
 
@@ -45,14 +46,16 @@ class PlanCostModel:
     """Exact analytic cost model for one query's logical plans.
 
     The model is the only code that reads statistics and prices plans.
-    :meth:`resolve` (one point) and :meth:`resolve_columns` (a batch)
-    turn statistics into a rate and one selectivity per operator slot;
+    :meth:`resolve` (one point), :meth:`resolve_columns` (a batch) and
+    :meth:`resolve_axes` (a grid's broadcast axes) turn statistics into
+    a rate and one selectivity per operator slot;
     a parameter the point lacks takes its estimate, so callers may
     supply points over any subset of parameters (e.g. only the two
     uncertain dimensions of a 2-D parameter space).  :meth:`cost_at`
     and :meth:`loads_at` then price a plan's :meth:`steps` with one
-    loop each, unchanged on floats and on NumPy columns; every scalar,
-    batch and runtime caller goes through them.
+    loop each, unchanged on floats, on NumPy columns and on axes that
+    broadcast into a grid; every scalar, batch, grid and runtime caller
+    goes through them.
     """
 
     def __init__(self, query: Query) -> None:
@@ -76,6 +79,24 @@ class PlanCostModel:
         rate = float(get(self._rate_name, self._query.driving_rate))
         return rate, [float(get(name, default)) for name, default in self._params]
 
+    def resolve_axes(
+        self, columns: Sequence[Value], names: Sequence[str]
+    ) -> tuple[Value, list[Value]]:
+        """:meth:`resolve` for columns that broadcast against each other.
+
+        ``columns[j]`` holds the values of parameter ``names[j]``: a
+        batch column, or one axis of a grid reshaped to broadcast along
+        its own dimension only
+        (:meth:`~repro.core.parameter_space.ParameterSpace.slabs`).
+        A parameter among ``names`` resolves to its column; the rate and
+        a selectivity that are not resolve to their float estimates,
+        which broadcast like any column.
+        """
+        given = dict(zip(names, columns))
+        rate = given.get(self._rate_name, self._query.driving_rate)
+        sels = [given.get(name, default) for name, default in self._params]
+        return rate, sels
+
     def resolve_columns(
         self, values: FloatArray, names: Sequence[str]
     ) -> tuple[FloatArray, list[Value]]:
@@ -88,13 +109,9 @@ class PlanCostModel:
         driving rate, so priced batches are always ``(n_points,)``.
         """
         values = np.asarray(values, dtype=float)
-        columns = {name: values[:, j] for j, name in enumerate(names)}
-        rate = columns.get(self._rate_name)
-        if rate is None:
-            rate = np.full(values.shape[0], self._query.driving_rate)
-        sels: list[Value] = [
-            columns.get(name, default) for name, default in self._params
-        ]
+        rate, sels = self.resolve_axes(list(values.T), names)
+        if not isinstance(rate, np.ndarray):
+            rate = np.full(values.shape[0], rate)
         return rate, sels
 
     def steps(self, plan: LogicalPlan) -> Steps:
@@ -112,12 +129,21 @@ class PlanCostModel:
     def cost_at(steps: Steps, rate: Value, sels: Sequence[Value]) -> Value: ...
     @staticmethod
     def cost_at(steps: Steps, rate: Value, sels: Sequence[Value]) -> Value:
-        """Total per-second cost of a plan's ``steps`` at resolved statistics."""
+        """Total per-second cost of a plan's ``steps`` at resolved statistics.
+
+        Partial products are rebound, never updated in place, so inputs
+        of different broadcast shapes combine into the broadcast shape;
+        the last step's selectivity feeds no later step and is never
+        multiplied in, so the total does not take on its shape.
+        """
         carried: Value = 1.0
         total: Value = 0.0
+        previous: int | None = None
         for cost, slot in steps:
-            total += cost * carried
-            carried *= sels[slot]
+            if previous is not None:
+                carried = carried * sels[previous]
+            total = total + cost * carried
+            previous = slot
         return rate * total
 
     @overload
@@ -128,12 +154,19 @@ class PlanCostModel:
     def loads_at(steps: Steps, rate: Value, sels: Sequence[Value]) -> list[Value]: ...
     @staticmethod
     def loads_at(steps: Steps, rate: Value, sels: Sequence[Value]) -> list[Value]:
-        """Each step's per-second load at resolved statistics, in plan order."""
+        """Each step's per-second load at resolved statistics, in plan order.
+
+        Broadcasts like :meth:`cost_at`: each load has the shape of the
+        inputs it reads.
+        """
         carried: Value = 1.0
         loads: list[Value] = []
+        previous: int | None = None
         for cost, slot in steps:
+            if previous is not None:
+                carried = carried * sels[previous]
             loads.append(rate * cost * carried)
-            carried *= sels[slot]
+            previous = slot
         return loads
 
     def plan_cost(self, plan: LogicalPlan, point: Mapping[str, float]) -> float:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import LintRunner, render_json, render_text
+from repro.analysis import engine as engine_module
 from repro.analysis.rules import default_rules, resolve_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -48,6 +49,28 @@ def test_scopes_respected_for_out_of_scope_files(tmp_path: Path) -> None:
     report = LintRunner(root=tmp_path).run([tmp_path])
     assert {d.rule for d in report.diagnostics} == {"no-unseeded-rng"}
     assert {d.path for d in report.diagnostics} == {"src/repro/engine/mod.py"}
+
+
+def test_per_file_run_builds_no_call_graph(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    """With every whole-program pass disabled, the runner never builds
+    the call graph; the per-file rules still report."""
+
+    def no_graph(*args: object, **kwargs: object) -> None:
+        raise AssertionError("the call graph was built for per-file rules")
+
+    monkeypatch.setattr(engine_module, "build_graph", no_graph)
+    target = tmp_path / "src" / "repro" / "engine" / "mod.py"
+    target.parent.mkdir(parents=True)
+    target.write_text("import random\n")
+    per_file = resolve_rules(
+        default_rules(), ["shared-node-state", "fault-hook-raises", "shared-rng"]
+    )
+    report = LintRunner(checks=per_file, root=tmp_path).run([tmp_path])
+    assert {d.rule for d in report.diagnostics} == {"no-unseeded-rng"}
+    with pytest.raises(AssertionError, match="call graph"):
+        LintRunner(root=tmp_path).run([tmp_path])
 
 
 def test_allowlisted_file_is_exempt(tmp_path: Path) -> None:

@@ -14,6 +14,7 @@ import numpy as np
 from tie_break import lexicographic_argmin, order_ranks
 
 from repro.core.logical import OccurrenceModel, RobustLogicalSolution
+from repro.core.occurrence import NormalOccurrenceModel
 from repro.core.parameter_space import GridIndex
 from repro.query.plans import LogicalPlan
 
@@ -84,3 +85,79 @@ def oracle_expected_loads(
         / float(weights.sum())
         for op_id in solution.query.operator_ids
     }
+
+
+def oracle_scan(
+    solution: RobustLogicalSolution,
+    occurrence: OccurrenceModel,
+    block_rows: int,
+) -> dict[LogicalPlan, tuple[float, dict[int, float], dict[int, float]]]:
+    """Each plan's weight, worst-case and typical loads, summed the way
+    the pass groups its sums, from scalar per-cell values.
+
+    Cells come from :func:`oracle_cells`; masses from scalar
+    ``cell_probability`` calls under the normal model (the correlated
+    model's batched CDF is read one scan block at a time, as the pass
+    reads it); loads from scalar ``operator_loads``.  Each scan block of
+    ``block_rows`` flat positions adds its plan's masses one by one, then
+    its ``(n_operators, cells)`` load matrix times those masses, and the
+    matrix's row sums, to the plan's totals, so the results are
+    comparable bit for bit.
+    """
+    space = solution.space
+    model = solution.cost_model
+    op_ids = solution.query.operator_ids
+    label = {}
+    for plan, cells in oracle_cells(solution).items():
+        for index in cells:
+            label[int(np.ravel_multi_index(index, space.shape))] = plan
+    batched = not isinstance(occurrence, NormalOccurrenceModel)
+    totals = {
+        plan: [0.0, np.zeros(len(op_ids)), np.zeros(len(op_ids))]
+        for plan in solution.plans
+    }
+    worst: dict[LogicalPlan, dict[int, float]] = {plan: {} for plan in solution.plans}
+    for start in range(0, space.n_points, block_rows):
+        flats = range(start, min(start + block_rows, space.n_points))
+        if batched:
+            block_masses = occurrence.masses(np.asarray(flats))
+        for plan in solution.plans:
+            mine = [k for k in flats if label[k] is plan]
+            if not mine:
+                continue
+            masses, columns = [], []
+            partial = 0.0
+            for k in mine:
+                index = space.index_of_flat(k)
+                mass = (
+                    float(block_masses[k - start])
+                    if batched
+                    else occurrence.cell_probability(index)
+                )
+                partial += mass
+                masses.append(mass)
+                loads = model.operator_loads(plan, space.point_at(index))
+                columns.append([loads[op_id] for op_id in op_ids])
+                for op_id, load in loads.items():
+                    worst[plan][op_id] = max(worst[plan].get(op_id, load), load)
+            matrix = np.array(columns).T.copy()
+            totals[plan][0] += partial
+            totals[plan][1] += matrix @ np.array(masses)
+            totals[plan][2] += matrix.sum(axis=1)
+    result = {}
+    for plan in solution.plans:
+        mass, weighted, plain = totals[plan]
+        if not worst[plan]:
+            corner = space.full_region().pnt_hi
+            middle = space.point_at(tuple(s // 2 for s in space.shape))
+            result[plan] = (
+                mass,
+                model.operator_loads(plan, corner),
+                model.operator_loads(plan, middle),
+            )
+            continue
+        count = sum(1 for k in label if label[k] is plan)
+        means = weighted / mass if mass > 0 else plain / count
+        typical = dict(zip(op_ids, means.tolist()))
+        result[plan] = (mass, worst[plan], typical)
+    return result

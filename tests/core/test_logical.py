@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from itertools import islice
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from logical_oracle import (
     oracle_cells,
     oracle_expected_loads,
+    oracle_scan,
     oracle_weights,
     oracle_worst_case_loads,
 )
@@ -19,6 +24,7 @@ from logical_oracle import (
 from repro.core import (
     Cluster,
     CorrelatedOccurrenceModel,
+    Dimension,
     EarlyTerminatedRobustPartitioning,
     NormalOccurrenceModel,
     ParameterSpace,
@@ -239,6 +245,94 @@ class TestScanMatchesOracle:
                 assert typical == pytest.approx(oracle, rel=1e-12)
 
 
+@st.composite
+def _scan_cases(draw):
+    """A small query, an exact space, a plan set and an occurrence model.
+
+    Costs and selectivities come from two values each, so orders often
+    tie exactly; a dimension may be pinned (one step), the rate may be
+    absent, and a single dimension makes a 1-D space.
+    """
+    n_ops = draw(st.integers(1, 4))
+    operators = tuple(
+        Operator(
+            op_id=i,
+            name=f"o{i}",
+            cost_per_tuple=draw(st.sampled_from([1.0, 2.5])),
+            selectivity=draw(st.sampled_from([0.5, 0.8])),
+        )
+        for i in range(n_ops)
+    )
+    query = Query("scan", operators, (StreamSchema("S", (), base_rate=100.0),))
+    estimates = {"rate": query.driving_rate}
+    estimates.update({op.selectivity_param: op.selectivity for op in operators})
+    names = draw(
+        st.lists(
+            st.sampled_from(sorted(estimates)), min_size=1, max_size=4, unique=True
+        )
+    )
+    dimensions = []
+    for name in names:
+        steps = draw(st.integers(1, 4))
+        level = 0.0 if steps == 1 else draw(st.sampled_from([0.1, 0.3]))
+        estimate = estimates[name]
+        dimensions.append(
+            Dimension(name, estimate * (1 - level), estimate * (1 + level), steps)
+        )
+    space = ParameterSpace(dimensions)
+    orders = draw(
+        st.lists(
+            st.permutations(range(n_ops)), min_size=1, max_size=5,
+            unique_by=tuple,
+        )
+    )
+    plans = [LogicalPlan(tuple(order)) for order in orders]
+    varying = sum(1 for d in dimensions if d.steps > 1)
+    if varying in (1, 2) and draw(st.booleans()):
+        occurrence = CorrelatedOccurrenceModel.anti_synchronized(
+            space, rho=draw(st.sampled_from([-0.6, 0.0, 0.5]))
+        )
+    else:
+        occurrence = NormalOccurrenceModel(
+            space,
+            sigma_fraction=draw(st.sampled_from([0.25, 0.5])),
+            means={d.name: d.lo + 0.3 * d.width for d in dimensions}
+            if draw(st.booleans())
+            else None,
+        )
+    block_rows = draw(st.sampled_from([3, 7, SCAN_BLOCK_ROWS]))
+    slab_rows = draw(st.sampled_from([1, 5, logical_module.SCAN_SLAB_ROWS]))
+    return query, space, plans, occurrence, block_rows, slab_rows
+
+
+class TestProductScanMatchesOracle:
+    """The axis-column scan against scalar per-cell values, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_scan_cases())
+    def test_labels_weights_and_loads(self, case):
+        query, space, plans, occurrence, block_rows, slab_rows = case
+        with patch.object(logical_module, "SCAN_BLOCK_ROWS", block_rows), patch.object(
+            logical_module, "SCAN_SLAB_ROWS", slab_rows
+        ):
+            solution = RobustLogicalSolution(query, space, plans)
+            cells = solution.plan_cells()
+            weights = solution.plan_weights(occurrence)
+            expected = oracle_cells(solution)
+            reference = oracle_scan(solution, occurrence, block_rows)
+            assert not solution.uses_sampled_grid
+            for plan in solution.plans:
+                flat = sorted(
+                    int(np.ravel_multi_index(index, space.shape))
+                    for index in expected[plan]
+                )
+                assert cells[plan].tolist() == flat
+                weight, worst, typical = reference[plan]
+                assert weights[plan] == weight
+                assert solution.worst_case_loads(plan) == worst
+                assert solution.expected_loads(plan, occurrence) == typical
+
+
 def _batch_loads(model, plan, values, names):
     """Operator id → load vector of ``plan`` over a block of points."""
     rate, sels = model.resolve_columns(values, names)
@@ -317,26 +411,58 @@ class TestFusedPass:
             )
             _assert_matches_oracle(solution, model)
 
-    def test_from_solution_walks_the_grid_once(self, q1_cli, monkeypatch):
-        calls = {"points_matrix": 0, "masses": 0}
+    @staticmethod
+    def _count_calls(monkeypatch, *targets):
+        calls = {}
 
-        def counted(cls, name):
+        for cls, name in targets:
             inner = getattr(cls, name)
+            calls[f"{cls.__name__}.{name}"] = 0
 
-            def wrapper(self, flat):
-                calls[name] += 1
-                return inner(self, flat)
+            def wrapper(self, *args, _inner=inner, _key=f"{cls.__name__}.{name}"):
+                calls[_key] += 1
+                return _inner(self, *args)
 
             monkeypatch.setattr(cls, name, wrapper)
+        return calls
 
-        counted(ParameterSpace, "points_matrix")
-        counted(NormalOccurrenceModel, "masses")
+    def test_from_solution_walks_the_grid_once(self, q1_cli, q2_cli, monkeypatch):
+        # The exact q1 scan prices the grid's axis columns: it gathers no
+        # value matrix, unravels no flat position and looks up no mass by
+        # position.  The sampled q2 scan gathers once per block.
+        calls = self._count_calls(
+            monkeypatch,
+            (ParameterSpace, "points_matrix"),
+            (ParameterSpace, "indices_of_flat"),
+            (NormalOccurrenceModel, "masses"),
+        )
         PlanLoadTable.from_solution(
             _fresh(q1_cli.logical), occurrence=q1_cli.occurrence
         )
-        blocks = -(-84_035 // SCAN_BLOCK_ROWS)
-        assert blocks == 11
-        assert calls == {"points_matrix": blocks, "masses": blocks}
+        assert set(calls.values()) == {0}
+        PlanLoadTable.from_solution(
+            _fresh(q2_cli.logical), occurrence=q2_cli.occurrence
+        )
+        blocks = MAX_SCAN_POINTS // SCAN_BLOCK_ROWS
+        assert blocks == 32
+        # One unravel for the value matrix; the masses reuse it.
+        assert calls == {
+            "ParameterSpace.points_matrix": blocks,
+            "ParameterSpace.indices_of_flat": 2 * blocks,
+            "NormalOccurrenceModel.masses": blocks,
+        }
+
+    def test_exact_scan_working_set_is_bounded(self, q1_cli):
+        # Slabs and blocks bound the exact pass: no temporary spans the
+        # 84,035-point grid except the kept labels.
+        logical = _fresh(q1_cli.logical)
+        tracemalloc.start()
+        try:
+            PlanLoadTable.from_solution(logical, occurrence=q1_cli.occurrence)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5e6
 
 
 class TestCliDefaultCompile:

@@ -79,6 +79,23 @@ class TestMasses:
             assert mass == model.cell_probability(space.index_of_flat(int(k)))
         assert model.masses(flat[:0]).shape == (0,)
 
+    def test_range_masses_equal_masses_bitwise(self):
+        # The outer product of the tables, over any run of positions.
+        space = ParameterSpace(
+            [
+                Dimension("p", 1.5, 1.5, 1),
+                Dimension("x", 0.2, 0.8, 5),
+                Dimension("r", 80.0, 120.0, 4),
+                Dimension("y", 0.35, 0.65, 7),
+            ]
+        )
+        model = NormalOccurrenceModel(space, means={"x": 0.3}, sigma_fraction=0.4)
+        everything = model.masses(np.arange(space.n_points))
+        for start, stop in [(0, space.n_points), (3, 4), (17, 101), (130, 140)]:
+            assert np.array_equal(
+                model.range_masses(slice(start, stop)), everything[start:stop]
+            )
+
     def test_mass_tables_are_built_once_and_frozen(self, unit_space):
         model = NormalOccurrenceModel(unit_space)
         first = model.masses(np.arange(unit_space.n_points))

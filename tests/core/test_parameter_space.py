@@ -157,6 +157,40 @@ class TestParameterSpace:
             ),
         )
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+        max_rows=st.integers(1, 40),
+        data=st.data(),
+    )
+    def test_axis_views_match_points_matrix(self, shape, max_rows, data):
+        # Slabs and range columns read the grid's product structure;
+        # each must equal the gathered value matrix.
+        space = ParameterSpace(
+            [
+                Dimension(f"d{k}", 1.0 + k, 1.0 + k + 0.5 * (steps > 1), steps)
+                for k, steps in enumerate(shape)
+            ]
+        )
+        matrix = space.points_matrix(np.arange(space.n_points))
+        [(rows, columns)] = space.slabs(space.n_points)
+        assert rows == slice(0, space.n_points)
+        for k, column in enumerate(np.broadcast_arrays(*columns)):
+            assert column.shape == space.shape
+            assert np.array_equal(column.reshape(-1), matrix[:, k])
+        covered = 0
+        for rows, columns in space.slabs(max_rows):
+            assert rows.start == covered
+            covered = rows.stop
+            assert 0 < rows.stop - rows.start <= max(max_rows, 1)
+            for k, column in enumerate(np.broadcast_arrays(*columns)):
+                assert np.array_equal(column.reshape(-1), matrix[rows, k])
+        assert covered == space.n_points
+        start = data.draw(st.integers(0, space.n_points - 1))
+        stop = data.draw(st.integers(start + 1, space.n_points + 3))
+        for k, column in enumerate(space.range_columns(slice(start, stop))):
+            assert np.array_equal(column, matrix[start:stop, k])
+
     def test_indices_of_flat_reuses_only_equal_positions(self, space_2d):
         flats = np.arange(space_2d.n_points)[::-1].copy()
         first = space_2d.indices_of_flat(flats)

@@ -120,6 +120,35 @@ class TestBatchEquivalence:
 
     @settings(max_examples=60, deadline=None)
     @given(case=batch_cases())
+    def test_kernels_broadcast_over_axes_bitwise(self, case):
+        # Each parameter on its own axis: the kernels price the whole
+        # grid of the batch's values (at most 3 values on 4 axes), and
+        # every grid point matches the oracle at that point.
+        query, plan, names, matrix = case
+        names, matrix = names[:4], matrix[:3, :4]
+        model = PlanCostModel(query)
+        d = len(names)
+        axes = [
+            matrix[:, j].reshape((1,) * j + (-1,) + (1,) * (d - j - 1))
+            for j in range(d)
+        ]
+        rate, sels = model.resolve_axes(axes, names)
+        steps = model.steps(plan)
+        shape = (matrix.shape[0],) * d
+        costs = np.broadcast_to(model.cost_at(steps, rate, sels), shape)
+        loads = [
+            np.broadcast_to(load, shape) for load in model.loads_at(steps, rate, sels)
+        ]
+        for index in np.ndindex(*shape):
+            point = StatPoint(
+                {name: matrix[i, j] for j, (name, i) in enumerate(zip(names, index))}
+            )
+            assert costs[index] == cost_oracle.plan_cost(query, plan, point)
+            oracle = cost_oracle.operator_loads(query, plan, point)
+            assert [load[index] for load in loads] == [oracle[op] for op in plan]
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=batch_cases())
     def test_gradients_batch_matches_scalar(self, case):
         query, plan, names, matrix = case
         model = PlanCostModel(query)
