@@ -280,9 +280,8 @@ class ParameterSpace:
         ``k`` only.  An elementwise formula over the columns broadcasts
         to the slab in C (row-major flat) order, with values bitwise
         equal to :meth:`points_matrix`.  A slab fixes the leading axes
-        and cuts the first axis whose trailing sub-grid fits into even
-        runs of indices; a grid of at most ``max_rows`` points is one
-        slab.
+        and cuts the first axis whose trailing sub-grid fits into runs
+        of indices; a grid of at most ``max_rows`` points is one slab.
         """
         ensure_positive(max_rows, "max_rows")
         shape = self.shape
@@ -291,8 +290,7 @@ class ParameterSpace:
             trailing //= steps
             if trailing <= max_rows:
                 break
-        pieces = -(-shape[cut] // max(1, max_rows // trailing))
-        run = -(-shape[cut] // pieces)
+        run = max(1, max_rows // trailing)
         rest = tuple(slice(None) for _ in shape[cut + 1 :])
         start = 0
         for prefix in iter_product(*(range(steps) for steps in shape[:cut])):
