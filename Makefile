@@ -15,8 +15,8 @@ install:
 test:
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest -x -q
 
-# Static gates: repro lint (the per-file rules and the whole-program
-# call-graph passes, in one run), then mypy --strict over the
+# Static gates: repro lint (the per-file rules, in one run; properties
+# of the built program are runtime tests), then mypy --strict over the
 # determinism/parity-critical packages (core + query + engine
 # + runtime + workloads; config in pyproject.toml).  mypy is an optional dev
 # dependency — when it is not installed the type gate is skipped with a

@@ -3,28 +3,23 @@
 Determinism is *load-bearing*: seeded fault injection replays
 bit-identically.  Nothing in Python stops one stray ``random.random()``
 or ``time.time()`` from silently breaking that contract — so this
-package checks it statically.  Frozen shared arrays are a runtime
-invariant instead: every array a compiled solution holds is read-only,
-and a test walks the solution to prove it (``docs/static-analysis.md``,
-"Runtime freeze").
+package checks it statically, one file at a time.  Properties of the
+built program are runtime invariants instead, each proved by a test
+that walks or drives the real objects: frozen shared arrays, node
+isolation, one owner per RNG, and fault hooks that raise only
+``FaultError`` (``docs/static-analysis.md``, "Runtime invariants").
 
 Layout:
 
 * :mod:`repro.analysis.report` — :class:`Diagnostic` and the
   text/JSON renderers.
-* :mod:`repro.analysis.rules` — the :class:`Rule` base class (a
-  per-file ``check`` hook and a whole-program ``check_program`` hook),
-  the per-file :class:`FileContext`, and the catalog accessor.
+* :mod:`repro.analysis.rules` — the :class:`Rule` base class, the
+  per-file :class:`FileContext`, and the catalog accessor.
 * :mod:`repro.analysis.engine` — file discovery, suppression-comment
   parsing, and the :class:`LintRunner` that parses each file once,
   runs every check, and audits the suppressions.
 * :mod:`repro.analysis.checks` — the catalog (``all_rules()``) and one
-  module per per-file rule.
-* :mod:`repro.analysis.graph` — the whole-program substrate: import
-  graph, symbol index, and the approximate call graph.
-* :mod:`repro.analysis.program` / :mod:`repro.analysis.audit` — the
-  :class:`ProgramContext` and the interprocedural passes (cross-node
-  aliasing, fault-path exception safety, RNG discipline).
+  module per rule.
 
 The CLI front-end is ``repro lint`` (see :mod:`repro.cli`); CI and
 ``make lint`` gate on its exit code.

@@ -18,22 +18,11 @@ __all__ = ["all_rules"]
 
 
 def all_rules() -> tuple[Rule, ...]:
-    """Fresh instances of every check, in documentation order: the
-    per-file rules, then the whole-program passes."""
-    # Lazy: the passes import the graph, which imports checks.common.
-    from repro.analysis.audit import (
-        FaultHookRaisesPass,
-        SharedNodeStatePass,
-        SharedRngPass,
-    )
-
+    """Fresh instances of every check, in documentation order."""
     return (
         NoUnseededRngRule(),
         NoWallclockRule(),
         NoFloatEqRule(),
         NoMutableDefaultRule(),
         NoModuleMutableStateRule(),
-        SharedNodeStatePass(),
-        FaultHookRaisesPass(),
-        SharedRngPass(),
     )

@@ -8,11 +8,8 @@ thin CLI shell around it).  A run
 2. parses each file once — the AST, plus its ``# repro-lint:
    disable=...`` suppression comments (tokenize, not regex-over-lines,
    so ``#`` inside string literals can never masquerade as a
-   suppression) — and runs every per-file check whose scope covers it,
-3. builds one :class:`~repro.analysis.graph.ProgramGraph` over the
-   parsed files and runs every whole-program check over it (no graph
-   is built when no such check is active), and
-4. appends ``bad-suppression`` / ``unused-suppression`` findings for
+   suppression) — and runs every check whose scope covers it, and
+3. appends ``bad-suppression`` / ``unused-suppression`` findings for
    malformed or dead escape hatches, judged against every check that
    ran on the file.
 
@@ -30,8 +27,6 @@ import tokenize
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from repro.analysis.graph import build_graph, module_name_for
-from repro.analysis.program import ProgramContext
 from repro.analysis.report import Diagnostic, LintReport
 from repro.analysis.rules import (
     BAD_SUPPRESSION,
@@ -156,9 +151,12 @@ class LintRunner:
     def run(self, paths: Sequence[Path | str]) -> LintReport:
         """Check every ``.py`` file under ``paths``; aggregate findings."""
         report = LintReport()
-        contexts: list[FileContext] = []
-        modules: dict[str, FileContext] = {}
-        parsed: list[tuple[Path, str, ast.Module, str]] = []
+        # Unknown-name detection consults the full catalog, not this
+        # run's (possibly --disable-filtered) check set, so disabling a
+        # check does not reclassify its suppressions.
+        known_names = {
+            check.name for check in (*default_rules(), *self.checks)
+        } | {BAD_SUPPRESSION, UNUSED_SUPPRESSION}
         for path in _iter_python_files([Path(p) for p in paths]):
             relpath = self._relpath(path)
             source = path.read_text(encoding="utf-8")
@@ -182,43 +180,18 @@ class LintRunner:
                 source=source,
                 suppressions=parse_suppressions(source),
             )
-            for check in self._active(relpath):
+            active = self._active(relpath)
+            for check in active:
                 check.check(context)
-            contexts.append(context)
-            modules[module_name_for(path, self.root)] = context
-            parsed.append((path, relpath, tree, source))
-
-        # Unknown-name detection consults the full catalog, not this
-        # run's (possibly --disable-filtered) check set, so disabling a
-        # check does not reclassify its suppressions.
-        known_names = {
-            check.name for check in (*default_rules(), *self.checks)
-        } | {BAD_SUPPRESSION, UNUSED_SUPPRESSION}
-        # The call graph is built only for a whole-program pass: a run
-        # of per-file rules alone never reads it.
-        passes = [
-            check
-            for check in self.checks
-            if type(check).check_program is not Rule.check_program
-        ]
-        if passes:
-            program = ProgramContext(
-                build_graph(parsed, self.root),
-                modules,
-                respect_scopes=self.respect_scopes,
-            )
-            for check in passes:
-                check.check_program(program)
-        for context in contexts:
-            self._audit_suppressions(context, known_names)
+            self._audit_suppressions(context, active, known_names)
             report.diagnostics.extend(context.diagnostics)
         report.diagnostics.sort()
         return report
 
     def _audit_suppressions(
-        self, context: FileContext, known_names: set[str]
+        self, context: FileContext, active: list[Rule], known_names: set[str]
     ) -> None:
-        active_names = {check.name for check in self._active(context.path)}
+        active_names = {check.name for check in active}
         for suppressions in context.suppressions.values():
             for suppression in suppressions:
                 anchor = ast.Pass()

@@ -1,12 +1,11 @@
 """The rule framework: per-file context, the rule base class, registry.
 
 A rule (a *check*) is a stateless object with a ``name``, a default
-path ``scope`` (directory prefixes relative to the repo root), and one
-of two hooks: ``check`` walks one file's AST and reports through the
-:class:`FileContext`; ``check_program`` walks the whole program and
-reports through a :class:`~repro.analysis.program.ProgramContext`.
-Scoping and suppression filtering happen in the contexts, so rule
-bodies contain nothing but invariant logic.
+path ``scope`` (directory prefixes relative to the repo root), and a
+``check`` hook that walks one file's AST and reports through the
+:class:`FileContext`.  Scoping and suppression filtering happen in the
+runner and the context, so rule bodies contain nothing but invariant
+logic.
 
 Suppressions
 ------------
@@ -26,12 +25,9 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from repro.analysis.report import Diagnostic
-
-if TYPE_CHECKING:
-    from repro.analysis.program import ProgramContext
 
 __all__ = [
     "BAD_SUPPRESSION",
@@ -99,16 +95,14 @@ class FileContext:
 
 
 class Rule:
-    """Base class for every check, per-file rule or whole-program pass.
+    """Base class for every check.
 
     Subclasses set :attr:`name` (the suppression/CLI identifier),
     :attr:`description` (one line, for ``--list-rules`` and docs),
     :attr:`scope` (directory prefixes, ``/``-separated and relative to
     the repo root, the rule applies to — empty means everywhere), and
     :attr:`allow` (exact relative paths exempt even inside the scope),
-    and override :meth:`check` or :meth:`check_program`.  A pass's
-    scope applies to the file a finding *lands in*; the analysis itself
-    always sees the whole program.
+    and override :meth:`check`.
     """
 
     name: str = ""
@@ -130,9 +124,6 @@ class Rule:
 
     def check(self, context: FileContext) -> None:
         """Walk one file's ``context.tree`` and report findings."""
-
-    def check_program(self, program: "ProgramContext") -> None:
-        """Analyze the whole program; report via ``program.report``."""
 
 
 def default_rules() -> tuple[Rule, ...]:

@@ -11,8 +11,7 @@ Four subcommands, mirroring the library's workflow::
 ``compile`` prints the robust logical solution and physical plan;
 ``diagram`` renders the 2-D plan diagram of a space as ASCII;
 ``simulate`` runs the §6.5 strategy comparison and prints the table;
-``lint`` runs every :mod:`repro.analysis` check — the per-file rules
-and the whole-program passes — over the tree in one run
+``lint`` runs every :mod:`repro.analysis` rule over the tree in one run
 (``--format json`` for machine consumption, exit code 1 on findings —
 the gate ``make lint`` and CI run).
 ``simulate --faults`` additionally injects infrastructure failures
@@ -33,7 +32,13 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Sequence
 
-from repro.core import Cluster, RLDConfig, RLDOptimizer, ParameterSpace
+from repro.core import (
+    Cluster,
+    InfeasiblePlacementError,
+    ParameterSpace,
+    RLDConfig,
+    RLDOptimizer,
+)
 from repro.core.diagram import compute_plan_diagram
 from repro.engine.faults import FaultSchedule
 from repro.query import make_optimizer
@@ -77,7 +82,7 @@ def _estimate(query: Query, level: int, rate_level: int, dims: Sequence[str] | N
         uncertainty = {d: level for d in dims}
     else:
         uncertainty = {op.selectivity_param: level for op in query.operators}
-        if rate_level > 0:
+        if rate_level != 0:
             uncertainty["rate"] = rate_level
     return query.default_estimates(uncertainty)
 
@@ -179,9 +184,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         workload = stock_workload(
             query, uncertainty_level=args.level, regime_period=args.regime_period
         ).scaled(args.rate_scale)
-    strategies = build_standard_strategies(
-        query, cluster, estimate=estimate, rld_config=config
-    )
+    # A cluster too small for the estimate-optimal placement is bad
+    # input, not a bug: only that error of the compile becomes one line.
+    try:
+        strategies = build_standard_strategies(
+            query, cluster, estimate=estimate, rld_config=config
+        )
+    except InfeasiblePlacementError as exc:
+        raise SystemExit(str(exc)) from exc
     if faults is not None:
         print(f"fault schedule ({len(faults)} events):")
         for event in faults:
@@ -314,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint",
-        help="run the static checks: per-file rules and whole-program passes",
+        help="run the static checks (the per-file rules)",
     )
     p_lint.add_argument(
         "paths",

@@ -26,7 +26,7 @@ from repro.core.logical import RobustLogicalSolution
 from repro.core.occurrence import NormalOccurrenceModel
 from repro.query.plans import LogicalPlan
 from repro.util.types import FloatArray
-from repro.util.validation import ensure_non_empty, ensure_positive
+from repro.util.validation import ensure_finite, ensure_non_empty, ensure_positive
 
 __all__ = [
     "Cluster",
@@ -56,7 +56,8 @@ class Cluster:
     def __post_init__(self) -> None:
         ensure_non_empty(self.capacities, "capacities")
         for i, capacity in enumerate(self.capacities):
-            ensure_positive(capacity, f"capacity of node {i}")
+            name = f"capacity of node {i}"
+            ensure_positive(ensure_finite(capacity, name), name)
 
     @classmethod
     def homogeneous(cls, n_nodes: int, capacity: float) -> "Cluster":

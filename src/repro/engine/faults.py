@@ -70,8 +70,9 @@ class FaultError(Exception):
     ``SimulationReport.fault_hook_errors``, and keeps the run alive.
     Deliberately a direct ``Exception`` subclass (not ``RuntimeError``)
     so a strategy's own ``except RuntimeError`` cleanup can never
-    swallow the sanctioned signal by accident.  The static side of the
-    same contract is ``repro lint``'s ``fault-hook-raises`` pass.
+    swallow the sanctioned signal by accident.  A hypothesis test drives
+    every exported strategy's hook through arbitrary fault sequences to
+    hold the contract (``tests/engine/test_isolation.py``).
     """
 
 #: Every fault kind the simulator understands.

@@ -180,21 +180,6 @@ class PlanCostModel:
         loads = self.loads_at(self.steps(plan), *self.resolve(point))
         return dict(zip(plan, loads))
 
-    def plan_costs(
-        self, plan: LogicalPlan, values: FloatArray, names: Sequence[str]
-    ) -> FloatArray:
-        """Total per-second cost of ``plan`` at every point of a batch.
-
-        ``values`` is a ``(n_points, len(names))`` matrix (e.g. a block
-        of :meth:`~repro.core.parameter_space.ParameterSpace.points_matrix`),
-        resolved as in :meth:`resolve_columns`.  Returns an
-        ``(n_points,)`` cost vector, bitwise equal to :meth:`plan_cost`
-        row by row.
-        """
-        rate, sels = self.resolve_columns(values, names)
-        costs = self.cost_at(self.steps(plan), rate, sels)
-        return np.asarray(costs, dtype=np.float64)
-
     def gradients_batch(
         self, plan: LogicalPlan, values: FloatArray, names: Sequence[str]
     ) -> FloatArray:

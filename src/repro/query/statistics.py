@@ -127,7 +127,8 @@ class StatisticsEstimate:
     ``uncertainty`` maps the *uncertain* subset of those names to integer
     uncertainty levels.  Parameters present in ``estimates`` but not in
     ``uncertainty`` are treated as exact (level 0) and do not become
-    dimensions of the parameter space.
+    dimensions of the parameter space.  A level must keep Δ·u < 1, so
+    every Algorithm 1 lower bound stays positive.
     """
 
     estimates: Mapping[str, float]
@@ -143,6 +144,12 @@ class StatisticsEstimate:
             if not isinstance(level, int) or level < 0:
                 raise ValueError(
                     f"uncertainty level for {name!r} must be a non-negative int, got {level!r}"
+                )
+            if UNCERTAINTY_UNIT_STEP * level >= 1.0:
+                raise ValueError(
+                    f"uncertainty level for {name!r} must be < "
+                    f"{1.0 / UNCERTAINTY_UNIT_STEP:g} so the lower bound "
+                    f"e*(1 - {UNCERTAINTY_UNIT_STEP:g}*u) stays > 0, got {level}"
                 )
         object.__setattr__(self, "estimates", MappingProxyType(dict(self.estimates)))
         object.__setattr__(self, "uncertainty", MappingProxyType(dict(self.uncertainty)))

@@ -55,56 +55,51 @@ def test_lint_missing_path_is_an_error(tmp_path: Path) -> None:
 
 def test_lint_list_rules(capsys: pytest.CaptureFixture) -> None:
     assert main(["lint", "--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for name in (
+    listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert listed == [
         "no-unseeded-rng",
         "no-wallclock",
         "no-float-eq",
         "no-mutable-default",
         "no-module-mutable-state",
-        "shared-node-state",
-        "fault-hook-raises",
-        "shared-rng",
-    ):
-        assert name in out
+    ]
 
 
 # ----------------------------------------------------------------------
-# One run: per-file rules and whole-program passes share one parse and
-# one suppression audit.
+# One run: each file is parsed once and its suppressions are audited
+# once, name by name, against every rule that ran on it.
 # ----------------------------------------------------------------------
 
 
-def _hook_with_suppression(root: Path, names: str) -> None:
-    hook = root / "src" / "repro" / "engine" / "hook.py"
-    hook.parent.mkdir(parents=True)
-    hook.write_text(
-        "class Strategy:\n"
-        "    def on_fault(self, simulator, event):  "
-        f"# repro-lint: disable={names} -- the hook rethrows by design\n"
-        "        raise ValueError('boom')\n"
+def _import_with_suppression(root: Path, names: str) -> None:
+    module = root / "src" / "repro" / "engine" / "seeded.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(
+        "import random  "
+        f"# repro-lint: disable={names} -- the module seeds its own stream\n"
     )
 
 
 def test_mixed_suppression_reports_only_its_dead_name(
     tmp_path: Path, capsys: pytest.CaptureFixture
 ) -> None:
-    # fault-hook-raises absorbs the pass's finding; no-float-eq ran on
+    # no-unseeded-rng absorbs the import's finding; no-float-eq ran on
     # the file and absorbed nothing, so it alone is reported.
-    _hook_with_suppression(tmp_path, "fault-hook-raises,no-float-eq")
+    _import_with_suppression(tmp_path, "no-unseeded-rng,no-float-eq")
     code = main(["lint", "--root", str(tmp_path), "--format", "json"])
     assert code == 1
     (diagnostic,) = json.loads(capsys.readouterr().out)["diagnostics"]
     assert diagnostic["rule"] == "unused-suppression"
-    assert diagnostic["line"] == 2
+    assert diagnostic["line"] == 1
     assert "suppression for no-float-eq matched no finding" in diagnostic["message"]
-    assert "fault-hook-raises" not in diagnostic["message"]
+    assert "no-unseeded-rng" not in diagnostic["message"]
 
 
 def test_pass_suppression_alone_is_clean(
     tmp_path: Path, capsys: pytest.CaptureFixture
 ) -> None:
-    _hook_with_suppression(tmp_path, "fault-hook-raises")
+    """A suppression whose every name absorbed a finding is not reported."""
+    _import_with_suppression(tmp_path, "no-unseeded-rng")
     assert main(["lint", "--root", str(tmp_path)]) == 0
     assert "clean" in capsys.readouterr().out
 
@@ -112,7 +107,7 @@ def test_pass_suppression_alone_is_clean(
 def test_each_file_is_parsed_once(
     tmp_path: Path, monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture
 ) -> None:
-    _hook_with_suppression(tmp_path, "fault-hook-raises")
+    _import_with_suppression(tmp_path, "no-unseeded-rng")
     (tmp_path / "src" / "repro" / "engine" / "mod.py").write_text(
         "def ratio(a: float, b: float) -> bool:\n    return a / b == 0.5\n"
     )
@@ -124,9 +119,10 @@ def test_each_file_is_parsed_once(
         return real_parse(source, filename, *args, **kwargs)
 
     monkeypatch.setattr(ast, "parse", counting_parse)
-    # Rules (no-float-eq) and passes (fault-hook-raises) both active.
+    # Both rules ran: one finding absorbed, one reported.
     assert main(["lint", "--root", str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "[no-float-eq]" in out
+    assert "[no-unseeded-rng]" not in out
     assert "2 file(s) checked" in out
-    assert sorted(Path(name).name for name in parsed) == ["hook.py", "mod.py"]
+    assert sorted(Path(name).name for name in parsed) == ["mod.py", "seeded.py"]

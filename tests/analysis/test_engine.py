@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import LintRunner, render_json, render_text
-from repro.analysis import engine as engine_module
 from repro.analysis.rules import default_rules, resolve_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -23,9 +22,6 @@ def test_default_rules_catalog() -> None:
         "no-float-eq",
         "no-mutable-default",
         "no-module-mutable-state",
-        "shared-node-state",
-        "fault-hook-raises",
-        "shared-rng",
     ]
     for rule in rules:
         assert rule.description
@@ -51,28 +47,6 @@ def test_scopes_respected_for_out_of_scope_files(tmp_path: Path) -> None:
     assert {d.path for d in report.diagnostics} == {"src/repro/engine/mod.py"}
 
 
-def test_per_file_run_builds_no_call_graph(
-    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
-) -> None:
-    """With every whole-program pass disabled, the runner never builds
-    the call graph; the per-file rules still report."""
-
-    def no_graph(*args: object, **kwargs: object) -> None:
-        raise AssertionError("the call graph was built for per-file rules")
-
-    monkeypatch.setattr(engine_module, "build_graph", no_graph)
-    target = tmp_path / "src" / "repro" / "engine" / "mod.py"
-    target.parent.mkdir(parents=True)
-    target.write_text("import random\n")
-    per_file = resolve_rules(
-        default_rules(), ["shared-node-state", "fault-hook-raises", "shared-rng"]
-    )
-    report = LintRunner(checks=per_file, root=tmp_path).run([tmp_path])
-    assert {d.rule for d in report.diagnostics} == {"no-unseeded-rng"}
-    with pytest.raises(AssertionError, match="call graph"):
-        LintRunner(root=tmp_path).run([tmp_path])
-
-
 def test_allowlisted_file_is_exempt(tmp_path: Path) -> None:
     rng_home = tmp_path / "src" / "repro" / "util" / "rng.py"
     rng_home.parent.mkdir(parents=True)
@@ -82,8 +56,8 @@ def test_allowlisted_file_is_exempt(tmp_path: Path) -> None:
 
 
 def test_file_outside_root_is_checked(tmp_path: Path) -> None:
-    """A requested file outside ``root`` is still parsed, checked and
-    placed in the program graph, under its absolute path."""
+    """A requested file outside ``root`` is still parsed and checked,
+    and reported under its absolute path."""
     outside = tmp_path / "elsewhere" / "mod.py"
     outside.parent.mkdir()
     outside.write_text("import random\n")
@@ -129,10 +103,11 @@ def test_clean_report_exit_code_zero(tmp_path: Path) -> None:
 
 def test_repo_tree_is_lint_clean() -> None:
     """The acceptance gate: the shipped tree has zero findings under
-    every check, per-file rules and whole-program passes alike.
+    every rule.
 
-    Frozen shared arrays are checked at runtime, not here: see
-    ``tests/core/test_logical.py::test_every_array_a_compiled_solution_holds_is_frozen``.
+    Properties of the built program are checked at runtime, not here:
+    see ``tests/core/test_logical.py::test_every_array_a_compiled_solution_holds_is_frozen``
+    and ``tests/engine/test_isolation.py``.
     """
     report = LintRunner(root=REPO_ROOT).run([REPO_ROOT / "src" / "repro"])
     assert report.files_checked > 50

@@ -25,12 +25,9 @@ def oracle_cells(
     """Grid indices where each plan is cheapest, ``(cost, plan.order)`` ties."""
     space = solution.space
     values = space.points_matrix(np.arange(space.n_points))
-    costs = np.vstack(
-        [
-            solution.cost_model.plan_costs(plan, values, space.names)
-            for plan in solution.plans
-        ]
-    )
+    model = solution.cost_model
+    rate, sels = model.resolve_columns(values, space.names)
+    costs = np.vstack([model.cost_at(model.steps(plan), rate, sels) for plan in solution.plans])
     best = lexicographic_argmin([costs], order_ranks(solution.plans))
     cells: dict[LogicalPlan, set[GridIndex]] = {p: set() for p in solution.plans}
     for index, plan_index in zip(solution.space.grid_indices(), best):

@@ -37,7 +37,8 @@ def costs(three_op_query, space, plans) -> np.ndarray:
     """Every plan's cost at every grid point, one row per plan."""
     values = space.points_matrix(np.arange(space.n_points))
     model = PlanCostModel(three_op_query)
-    return np.vstack([model.plan_costs(plan, values, space.names) for plan in plans])
+    rate, sels = model.resolve_columns(values, space.names)
+    return np.vstack([model.cost_at(model.steps(plan), rate, sels) for plan in plans])
 
 
 class TestBatchCostKernel:

@@ -20,6 +20,7 @@ from logical_oracle import (
     oracle_weights,
     oracle_worst_case_loads,
 )
+from object_graph import references
 
 from repro.core import (
     Cluster,
@@ -574,37 +575,6 @@ class TestGoldenCompiles:
         assert golden_record(q2_cli) == golden["q2"]
 
 
-def _arrays_reachable_from(root):
-    """Every ndarray reachable from ``root``, with its attribute path.
-
-    Follows ``vars()`` and ``__slots__`` of objects defined in
-    :mod:`repro`, and the items of dicts, lists, tuples and sets; any
-    other object is a leaf.  No attribute is named, so a new memo is
-    walked without editing this function.
-    """
-    found, seen, stack = [], set(), [("solution", root)]
-    while stack:
-        path, obj = stack.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, np.ndarray):
-            found.append((path, obj))
-        elif isinstance(obj, dict):
-            stack.extend((f"{path}[{key!r}]", value) for key, value in obj.items())
-            stack.extend((f"{path} key", key) for key in obj)
-        elif isinstance(obj, (list, tuple, set, frozenset)):
-            stack.extend((f"{path}[{i}]", item) for i, item in enumerate(obj))
-        elif type(obj).__module__.startswith("repro."):
-            attrs = dict(getattr(obj, "__dict__", {}))
-            for cls in type(obj).__mro__:
-                for slot in getattr(cls, "__slots__", ()):
-                    if hasattr(obj, slot):
-                        attrs[slot] = getattr(obj, slot)
-            stack.extend((f"{path}.{name}", value) for name, value in attrs.items())
-    return found
-
-
 @pytest.mark.parametrize("compiled", ["q1_cli", "q2_cli"])
 def test_every_array_a_compiled_solution_holds_is_frozen(compiled, request):
     # RLD compiles once and then serves its arrays, by reference, to
@@ -614,6 +584,10 @@ def test_every_array_a_compiled_solution_holds_is_frozen(compiled, request):
     logical.plan_cells()
     logical.plan_weights()
     logical.area_fractions()
-    arrays = _arrays_reachable_from(solution)
+    arrays = [
+        (path, obj)
+        for path, obj in references(solution, "solution")
+        if isinstance(obj, np.ndarray)
+    ]
     assert len(arrays) > 10  # the walk reached the memos
     assert [path for path, array in arrays if array.flags.writeable] == []

@@ -435,8 +435,9 @@ class TestFaultHookErrors:
 
     ``on_fault`` hooks may raise :class:`FaultError` (and only that);
     the simulator counts each in ``report.fault_hook_errors`` and keeps
-    going — the fault it injected must still be measured.  The static
-    counterpart is ``repro lint``'s ``fault-hook-raises`` pass.
+    going — the fault it injected must still be measured.  That every
+    shipped strategy keeps to this is checked under arbitrary fault
+    sequences in ``tests/engine/test_isolation.py``.
     """
 
     def _run(self, scenario, strategy_cls, *, trace=None):

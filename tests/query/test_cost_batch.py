@@ -95,7 +95,7 @@ class TestBatchEquivalence:
     def test_plan_costs_matches_scalar_bitwise(self, case):
         query, plan, names, matrix = case
         model = PlanCostModel(query)
-        batch = model.plan_costs(plan, matrix, names)
+        batch = model.cost_at(model.steps(plan), *model.resolve_columns(matrix, names))
         points = _points(names, matrix)
         scalar = [model.plan_cost(plan, point) for point in points]
         oracle = [cost_oracle.plan_cost(query, plan, point) for point in points]

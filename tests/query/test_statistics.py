@@ -84,6 +84,16 @@ class TestStatisticsEstimate:
         with pytest.raises(ValueError, match="non-negative int"):
             StatisticsEstimate({"sel:0": 0.4}, {"sel:0": -1})
 
+    @pytest.mark.parametrize("level", [10, 11, 40])
+    def test_level_without_a_positive_lower_bound_rejected(self, level):
+        # Δ·u >= 1 puts the lower bound e·(1 − Δ·u) at or below zero.
+        with pytest.raises(ValueError, match="must be < 10 so the lower bound"):
+            StatisticsEstimate({"sel:0": 0.4}, {"sel:0": level})
+
+    def test_widest_level_keeps_a_positive_lower_bound(self):
+        est = StatisticsEstimate({"sel:0": 0.4}, {"sel:0": 9})
+        assert est.bounds("sel:0")[0] > 0
+
     def test_non_positive_estimate_rejected(self):
         with pytest.raises(ValueError, match="must be > 0"):
             StatisticsEstimate({"sel:0": 0.0})

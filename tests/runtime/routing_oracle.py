@@ -41,8 +41,8 @@ def oracle_decisions(
     bneck = np.empty((n_plans, n_points), dtype=np.intp)
     down_load = np.zeros((n_plans, n_points))
     for p, plan in enumerate(plans):
-        costs[p] = model.plan_costs(plan, matrix, names)
         rate, sels = model.resolve_columns(matrix, names)
+        costs[p] = model.cost_at(model.steps(plan), rate, sels)
         loads = dict(zip(plan, model.loads_at(model.steps(plan), rate, sels)))
         node_loads = np.zeros((len(capacities), n_points))
         for op_id, load in loads.items():

@@ -109,9 +109,11 @@ class _ExplodingSimulator:
 
 class TestDYNFaultHook:
     def test_evacuation_failure_becomes_fault_error(self, skewed_query):
-        """Regression (found by the `fault-hook-raises` pass): migrate() can raise
-        RuntimeError/ValueError out of on_fault, past the engine's
-        fault accounting.  The hook must convert to FaultError."""
+        """Regression: migrate() can raise RuntimeError/ValueError out of
+        on_fault, past the engine's fault accounting.  The hook must
+        convert to FaultError.  A real simulator's migrate() does not
+        fail here, so a stub pins the wrapper that the fault-sequence
+        test in ``tests/engine/test_isolation.py`` cannot reach."""
         strategy = DYNStrategy(skewed_query, Cluster.homogeneous(2, 600.0))
         event = FaultEvent(time=12.0, kind="crash", node=0)
         with pytest.raises(FaultError, match="evacuation of node 0"):

@@ -101,6 +101,16 @@ class TestBadInput:
                 ["simulate", "--faults", "partition@inf:for=5"],
                 "fault time must be finite, got inf",
             ),
+            # Too small a cluster for the estimate-optimal plan.
+            (["simulate", "--nodes", "1"], "ROD cannot place query 'Q1'"),
+            (["simulate", "--capacity", "1"], "ROD cannot place query 'Q1'"),
+            # Δ·u >= 1 would give a zero or negative lower bound.
+            (["compile", "--level", "11"], "uncertainty level for 'sel:0' must be < 10"),
+            (
+                ["simulate", "--rate-level", "-2"],
+                "uncertainty level for 'rate' must be a non-negative int",
+            ),
+            (["simulate", "--capacity", "inf"], "capacity of node 0 must be finite"),
         ],
     )
     def test_exits_with_one_line(self, argv, message):

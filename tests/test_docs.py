@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.checks import all_rules
-from repro.analysis.rules import Rule
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -70,8 +69,8 @@ class TestReferencesResolve:
 
 
 class TestStaticAnalysisCatalog:
-    """``docs/static-analysis.md`` lists exactly the rules and passes the
-    code registers: a stale row or an undocumented rule fails here."""
+    """``docs/static-analysis.md`` lists exactly the rules the code
+    registers: a stale row or an undocumented rule fails here."""
 
     def _catalog(self, heading: str) -> list[str]:
         text = (ROOT / "docs" / "static-analysis.md").read_text()
@@ -79,15 +78,5 @@ class TestStaticAnalysisCatalog:
         return re.findall(r"^\| `([\w-]+)` \|", section, flags=re.MULTILINE)
 
     def test_rule_catalog_matches_all_rules(self):
-        documented = self._catalog("## Rule catalog") + self._catalog(
-            "### Pass catalog"
-        )
+        documented = self._catalog("## Rule catalog")
         assert documented == [r.name for r in all_rules()]
-
-    def test_pass_catalog_matches_all_passes(self):
-        passes = [
-            r.name
-            for r in all_rules()
-            if type(r).check_program is not Rule.check_program
-        ]
-        assert self._catalog("### Pass catalog") == passes
