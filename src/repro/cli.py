@@ -207,6 +207,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         strategy_order=tuple(args.strategies),
         faults=faults,
     )
+    # A horizon too short for the first batch leaves only nan rows; a
+    # stall after batches arrived keeps its nan row (the §6.5 signal).
+    if all(report.batches_injected == 0 for report in comparison.reports.values()):
+        raise SystemExit(
+            f"no batch arrived within --duration {args.duration:g} s; "
+            "raise --duration or --rate-scale"
+        )
     header = (
         f"{'strategy':>8} | {'avg ms':>9} | {'p95 ms':>9} | {'tuples out':>11} "
         f"| {'migrations':>10} | {'switches':>8} | {'overhead':>8}"

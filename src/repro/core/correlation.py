@@ -27,9 +27,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.occurrence import dimension_means
 from repro.core.parameter_space import GridIndex, ParameterSpace, Region
 from repro.util.rng import derive_rng
-from repro.util.validation import ensure_positive
+from repro.util.validation import ensure_finite, ensure_positive
 from repro.util.types import FloatArray, IntArray
 
 __all__ = ["CorrelatedOccurrenceModel"]
@@ -70,7 +71,9 @@ class CorrelatedOccurrenceModel:
         means: Mapping[str, float] | None = None,
         sigma_fraction: float = DEFAULT_SIGMA_FRACTION,
     ) -> None:
-        ensure_positive(sigma_fraction, "sigma_fraction")
+        ensure_positive(
+            ensure_finite(sigma_fraction, "sigma_fraction"), "sigma_fraction"
+        )
         self._space = space
         self._active: list[int] = [
             i for i, dim in enumerate(space.dimensions) if dim.width > 0
@@ -96,14 +99,7 @@ class CorrelatedOccurrenceModel:
             if eigenvalues.min() < -1e-9:
                 raise ValueError("correlation matrix must be positive semidefinite")
 
-        self._means = np.array(
-            [
-                float(means[space.dimensions[i].name])
-                if means and space.dimensions[i].name in means
-                else 0.5 * (space.dimensions[i].lo + space.dimensions[i].hi)
-                for i in self._active
-            ]
-        )
+        self._means = np.array(dimension_means(space, means))[self._active]
         self._sigmas = np.array(
             [
                 sigma_fraction * 0.5 * space.dimensions[i].width
@@ -143,12 +139,12 @@ class CorrelatedOccurrenceModel:
         n = len(lo[0])
         lows = np.empty((n, d))
         highs = np.empty((n, d))
+        lo_values = self._space.values_at(lo)
+        hi_values = self._space.values_at(hi)
         for position, dim_index in enumerate(self._active):
-            dimension = self._space.dimensions[dim_index]
-            half = 0.5 * dimension.cell_width
-            values = dimension.values_array()
-            lows[:, position] = values[lo[dim_index]] - half
-            highs[:, position] = values[hi[dim_index]] + half
+            half = 0.5 * self._space.dimensions[dim_index].cell_width
+            lows[:, position] = lo_values[dim_index] - half
+            highs[:, position] = hi_values[dim_index] + half
         total = np.zeros(n)
         if not n:
             return total
@@ -163,9 +159,9 @@ class CorrelatedOccurrenceModel:
         cell = tuple(index)
         return self.region_probability(Region(self._space, cell, cell))
 
-    def masses(self, flat: IntArray) -> FloatArray:
-        """:meth:`cell_probability` at every row-major flat grid position."""
-        indices = self._space.indices_of_flat(flat)
+    def masses(self, indices: Sequence[IntArray]) -> FloatArray:
+        """:meth:`cell_probability` at the grid points whose index
+        columns (one per dimension) are ``indices``."""
         return self._box_masses(indices, indices)
 
     def region_probability(self, region: Region) -> float:

@@ -22,16 +22,18 @@ points) is priced on its product structure: each axis's frozen values,
 reshaped to broadcast along that axis only, go through the cost
 kernels slab by slab (:data:`SCAN_SLAB_ROWS`), so no coordinate matrix
 is gathered and no whole-grid float temporary is built.  Above the
-cap, the scan visits a fixed-seed sample, one gathered value matrix
-per block; weights become estimates, and worst-case loads come from
-the space's top corner, which bounds every point.
+cap, the scan visits a fixed-seed sample, priced block by block on
+the values at its grid indices; weights become estimates, and
+worst-case loads come from the space's top corner, which bounds every
+point.
 
 Weights and loads come from one fold over blocks of
 :data:`SCAN_BLOCK_ROWS` rows (:func:`row_blocks`), shared by both
-scans.  An exact block expands its axis values and, under the normal
-model, the outer product of the per-dimension mass tables over its
-run of flat positions; a sampled block gathers them.  Each block is
-sorted by label once, and each plan's loads over its own points are
+scans.  Every block is its per-dimension grid-index columns: an exact
+block expands them over its run of flat positions, a sampled block
+unravels its positions once.  Occurrence masses and statistic values
+are table lookups on those columns.  Each block is sorted by label
+once, and each plan's loads over its own points are
 written into one ``(n_operators, rows)`` buffer in
 ``query.operator_ids`` order and folded into maxima and sums, one
 term per block, so every sum adds in the same order however the
@@ -76,7 +78,7 @@ SCAN_BLOCK_ROWS = 8_192
 #: default q1 space (16,807 points).
 SCAN_SLAB_ROWS = 1 << 15
 
-#: Either §5.2 occurrence model: both expose ``masses(flat)``.
+#: Either §5.2 occurrence model: both expose ``masses(indices)``.
 OccurrenceModel = NormalOccurrenceModel | CorrelatedOccurrenceModel
 
 
@@ -286,19 +288,15 @@ class RobustLogicalSolution:
         The label part of the pass alone, for callers that need only
         the cells; a later full pass reuses it.  An exact grid is priced
         slab by slab on its broadcast axis columns; a sample, block by
-        block on its gathered value matrix.
+        block as :meth:`_blocks` walks it.
         """
+        if self._labels is None and self.uses_sampled_grid:
+            for _ in self._blocks():  # the sampled walk keeps its labels
+                pass
         if self._labels is None:
-            if self.uses_sampled_grid:
-                flat = self._sampled_flat()
-                labels = np.empty(len(flat), dtype=np.intp)
-                for rows in row_blocks(len(flat)):
-                    columns = tuple(self._space.points_matrix(flat[rows]).T)
-                    labels[rows] = self._label_columns(columns)
-            else:
-                labels = np.empty(self._space.n_points, dtype=np.intp)
-                for rows, columns in self._space.slabs(SCAN_SLAB_ROWS):
-                    labels[rows] = self._label_columns(columns)
+            labels = np.empty(self._space.n_points, dtype=np.intp)
+            for rows, columns in self._space.slabs(SCAN_SLAB_ROWS):
+                labels[rows] = self._label_columns(columns)
             labels.setflags(write=False)
             self._labels = labels
         return self._labels
@@ -337,35 +335,29 @@ class RobustLogicalSolution:
             self._default_occurrence = NormalOccurrenceModel(self._space)
         return self._default_occurrence
 
-    def _blocks(
-        self, model: OccurrenceModel
-    ) -> Iterator[tuple[IntArray, tuple[FloatArray, ...], FloatArray]]:
-        """Each scan block's labels, value columns and occurrence masses.
+    def _blocks(self) -> Iterator[tuple[IntArray, tuple[IntArray, ...]]]:
+        """Each scan block's labels and per-dimension grid-index columns.
 
         Blocks are :func:`row_blocks` of the scanned points.  An exact
-        grid expands its axis values and, under the normal model, its
-        per-dimension mass tables over each block's run of flat
-        positions; a sample gathers one value matrix per block and takes
-        its labels from that same matrix unless they are already kept.
+        grid expands its indices over each block's run of flat positions
+        (:meth:`~repro.core.parameter_space.ParameterSpace.run_indices`);
+        a sample unravels each block's positions once and, unless they
+        are already kept, prices its labels from those indices' values.
         """
         space = self._space
         if not self.uses_sampled_grid:
             labels = self._plan_labels()
             for rows in row_blocks(space.n_points):
-                if isinstance(model, NormalOccurrenceModel):
-                    masses = model.range_masses(rows)
-                else:
-                    masses = model.masses(np.arange(*rows.indices(space.n_points)))
-                yield labels[rows], space.range_columns(rows), masses
+                yield labels[rows], space.run_indices(rows)
             return
         flat = self._sampled_flat()
         kept = self._labels
         labels = np.empty(len(flat), dtype=np.intp) if kept is None else kept
         for rows in row_blocks(len(flat)):
-            columns = tuple(space.points_matrix(flat[rows]).T)
+            indices = np.unravel_index(flat[rows], space.shape)
             if kept is None:
-                labels[rows] = self._label_columns(columns)
-            yield labels[rows], columns, model.masses(flat[rows])
+                labels[rows] = self._label_columns(space.values_at(indices))
+            yield labels[rows], indices
         if kept is None:
             labels.setflags(write=False)
             self._labels = labels
@@ -373,19 +365,21 @@ class RobustLogicalSolution:
     def _fused_pass(self, occurrence: OccurrenceModel | None) -> _PassResult:
         """One walk over the scanned points, memoized per occurrence model.
 
-        Per block (:meth:`_blocks`): the weights' ``bincount``, then one
-        stable sort of the block by label, so each plan's points sit in
-        one run in ascending flat order.  Each plan's loads over its run
-        are written into one ``(n_operators, points)`` buffer in
-        ``query.operator_ids`` order and folded into per-operator maxima
-        and sums.  Exact and sampled scans share this fold; every sum is
-        grouped by block, so results do not depend on whether the labels
-        came first or with the pass.
+        Per block (:meth:`_blocks`): the masses at the block's indices,
+        in block order, and the weights' ``bincount``; then one stable
+        sort of the block by label, so each plan's points sit in one run
+        in ascending flat order, and the values at the sorted indices.
+        Each plan's loads over its run are written into one
+        ``(n_operators, points)`` buffer in ``query.operator_ids`` order
+        and folded into per-operator maxima and sums.  Exact and sampled
+        scans share this fold; every sum is grouped by block, so results
+        do not depend on whether the labels came first or with the pass.
         """
         model = self._occurrence(occurrence)
         if self._pass is not None and self._pass.occurrence is model:
             return self._pass
-        names = self._space.names
+        space = self._space
+        names = space.names
         pricing = self._cost_model
         n_plans, n_ops = len(self._plans), len(self._query.operator_ids)
         row_of = {op_id: row for row, op_id in enumerate(self._query.operator_ids)}
@@ -400,11 +394,12 @@ class RobustLogicalSolution:
         worst = np.full((n_plans, n_ops), -np.inf)
         weighted = np.zeros((n_plans, n_ops))
         plain = np.zeros((n_plans, n_ops))
-        for block_labels, columns, masses in self._blocks(model):
+        for block_labels, indices in self._blocks():
+            masses = model.masses(indices)
             mass += np.bincount(block_labels, weights=masses, minlength=n_plans)
             ends = np.cumsum(np.bincount(block_labels, minlength=n_plans)).tolist()
             order = np.argsort(block_labels.astype(label_type), kind="stable")
-            columns = tuple(column[order] for column in columns)
+            columns = space.values_at(tuple(index[order] for index in indices))
             masses = masses[order]
             start = 0
             for i, ((steps, op_rows), end) in enumerate(zip(layouts, ends)):

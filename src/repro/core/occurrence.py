@@ -12,7 +12,7 @@ the cell's value interval — ``Pr(area) = Pr_x(area) · Pr_y(area)``.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -20,12 +20,30 @@ from repro.core.parameter_space import GridIndex, ParameterSpace, Region
 from repro.util.types import FloatArray, IntArray
 from repro.util.validation import ensure_finite, ensure_positive
 
-__all__ = ["NormalOccurrenceModel"]
+__all__ = ["NormalOccurrenceModel", "dimension_means"]
 
 #: Fraction of a dimension's half-width used as one standard deviation.
 #: 0.5 puts the space edge at 2σ, leaving ~4.6% of mass outside the
 #: modelled space (consistent with "fluctuations are known a priori").
 DEFAULT_SIGMA_FRACTION = 0.5
+
+
+def dimension_means(
+    space: ParameterSpace, means: Mapping[str, float] | None
+) -> list[float]:
+    """Each dimension's occurrence mean, in space order: ``means[name]``
+    where given, else the dimension's midpoint (the point estimate).
+
+    Rejects a name that is not a space dimension and a non-finite mean.
+    """
+    given = dict(means or {})
+    unknown = sorted(set(given) - set(space.names))
+    if unknown:
+        raise ValueError(f"means name parameters outside the space: {unknown}")
+    return [
+        ensure_finite(float(given.get(d.name, 0.5 * (d.lo + d.hi))), f"{d.name} mean")
+        for d in space.dimensions
+    ]
 
 
 def _standard_normal_cdf(z: float) -> float:
@@ -58,20 +76,9 @@ class NormalOccurrenceModel:
             ensure_finite(sigma_fraction, "sigma_fraction"), "sigma_fraction"
         )
         self._space = space
-        self._means: list[float] = []
-        self._sigmas: list[float] = []
-        for dim in space.dimensions:
-            mean = float(means[dim.name]) if means and dim.name in means else (
-                0.5 * (dim.lo + dim.hi)
-            )
-            half_width = 0.5 * dim.width
-            if half_width <= 0.0:
-                # Pinned dimension: all mass on its single value.
-                sigma = 0.0
-            else:
-                sigma = sigma_fraction * half_width
-            self._means.append(mean)
-            self._sigmas.append(sigma)
+        self._means = dimension_means(space, means)
+        # A pinned dimension gets sigma 0: all mass on its single value.
+        self._sigmas = [sigma_fraction * (0.5 * d.width) for d in space.dimensions]
         self._mass_tables: tuple[FloatArray, ...] | None = None
 
     @property
@@ -123,30 +130,18 @@ class NormalOccurrenceModel:
             self._mass_tables = tuple(tables)
         return self._mass_tables
 
-    def masses(self, flat: IntArray) -> FloatArray:
-        """:meth:`cell_probability` at every row-major flat grid position.
+    def masses(self, indices: Sequence[IntArray]) -> FloatArray:
+        """:meth:`cell_probability` at the grid points whose index
+        columns (one per dimension) are ``indices``.
 
         Each dimension's cell masses form one small table, and a cell's
         mass is the product of its entries, taken in dimension order as
         :meth:`cell_probability` takes them, so the two agree bitwise.
         """
-        indices = self._space.indices_of_flat(flat)
-        mass = np.ones(len(indices[0]))
-        for table, index in zip(self._cell_mass_tables(), indices):
+        tables = self._cell_mass_tables()
+        mass = tables[0][indices[0]]
+        for table, index in zip(tables[1:], indices[1:]):
             mass = mass * table[index]
-        return mass
-
-    def range_masses(self, rows: slice) -> FloatArray:
-        """:meth:`masses` at the row-major flat positions in ``rows``.
-
-        The rows of the outer product of the per-dimension tables, taken
-        in dimension order as :meth:`cell_probability` takes them, so
-        the three agree bitwise; no flat position is unravelled.
-        """
-        columns = self._space.range_columns(rows, self._cell_mass_tables())
-        mass = columns[0]
-        for column in columns[1:]:
-            mass = mass * column
         return mass
 
     def region_probability(self, region: Region) -> float:

@@ -139,7 +139,7 @@ class ParameterSpace:
             raise ValueError(f"duplicate dimension names: {names}")
         self._dimensions = tuple(dimensions)
         #: Each dimension's grid values, built once and frozen: every
-        #: :meth:`points_matrix` block and every slab's columns read them.
+        #: :meth:`values_at` lookup and every slab's columns read them.
         self._axis_values = tuple(d.values_array() for d in self._dimensions)
         for values in self._axis_values:
             values.setflags(write=False)
@@ -148,8 +148,6 @@ class ParameterSpace:
             int(np.prod(self.shape[k + 1 :], dtype=np.int64))
             for k in range(len(self._dimensions))
         )
-        #: The last :meth:`indices_of_flat` call: its positions and indices.
-        self._last_unravel: tuple[IntArray, tuple[IntArray, ...]] | None = None
 
     @classmethod
     def from_estimates(
@@ -234,38 +232,39 @@ class ParameterSpace:
             flat //= d.steps
         return tuple(reversed(index))
 
-    def indices_of_flat(self, flat: IntArray) -> tuple[IntArray, ...]:
-        """:meth:`index_of_flat` for a batch: one grid-index array per
-        dimension, read-only.
+    def run_indices(self, rows: slice) -> tuple[IntArray, ...]:
+        """Each dimension's grid index at every flat position in ``rows``.
 
-        A scan block's value matrix (:meth:`points_matrix`) and its
-        occurrence masses both need these, so the last call's result is
-        kept and returned again while the positions are equal, which
-        saves the block's second ``np.unravel_index``.
+        ``rows`` is a non-empty run of flat positions; the result equals
+        ``np.unravel_index`` over it.  Along row-major positions, the
+        index of a dimension with stride ``s`` holds for ``s`` positions
+        and steps, wrapping after ``steps·s``: a short period is tiled, a
+        long one expanded run by run.  No flat position is unravelled.
         """
-        flat = np.asarray(flat, dtype=np.intp)
-        last = self._last_unravel
-        if last is not None and np.array_equal(last[0], flat):
-            return last[1]
-        indices = np.unravel_index(flat, self.shape)
-        key = flat.copy()
-        for array in (key, *indices):
-            array.setflags(write=False)
-        self._last_unravel = (key, indices)
-        return indices
+        start, stop, _ = rows.indices(self.n_points)
+        n = stop - start
+        columns = []
+        for steps, stride in zip(self.shape, self._strides):
+            period = steps * stride
+            offset = start % period
+            if period <= n:
+                periods = -(-(offset + n) // period)
+                one_period = np.repeat(np.arange(steps), stride)
+                column = np.tile(one_period, periods)[offset : offset + n]
+            else:
+                first, last = offset // stride, (offset + n - 1) // stride
+                counts = np.full(last - first + 1, stride)
+                counts[0] -= offset - first * stride
+                counts[-1] -= (last + 1) * stride - (offset + n)
+                column = np.repeat(np.arange(first, last + 1) % steps, counts)
+            columns.append(column)
+        return tuple(columns)
 
-    def points_matrix(self, flat: IntArray) -> FloatArray:
-        """Dense ``(len(flat), n_dims)`` value matrix at row-major flat
-        grid positions; columns follow :attr:`names`.  Values are
-        bitwise identical to :meth:`Dimension.value`.  Callers pass
-        bounded blocks of positions, never the whole of a large grid."""
-        indices = self.indices_of_flat(flat)
-        # Filled column by column into column-major storage: the batch
-        # cost kernels read the matrix one column at a time.
-        columns = np.empty((self.n_dims, len(indices[0])))
-        for column, values, index in zip(columns, self._axis_values, indices):
-            column[:] = values[index]
-        return columns.T
+    def values_at(self, indices: Sequence[IntArray]) -> tuple[FloatArray, ...]:
+        """Each dimension's grid values at its index column in ``indices``
+        (one per dimension, in :attr:`names` order), bitwise equal to
+        :meth:`Dimension.value`."""
+        return tuple(values[index] for values, index in zip(self._axis_values, indices))
 
     # ------------------------------------------------------------------
     # Axis views (the grid's product structure)
@@ -279,7 +278,7 @@ class ParameterSpace:
         ``(1,…,steps_k,…,1)`` so that column ``k`` varies along axis
         ``k`` only.  An elementwise formula over the columns broadcasts
         to the slab in C (row-major flat) order, with values bitwise
-        equal to :meth:`points_matrix`.  A slab fixes the leading axes
+        equal to :meth:`values_at`.  A slab fixes the leading axes
         and cuts the first axis whose trailing sub-grid fits into runs
         of indices; a grid of at most ``max_rows`` points is one slab.
         """
@@ -310,38 +309,6 @@ class ParameterSpace:
         for k, (values, cut) in enumerate(zip(self._axis_values, box)):
             part = values[cut]
             columns.append(part.reshape((1,) * k + (len(part),) + (1,) * (d - k - 1)))
-        return tuple(columns)
-
-    def range_columns(
-        self, rows: slice, tables: Sequence[FloatArray] | None = None
-    ) -> tuple[FloatArray, ...]:
-        """Each dimension's table entry at every flat position in ``rows``.
-
-        ``rows`` is a non-empty run of flat positions; ``tables[k]`` has
-        one entry per grid index of dimension ``k`` (its grid values by
-        default).  Along row-major positions, the
-        index of a dimension with stride ``s`` holds for ``s`` positions
-        and steps, wrapping after ``steps·s``: a short period is tiled, a
-        long one expanded run by run.  No flat position is unravelled.
-        """
-        start, stop, _ = rows.indices(self.n_points)
-        n = stop - start
-        columns = []
-        for table, steps, stride in zip(
-            self._axis_values if tables is None else tables, self.shape, self._strides
-        ):
-            period = steps * stride
-            offset = start % period
-            if period <= n:
-                periods = -(-(offset + n) // period)
-                column = np.tile(np.repeat(table, stride), periods)[offset : offset + n]
-            else:
-                first, last = offset // stride, (offset + n - 1) // stride
-                counts = np.full(last - first + 1, stride)
-                counts[0] -= offset - first * stride
-                counts[-1] -= (last + 1) * stride - (offset + n)
-                column = np.repeat(table[np.arange(first, last + 1) % steps], counts)
-            columns.append(column)
         return tuple(columns)
 
     def nearest_flat_index(self, point: Mapping[str, float]) -> int | None:

@@ -110,35 +110,32 @@ class PlanLoadTable:
         ordered = sorted(plans, key=lambda p: (-weights[p], p.order))
         self._plans = tuple(ordered)
         self._weights = tuple(float(weights[p]) for p in self._plans)
-        self._loads = [dict(loads[p]) for p in self._plans]
-        op_sets = {frozenset(table.keys()) for table in self._loads}
+        op_sets = {frozenset(loads[p]) for p in self._plans}
         if len(op_sets) != 1:
             raise ValueError("all plans must cover the same operator set")
         self._operator_ids = tuple(sorted(next(iter(op_sets))))
         self._op_column = {op_id: j for j, op_id in enumerate(self._operator_ids)}
-        # Dense (n_plans, n_ops) backing matrix: one row per plan, one
+        # Dense (n_plans, n_ops) backing matrices: one row per plan, one
         # column per sorted operator id.  All mask/score/load queries
-        # below are vectorized slices of this matrix.
-        self._load_matrix = np.array(
-            [[table[op_id] for op_id in self._operator_ids] for table in self._loads]
-        )
-        # Shared by reference through the load_matrix property; frozen
-        # so consumers cannot corrupt the mask/score queries below.
-        self._load_matrix.setflags(write=False)
+        # below are vectorized slices of them.  Shared by reference
+        # through the load_matrix property; frozen so consumers cannot
+        # corrupt the queries below.
+        self._load_matrix = self._matrix(loads)
         self._weight_vector = np.array(self._weights)
         self._weight_vector.setflags(write=False)
-        if typical_loads is None:
-            self._typical = None
-            self._typical_matrix = None
-        else:
-            self._typical = [dict(typical_loads[p]) for p in self._plans]
-            self._typical_matrix = np.array(
-                [
-                    [table[op_id] for op_id in self._operator_ids]
-                    for table in self._typical
-                ]
-            )
-            self._typical_matrix.setflags(write=False)
+        self._typical_matrix = (
+            None if typical_loads is None else self._matrix(typical_loads)
+        )
+
+    def _matrix(
+        self, loads: Mapping[LogicalPlan, Mapping[int, float]]
+    ) -> FloatArray:
+        """``loads`` as a frozen ``(n_plans, n_ops)`` matrix in table order."""
+        matrix = np.array(
+            [[loads[p][op_id] for op_id in self._operator_ids] for p in self._plans]
+        )
+        matrix.setflags(write=False)
+        return matrix
 
     @classmethod
     def from_solution(
@@ -193,7 +190,7 @@ class PlanLoadTable:
 
     def load(self, plan_index: int, op_id: int) -> float:
         """Worst-case load of ``op_id`` under plan ``plan_index``."""
-        return self._loads[plan_index][op_id]
+        return float(self._load_matrix[plan_index, self._op_column[op_id]])
 
     def _columns(self, ops: Iterable[int]) -> list[int]:
         """Matrix column indices of an operator-id collection."""

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.parameter_space import GridIndex, ParameterSpace, Region
-from repro.query.cost import PlanCostModel
+from repro.query.cost import PlanCostModel, Value
 from repro.query.plans import LogicalPlan
 from repro.util.types import FloatArray
 
@@ -135,17 +135,16 @@ class WeightAssigner:
         for dim_index, dimension in enumerate(self._space.dimensions):
             lo = region.lo[dim_index]
             hi = region.hi[dim_index]
-            length = hi - lo + 1
             cell = dimension.cell_width
             width = dimension.width if dimension.width > 0 else 1.0
             # Projected points: dimension ``dim_index`` sweeps the
             # region's index range, every other dimension pinned at the
             # region's pntLo value.
             values = dimension.values_array()[lo : hi + 1]
-            matrix = np.tile(np.asarray(corner_values), (length, 1))
-            matrix[:, dim_index] = values
-            grad_lo = self._cost_model.gradients_batch(plan_lo, matrix, names)
-            grad_hi = self._cost_model.gradients_batch(plan_hi, matrix, names)
+            columns: list[Value] = list(corner_values)
+            columns[dim_index] = values
+            grad_lo = self._cost_model.gradients_batch(plan_lo, columns, names)
+            grad_hi = self._cost_model.gradients_batch(plan_hi, columns, names)
             slope = np.minimum(
                 np.abs(grad_lo[:, dim_index]), np.abs(grad_hi[:, dim_index])
             )

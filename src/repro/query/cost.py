@@ -46,9 +46,9 @@ class PlanCostModel:
     """Exact analytic cost model for one query's logical plans.
 
     The model is the only code that reads statistics and prices plans.
-    :meth:`resolve` (one point), :meth:`resolve_columns` (a batch) and
-    :meth:`resolve_axes` (a grid's broadcast axes) turn statistics into
-    a rate and one selectivity per operator slot;
+    :meth:`resolve` (one point) and :meth:`resolve_axes` (batch columns
+    or a grid's broadcast axes) turn statistics into a rate and one
+    selectivity per operator slot;
     a parameter the point lacks takes its estimate, so callers may
     supply points over any subset of parameters (e.g. only the two
     uncertain dimensions of a 2-D parameter space).  :meth:`cost_at`
@@ -95,23 +95,6 @@ class PlanCostModel:
         given = dict(zip(names, columns))
         rate = given.get(self._rate_name, self._query.driving_rate)
         sels = [given.get(name, default) for name, default in self._params]
-        return rate, sels
-
-    def resolve_columns(
-        self, values: FloatArray, names: Sequence[str]
-    ) -> tuple[FloatArray, list[Value]]:
-        """:meth:`resolve` for every row of a batch.
-
-        ``values`` is a ``(n_points, len(names))`` matrix whose columns
-        are the parameters listed in ``names``.  A parameter among
-        ``names`` resolves to its column; a selectivity that is not
-        resolves to its estimate, and a missing rate to a column of the
-        driving rate, so priced batches are always ``(n_points,)``.
-        """
-        values = np.asarray(values, dtype=float)
-        rate, sels = self.resolve_axes(list(values.T), names)
-        if not isinstance(rate, np.ndarray):
-            rate = np.full(values.shape[0], rate)
         return rate, sels
 
     def steps(self, plan: LogicalPlan) -> Steps:
@@ -181,29 +164,33 @@ class PlanCostModel:
         return dict(zip(plan, loads))
 
     def gradients_batch(
-        self, plan: LogicalPlan, values: FloatArray, names: Sequence[str]
+        self, plan: LogicalPlan, columns: Sequence[Value], names: Sequence[str]
     ) -> FloatArray:
         """Partial derivatives of plan cost at every point of a batch.
 
-        Returns an ``(n_points, len(names))`` matrix whose column ``j``
-        is ∂cost/∂``names[j]``; a parameter that does not influence the
+        ``columns[j]`` holds the values of parameter ``names[j]``: a
+        batch column, or a float that holds at every point.  Returns an
+        ``(n_points, len(names))`` matrix whose column ``j`` is
+        ∂cost/∂``names[j]``; a parameter that does not influence the
         cost (neither the rate nor any operator's selectivity) gets a
         zero column.  Because the cost is multilinear, ∂cost/∂λ is
         cost/λ and ∂cost/∂σ_k is the rate times the selectivities
         upstream of operator k times the downstream suffix priced at
         unit rate.  Used by the §4.2 slope-based weight function.
         """
-        rate, sels = self.resolve_columns(values, names)
+        rate, sels = self.resolve_axes(columns, names)
         steps = self.steps(plan)
         position = {name: j for j, name in enumerate(names)}
-        grads = np.zeros((rate.shape[0], len(names)))
+        shape = np.broadcast_shapes(*(np.shape(column) for column in columns))
+        grads = np.zeros((*shape, len(names)))
         if self._rate_name in position:
-            grads[:, position[self._rate_name]] = self.cost_at(steps, rate, sels) / rate
+            column = position[self._rate_name]
+            grads[..., column] = self.cost_at(steps, rate, sels) / rate
         upstream: Value = 1.0
         for k, (_, slot) in enumerate(steps):
             j = position.get(self._params[slot][0])
             if j is not None:
                 suffix = self.cost_at(steps[k + 1 :], 1.0, sels)
-                grads[:, j] = rate * upstream * suffix
+                grads[..., j] = rate * upstream * suffix
             upstream = upstream * sels[slot]
         return grads

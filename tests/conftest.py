@@ -64,24 +64,26 @@ def small_cluster() -> Cluster:
 
 
 @pytest.fixture
-def bounded_points_matrix(monkeypatch):
-    """A context manager under which ``ParameterSpace.points_matrix``
-    refuses more than ``SCAN_BLOCK_ROWS`` positions: code run inside it
-    never materializes a whole-grid value matrix.  Activate it around
-    the code under test only; checks on whole cell sets run outside."""
-    unbounded = ParameterSpace.points_matrix
+def bounded_values_at(monkeypatch):
+    """A context manager under which ``ParameterSpace.values_at``
+    refuses index columns longer than ``SCAN_BLOCK_ROWS``: code run
+    inside it never gathers the values of a whole grid.  Activate it
+    around the code under test only; checks on whole cell sets run
+    outside."""
+    unbounded = ParameterSpace.values_at
 
-    def bounded(space, flat):
-        if np.size(flat) > logical.SCAN_BLOCK_ROWS:
-            raise AssertionError(f"points_matrix asked for {np.size(flat)} rows")
-        return unbounded(space, flat)
+    def bounded(space, indices):
+        rows = max(np.size(index) for index in indices)
+        if rows > logical.SCAN_BLOCK_ROWS:
+            raise AssertionError(f"values_at asked for {rows} rows")
+        return unbounded(space, indices)
 
     @contextmanager
     def guard():
-        monkeypatch.setattr(ParameterSpace, "points_matrix", bounded)
+        monkeypatch.setattr(ParameterSpace, "values_at", bounded)
         try:
             yield
         finally:
-            monkeypatch.setattr(ParameterSpace, "points_matrix", unbounded)
+            monkeypatch.setattr(ParameterSpace, "values_at", unbounded)
 
     return guard

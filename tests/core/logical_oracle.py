@@ -11,6 +11,7 @@ against it on small spaces.
 from __future__ import annotations
 
 import numpy as np
+from grid_points import grid_columns
 from tie_break import lexicographic_argmin, order_ranks
 
 from repro.core.logical import OccurrenceModel, RobustLogicalSolution
@@ -24,10 +25,10 @@ def oracle_cells(
 ) -> dict[LogicalPlan, set[GridIndex]]:
     """Grid indices where each plan is cheapest, ``(cost, plan.order)`` ties."""
     space = solution.space
-    values = space.points_matrix(np.arange(space.n_points))
     model = solution.cost_model
-    rate, sels = model.resolve_columns(values, space.names)
-    costs = np.vstack([model.cost_at(model.steps(plan), rate, sels) for plan in solution.plans])
+    rate, sels = model.resolve_axes(grid_columns(space), space.names)
+    priced = [model.cost_at(model.steps(plan), rate, sels) for plan in solution.plans]
+    costs = np.vstack([np.broadcast_to(cost, space.n_points) for cost in priced])
     best = lexicographic_argmin([costs], order_ranks(solution.plans))
     cells: dict[LogicalPlan, set[GridIndex]] = {p: set() for p in solution.plans}
     for index, plan_index in zip(solution.space.grid_indices(), best):
@@ -117,7 +118,8 @@ def oracle_scan(
     for start in range(0, space.n_points, block_rows):
         flats = range(start, min(start + block_rows, space.n_points))
         if batched:
-            block_masses = occurrence.masses(np.asarray(flats))
+            indices = np.unravel_index(np.asarray(flats), space.shape)
+            block_masses = occurrence.masses(indices)
         for plan in solution.plans:
             mine = [k for k in flats if label[k] is plan]
             if not mine:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from grid_points import grid_columns
 from tie_break import lexicographic_argmin, order_ranks
 
 from repro.core import ParameterSpace
@@ -35,9 +36,8 @@ def plans(three_op_query) -> list[LogicalPlan]:
 @pytest.fixture
 def costs(three_op_query, space, plans) -> np.ndarray:
     """Every plan's cost at every grid point, one row per plan."""
-    values = space.points_matrix(np.arange(space.n_points))
     model = PlanCostModel(three_op_query)
-    rate, sels = model.resolve_columns(values, space.names)
+    rate, sels = model.resolve_axes(grid_columns(space), space.names)
     return np.vstack([model.cost_at(model.steps(plan), rate, sels) for plan in plans])
 
 

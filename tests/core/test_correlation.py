@@ -80,7 +80,7 @@ class TestMasses:
         for space, correlation in zip(spaces, ([[1.0, -0.7], [-0.7, 1.0]], None)):
             model = CorrelatedOccurrenceModel(space, correlation=correlation)
             flat = np.arange(space.n_points)
-            masses = model.masses(flat)
+            masses = model.masses(np.unravel_index(flat, space.shape))
             for k in flat:
                 expected = model.cell_probability(space.index_of_flat(int(k)))
                 assert masses[k] == pytest.approx(expected, rel=1e-12, abs=1e-12)
@@ -100,11 +100,11 @@ class TestMasses:
             return CorrelatedOccurrenceModel(space, correlation=correlation)
 
         model = build()
-        flat = np.arange(model.space.n_points)
-        first = model.masses(flat)
-        assert np.array_equal(model.masses(flat), first)
-        assert np.array_equal(model.masses(flat), first)
-        assert np.array_equal(build().masses(flat), first)
+        grid = np.unravel_index(np.arange(model.space.n_points), model.space.shape)
+        first = model.masses(grid)
+        assert np.array_equal(model.masses(grid), first)
+        assert np.array_equal(model.masses(grid), first)
+        assert np.array_equal(build().masses(grid), first)
 
 
 def _flat_space() -> ParameterSpace:
@@ -234,3 +234,19 @@ class TestValidation:
         )
         model = CorrelatedOccurrenceModel(space)  # 1 varying dim: ok
         assert model.total_mass() > 0.9
+
+    @pytest.mark.parametrize("sigma_fraction", [float("nan"), float("inf")])
+    def test_non_finite_sigma_fraction_rejected(self, unit_space, sigma_fraction):
+        # inf used to reach SciPy's "array must not contain infs or NaNs".
+        with pytest.raises(ValueError, match="sigma_fraction must be finite"):
+            CorrelatedOccurrenceModel(unit_space, sigma_fraction=sigma_fraction)
+
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf")])
+    def test_non_finite_mean_rejected(self, unit_space, mean):
+        # A NaN mean used to give a total mass of 0.0, silently.
+        with pytest.raises(ValueError, match="y mean must be finite"):
+            CorrelatedOccurrenceModel(unit_space, means={"y": mean})
+
+    def test_mean_of_unknown_parameter_rejected(self, unit_space):
+        with pytest.raises(ValueError, match=r"outside the space: \['z'\]"):
+            CorrelatedOccurrenceModel(unit_space, means={"z": 0.5})

@@ -189,11 +189,9 @@ class TestWeights:
 class TestWorstCaseLoads:
     def test_loads_dominate_every_cell(self, setup, q1_cli):
         for solution in (setup[2], q1_cli.logical):
-            names = list(solution.space.names)
             for plan, cells in solution.plan_cells().items():
                 worst = solution.worst_case_loads(plan)
-                matrix = solution.space.points_matrix(cells)
-                loads = _batch_loads(solution.cost_model, plan, matrix, names)
+                loads = _batch_loads(solution.cost_model, plan, solution.space, cells)
                 for op_id, load in loads.items():
                     assert np.all(load <= worst[op_id]), (plan, op_id)
 
@@ -334,9 +332,10 @@ class TestProductScanMatchesOracle:
                 assert solution.expected_loads(plan, occurrence) == typical
 
 
-def _batch_loads(model, plan, values, names):
-    """Operator id → load vector of ``plan`` over a block of points."""
-    rate, sels = model.resolve_columns(values, names)
+def _batch_loads(model, plan, space, flat):
+    """Operator id → load of ``plan`` at the grid points at ``flat``."""
+    columns = space.values_at(np.unravel_index(flat, space.shape))
+    rate, sels = model.resolve_axes(columns, space.names)
     return dict(zip(plan, model.loads_at(model.steps(plan), rate, sels)))
 
 
@@ -428,28 +427,46 @@ class TestFusedPass:
         return calls
 
     def test_from_solution_walks_the_grid_once(self, q1_cli, q2_cli, monkeypatch):
-        # The exact q1 scan prices the grid's axis columns: it gathers no
-        # value matrix, unravels no flat position and looks up no mass by
-        # position.  The sampled q2 scan gathers once per block.
+        # Every scan block is its grid-index columns, and values and
+        # masses are looked up on them once per block.  The exact q1
+        # scan expands one run per block and unravels no flat position;
+        # the sampled q2 scan unravels each block once and reads its
+        # values twice: for its labels, then sorted by label.
         calls = self._count_calls(
             monkeypatch,
-            (ParameterSpace, "points_matrix"),
-            (ParameterSpace, "indices_of_flat"),
+            (ParameterSpace, "run_indices"),
+            (ParameterSpace, "values_at"),
             (NormalOccurrenceModel, "masses"),
         )
+        unravel = np.unravel_index
+        unravels = []
+
+        def counted_unravel(*args, **kwargs):
+            unravels.append(args)
+            return unravel(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unravel_index", counted_unravel)
         PlanLoadTable.from_solution(
             _fresh(q1_cli.logical), occurrence=q1_cli.occurrence
         )
-        assert set(calls.values()) == {0}
+        blocks = -(-q1_cli.space.n_points // SCAN_BLOCK_ROWS)
+        assert blocks == 11
+        assert not unravels
+        assert calls == {
+            "ParameterSpace.run_indices": blocks,
+            "ParameterSpace.values_at": blocks,
+            "NormalOccurrenceModel.masses": blocks,
+        }
+        calls.update(dict.fromkeys(calls, 0))
         PlanLoadTable.from_solution(
             _fresh(q2_cli.logical), occurrence=q2_cli.occurrence
         )
         blocks = MAX_SCAN_POINTS // SCAN_BLOCK_ROWS
         assert blocks == 32
-        # One unravel for the value matrix; the masses reuse it.
+        assert len(unravels) == blocks
         assert calls == {
-            "ParameterSpace.points_matrix": blocks,
-            "ParameterSpace.indices_of_flat": 2 * blocks,
+            "ParameterSpace.run_indices": 0,
+            "ParameterSpace.values_at": 2 * blocks,
             "NormalOccurrenceModel.masses": blocks,
         }
 
@@ -481,12 +498,10 @@ class TestCliDefaultCompile:
 
     def test_placement_fits_every_point_of_supported_regions(self, q1_cli):
         logical = q1_cli.logical
-        names = list(q1_cli.space.names)
         cells = logical.plan_cells()
         placement = q1_cli.physical.physical_plan
         for plan in q1_cli.supported_plans:
-            matrix = q1_cli.space.points_matrix(cells[plan])
-            loads = _batch_loads(logical.cost_model, plan, matrix, names)
+            loads = _batch_loads(logical.cost_model, plan, q1_cli.space, cells[plan])
             for ops, capacity in zip(placement.assignment, q1_cli.cluster.capacities):
                 node_load = np.zeros(len(cells[plan]))
                 for op_id in sorted(ops):
@@ -496,10 +511,10 @@ class TestCliDefaultCompile:
 
 class TestSampledScan:
     def test_q2_samples_and_bounds_loads_by_the_top_corner(
-        self, bounded_points_matrix
+        self, bounded_values_at
     ):
         # The q2 space has 1.4e9 points: the compile must work in blocks.
-        with bounded_points_matrix():
+        with bounded_values_at():
             solution = _cli_compile(build_q2())
         logical = solution.logical
         assert logical.uses_sampled_grid
@@ -507,12 +522,10 @@ class TestSampledScan:
         cells = logical.plan_cells()
         assert sum(len(c) for c in cells.values()) == MAX_SCAN_POINTS
         corner = solution.space.full_region().pnt_hi
-        names = list(solution.space.names)
         for plan in logical.plans:
             worst = logical.worst_case_loads(plan)
             assert worst == logical.cost_model.operator_loads(plan, corner)
-            matrix = solution.space.points_matrix(cells[plan])
-            loads = _batch_loads(logical.cost_model, plan, matrix, names)
+            loads = _batch_loads(logical.cost_model, plan, solution.space, cells[plan])
             for op_id, load in loads.items():
                 assert np.all(load <= worst[op_id])
 

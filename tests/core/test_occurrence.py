@@ -74,13 +74,14 @@ class TestMasses:
         )
         model = NormalOccurrenceModel(space, means=means, sigma_fraction=0.4)
         flat = np.arange(space.n_points)[::-1]
-        masses = model.masses(flat)
+        masses = model.masses(np.unravel_index(flat, space.shape))
         for k, mass in zip(flat, masses):
             assert mass == model.cell_probability(space.index_of_flat(int(k)))
-        assert model.masses(flat[:0]).shape == (0,)
+        assert model.masses(np.unravel_index(flat[:0], space.shape)).shape == (0,)
 
-    def test_range_masses_equal_masses_bitwise(self):
-        # The outer product of the tables, over any run of positions.
+    def test_run_masses_equal_masses_bitwise(self):
+        # The index columns of any run of positions give the masses of
+        # the same positions unravelled.
         space = ParameterSpace(
             [
                 Dimension("p", 1.5, 1.5, 1),
@@ -90,15 +91,19 @@ class TestMasses:
             ]
         )
         model = NormalOccurrenceModel(space, means={"x": 0.3}, sigma_fraction=0.4)
-        everything = model.masses(np.arange(space.n_points))
+        everything = model.masses(
+            np.unravel_index(np.arange(space.n_points), space.shape)
+        )
         for start, stop in [(0, space.n_points), (3, 4), (17, 101), (130, 140)]:
             assert np.array_equal(
-                model.range_masses(slice(start, stop)), everything[start:stop]
+                model.masses(space.run_indices(slice(start, stop))),
+                everything[start:stop],
             )
 
     def test_mass_tables_are_built_once_and_frozen(self, unit_space):
         model = NormalOccurrenceModel(unit_space)
-        first = model.masses(np.arange(unit_space.n_points))
+        grid = unit_space.run_indices(slice(0, unit_space.n_points))
+        first = model.masses(grid)
         tables = model._cell_mass_tables()
         assert model._cell_mass_tables() is tables
         for table in tables:
@@ -106,7 +111,7 @@ class TestMasses:
             with pytest.raises(ValueError):
                 table[0] = 1.0
         first[:] = 0.0  # the result is the caller's own array
-        again = model.masses(np.arange(unit_space.n_points))
+        again = model.masses(grid)
         assert np.all(again > 0)
 
 
@@ -151,3 +156,21 @@ class TestRegionProbability:
         # ``nan <= 0`` is false: a bare sign test let NaN through.
         with pytest.raises(ValueError, match="sigma_fraction must be finite"):
             NormalOccurrenceModel(unit_space, sigma_fraction=sigma_fraction)
+
+
+class TestMeans:
+    @pytest.mark.parametrize("mean", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_mean_rejected(self, unit_space, mean):
+        # A NaN mean used to make every mass, and the total, NaN.
+        with pytest.raises(ValueError, match="x mean must be finite"):
+            NormalOccurrenceModel(unit_space, means={"x": mean})
+
+    def test_mean_of_unknown_parameter_rejected(self, unit_space):
+        # A misspelled name used to be ignored, leaving the midpoint.
+        with pytest.raises(ValueError, match=r"outside the space: \['sel:0'\]"):
+            NormalOccurrenceModel(unit_space, means={"x": 0.2, "sel:0": 0.3})
+
+    def test_given_means_replace_midpoints(self, unit_space):
+        shifted = NormalOccurrenceModel(unit_space, means={"x": 0.5})
+        default = NormalOccurrenceModel(unit_space)
+        assert shifted.total_mass() == default.total_mass()

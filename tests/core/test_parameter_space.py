@@ -122,88 +122,92 @@ class TestParameterSpace:
             space_2d.index_of_flat(space_2d.n_points)
 
     def test_grid_matrix_rows_match_point_at(self, space_2d):
-        # The whole grid's value matrix: one row per flat position.
-        matrix = space_2d.points_matrix(np.arange(space_2d.n_points))
-        assert matrix.shape == (space_2d.n_points, space_2d.n_dims)
+        # The whole grid's values: one entry per flat position.
+        indices = np.unravel_index(np.arange(space_2d.n_points), space_2d.shape)
+        columns = space_2d.values_at(indices)
+        assert len(columns) == space_2d.n_dims
         for flat, index in enumerate(space_2d.grid_indices()):
             point = space_2d.point_at(index)
             for col, name in enumerate(space_2d.names):
-                assert matrix[flat, col] == point[name]
+                assert columns[col][flat] == point[name]
 
-    def test_points_matrix_subset(self, space_2d):
+    def test_values_at_subset(self, space_2d):
         flats = np.arange(space_2d.n_points)[::-3]
-        matrix = space_2d.points_matrix(flats)
-        full = space_2d.points_matrix(np.arange(space_2d.n_points))
-        assert np.array_equal(matrix, full[flats])
-        assert space_2d.points_matrix(flats[:0]).shape == (0, space_2d.n_dims)
+        columns = space_2d.values_at(np.unravel_index(flats, space_2d.shape))
+        full = space_2d.values_at(
+            np.unravel_index(np.arange(space_2d.n_points), space_2d.shape)
+        )
+        for column, whole in zip(columns, full):
+            assert np.array_equal(column, whole[flats])
+        empty = space_2d.values_at(np.unravel_index(flats[:0], space_2d.shape))
+        assert [column.shape for column in empty] == [(0,)] * space_2d.n_dims
 
-    def test_points_matrix_reads_frozen_axis_values(self, space_2d):
+    def test_values_at_reads_frozen_axis_values(self, space_2d):
         for values, dim in zip(space_2d._axis_values, space_2d.dimensions):
             assert not values.flags.writeable
             with pytest.raises(ValueError):
                 values[0] = 0.0
             assert np.array_equal(values, dim.values_array())
-        flats = np.arange(space_2d.n_points)
-        matrix = space_2d.points_matrix(flats)
-        assert matrix.flags.writeable
-        matrix[:] = -1.0  # the caller's own array: the grid is unchanged
-        assert np.array_equal(
-            space_2d.points_matrix(flats),
-            np.column_stack(
-                [d.values_array()[i] for d, i in zip(
-                    space_2d.dimensions,
-                    np.unravel_index(flats, space_2d.shape),
-                )]
-            ),
-        )
+        indices = np.unravel_index(np.arange(space_2d.n_points), space_2d.shape)
+        columns = space_2d.values_at(indices)
+        for column in columns:
+            assert column.flags.writeable
+            column[:] = -1.0  # the caller's own array: the grid is unchanged
+        for column, dim, index in zip(
+            space_2d.values_at(indices), space_2d.dimensions, indices
+        ):
+            assert np.array_equal(column, dim.values_array()[index])
 
     @settings(max_examples=40, deadline=None)
     @given(
         shape=st.lists(st.integers(1, 5), min_size=1, max_size=4),
         max_rows=st.integers(1, 40),
-        data=st.data(),
     )
-    def test_axis_views_match_points_matrix(self, shape, max_rows, data):
-        # Slabs and range columns read the grid's product structure;
-        # each must equal the gathered value matrix.
+    def test_slabs_match_values_at(self, shape, max_rows):
+        # Slabs read the grid's product structure; each must equal the
+        # values at its flat positions.
         space = ParameterSpace(
             [
                 Dimension(f"d{k}", 1.0 + k, 1.0 + k + 0.5 * (steps > 1), steps)
                 for k, steps in enumerate(shape)
             ]
         )
-        matrix = space.points_matrix(np.arange(space.n_points))
+        grid = space.values_at(np.unravel_index(np.arange(space.n_points), space.shape))
         [(rows, columns)] = space.slabs(space.n_points)
         assert rows == slice(0, space.n_points)
         for k, column in enumerate(np.broadcast_arrays(*columns)):
             assert column.shape == space.shape
-            assert np.array_equal(column.reshape(-1), matrix[:, k])
+            assert np.array_equal(column.reshape(-1), grid[k])
         covered = 0
         for rows, columns in space.slabs(max_rows):
             assert rows.start == covered
             covered = rows.stop
             assert 0 < rows.stop - rows.start <= max(max_rows, 1)
             for k, column in enumerate(np.broadcast_arrays(*columns)):
-                assert np.array_equal(column.reshape(-1), matrix[rows, k])
+                assert np.array_equal(column.reshape(-1), grid[k][rows])
         assert covered == space.n_points
-        start = data.draw(st.integers(0, space.n_points - 1))
-        stop = data.draw(st.integers(start + 1, space.n_points + 3))
-        for k, column in enumerate(space.range_columns(slice(start, stop))):
-            assert np.array_equal(column, matrix[start:stop, k])
 
-    def test_indices_of_flat_reuses_only_equal_positions(self, space_2d):
-        flats = np.arange(space_2d.n_points)[::-1].copy()
-        first = space_2d.indices_of_flat(flats)
-        expected = np.unravel_index(flats, space_2d.shape)
-        assert all(np.array_equal(a, b) for a, b in zip(first, expected))
-        assert not any(index.flags.writeable for index in first)
-        # Equal positions in another array: the kept indices come back.
-        assert space_2d.indices_of_flat(flats.copy()) is first
-        # The caller's array changed in place: the indices are recomputed.
-        flats[0] = 0
-        again = space_2d.indices_of_flat(flats)
-        assert again is not first
-        assert again[0][0] == 0 and again[1][0] == 0
+    @settings(max_examples=80, deadline=None)
+    @given(shape=st.lists(st.integers(1, 6), min_size=1, max_size=5), data=st.data())
+    def test_run_indices_match_unravel_index(self, shape, data):
+        # Any run of flat positions, including runs that start and end
+        # mid-period and straddle several periods of every dimension.
+        space = ParameterSpace(
+            [
+                Dimension(f"d{k}", 0.0, float(steps > 1), steps)
+                for k, steps in enumerate(shape)
+            ]
+        )
+        start = data.draw(st.integers(0, space.n_points - 1))
+        stop = data.draw(st.integers(start + 1, space.n_points))
+        expected = np.unravel_index(np.arange(start, stop), space.shape)
+        columns = space.run_indices(slice(start, stop))
+        assert len(columns) == space.n_dims
+        for column, index in zip(columns, expected):
+            assert column.tolist() == index.tolist()
+        # A run past the end stops at the last grid point.
+        last = space.run_indices(slice(start, space.n_points + 3))
+        assert [len(column) for column in last] == [space.n_points - start] * len(shape)
 
     def test_nearest_flat_index_on_grid(self, space_2d):
         for flat, index in enumerate(space_2d.grid_indices()):

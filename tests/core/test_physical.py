@@ -61,6 +61,18 @@ class TestPlanLoadTable:
         with pytest.raises(ValueError):
             matrix[1:, :][0, 0] = -1.0
 
+    def test_load_reads_the_load_matrix(self):
+        # One copy of the loads: ``load`` and the matrix queries agree,
+        # rows in weight order.
+        table = _table(weights=(0.2, 0.8))
+        assert table.plans[0] == LogicalPlan((2, 1, 0))
+        assert table.load(0, 2) == 30.0
+        for i in range(table.n_plans):
+            for j, op_id in enumerate(table.operator_ids):
+                assert table.load(i, op_id) == table.load_matrix[i, j]
+        with pytest.raises(KeyError):
+            table.load(0, 7)
+
     def test_mask_round_trip(self):
         table = _table()
         mask = table.mask_of([table.plans[1]])

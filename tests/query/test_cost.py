@@ -69,7 +69,7 @@ class TestPlanCost:
 def _gradient(model, plan, point):
     """``gradients_batch`` at one point, as ``{parameter: partial}``."""
     names = list(point)
-    row = model.gradients_batch(plan, np.array([[point[n] for n in names]]), names)
+    row = model.gradients_batch(plan, [np.array([point[n]]) for n in names], names)
     return dict(zip(names, row[0]))
 
 
@@ -89,7 +89,7 @@ class TestGradient:
         # nothing gets a zero column.
         plan = LogicalPlan((0, 1, 2))
         names = ["sel:1", "bogus"]
-        grads = model.gradients_batch(plan, np.array([[0.5, 7.0]]), names)
+        grads = model.gradients_batch(plan, [np.array([0.5]), np.array([7.0])], names)
         assert grads.shape == (1, 2)
         expected = cost_oracle.gradient(three_op_query, plan, {"sel:1": 0.5})
         assert set(expected) == {"sel:1"}
@@ -112,11 +112,11 @@ class TestResolve:
         assert sels == [0.6, 0.9, 0.4]
 
     def test_columns_resolve_like_points(self, model):
-        values = np.array([[0.9, 0.2], [0.8, 0.3]])
-        rate, sels = model.resolve_columns(values, ["sel:1", "sel:2"])
-        # No rate column: a full column of the driving rate, so priced
-        # batches are always one value per row.
-        assert rate.tolist() == [100.0, 100.0]
+        columns = [np.array([0.9, 0.8]), np.array([0.2, 0.3])]
+        rate, sels = model.resolve_axes(columns, ["sel:1", "sel:2"])
+        # No rate column: the driving rate, a float that broadcasts
+        # against the batch like the unnamed selectivity does.
+        assert rate == 100.0
         assert sels[0] == 0.6
         assert sels[1].tolist() == [0.9, 0.8]
         assert sels[2].tolist() == [0.2, 0.3]

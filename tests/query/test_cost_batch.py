@@ -95,11 +95,12 @@ class TestBatchEquivalence:
     def test_plan_costs_matches_scalar_bitwise(self, case):
         query, plan, names, matrix = case
         model = PlanCostModel(query)
-        batch = model.cost_at(model.steps(plan), *model.resolve_columns(matrix, names))
+        rate, sels = model.resolve_axes(list(matrix.T), names)
+        cost = model.cost_at(model.steps(plan), rate, sels)
+        batch = np.broadcast_to(cost, len(matrix))
         points = _points(names, matrix)
         scalar = [model.plan_cost(plan, point) for point in points]
         oracle = [cost_oracle.plan_cost(query, plan, point) for point in points]
-        assert batch.shape == (matrix.shape[0],)
         assert scalar == oracle
         assert np.array_equal(batch, np.array(oracle))
 
@@ -108,14 +109,15 @@ class TestBatchEquivalence:
     def test_loads_at_columns_matches_scalar_bitwise(self, case):
         query, plan, names, matrix = case
         model = PlanCostModel(query)
-        rate, sels = model.resolve_columns(matrix, names)
-        batch = dict(zip(plan, model.loads_at(model.steps(plan), rate, sels)))
+        rate, sels = model.resolve_axes(list(matrix.T), names)
+        loads = model.loads_at(model.steps(plan), rate, sels)
+        n = len(matrix)
+        batch = {op_id: np.broadcast_to(load, n) for op_id, load in zip(plan, loads)}
         assert set(batch) == set(plan)
         for k, point in enumerate(_points(names, matrix)):
             oracle = cost_oracle.operator_loads(query, plan, point)
             assert model.operator_loads(plan, point) == oracle
             for op_id, load in oracle.items():
-                assert batch[op_id].shape == (matrix.shape[0],)
                 assert batch[op_id][k] == load
 
     @settings(max_examples=60, deadline=None)
@@ -152,7 +154,7 @@ class TestBatchEquivalence:
     def test_gradients_batch_matches_scalar(self, case):
         query, plan, names, matrix = case
         model = PlanCostModel(query)
-        batch = model.gradients_batch(plan, matrix, names)
+        batch = model.gradients_batch(plan, list(matrix.T), names)
         assert batch.shape == (matrix.shape[0], len(names))
         for k, point in enumerate(_points(names, matrix)):
             oracle = cost_oracle.gradient(query, plan, point)

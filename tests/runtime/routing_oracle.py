@@ -1,5 +1,6 @@
 """Reference oracle for RLD routing: the classifier decision at every
-grid point at once, vectorized over every grid point's values.
+grid point at once, vectorized over every grid point's values (read
+one point at a time through ``point_at``).
 
 This is an independent implementation of :class:`RLDStrategy`'s three
 branches — the cost argmin, the dead-bottleneck fallback and the
@@ -11,6 +12,7 @@ argmins share the ``(…, plan.order)`` tie-break through
 from __future__ import annotations
 
 import numpy as np
+from grid_points import grid_columns
 from tie_break import lexicographic_argmin, order_ranks
 
 from repro.core.rld import RLDSolution
@@ -27,7 +29,7 @@ def oracle_decisions(
     space = solution.space
     names = list(space.names)
     n_points = space.n_points
-    matrix = space.points_matrix(np.arange(n_points))
+    columns = grid_columns(space)
     n_plans = len(plans)
     placement = solution.physical.physical_plan
     capacities = np.asarray(solution.cluster.capacities, dtype=float)
@@ -41,7 +43,7 @@ def oracle_decisions(
     bneck = np.empty((n_plans, n_points), dtype=np.intp)
     down_load = np.zeros((n_plans, n_points))
     for p, plan in enumerate(plans):
-        rate, sels = model.resolve_columns(matrix, names)
+        rate, sels = model.resolve_axes(columns, names)
         costs[p] = model.cost_at(model.steps(plan), rate, sels)
         loads = dict(zip(plan, model.loads_at(model.steps(plan), rate, sels)))
         node_loads = np.zeros((len(capacities), n_points))

@@ -111,6 +111,15 @@ class TestBadInput:
                 "uncertainty level for 'rate' must be a non-negative int",
             ),
             (["simulate", "--capacity", "inf"], "capacity of node 0 must be finite"),
+            # A horizon that holds no batch printed three rows of nan.
+            (
+                ["simulate", "--rate-scale", "1e-9", "--duration", "10"],
+                "no batch arrived within --duration 10 s",
+            ),
+            (
+                ["simulate", "--duration", "1e-9"],
+                "no batch arrived within --duration 1e-09 s",
+            ),
         ],
     )
     def test_exits_with_one_line(self, argv, message):
