@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from repro.query.statistics import (
     StatisticsEstimate,
@@ -125,14 +125,11 @@ class JoinGraph:
         """Operator ids adjacent to ``op_id`` (empty if unconstrained)."""
         return self._adjacency.get(op_id, frozenset())
 
-    def allows_after(self, op_id: int, placed: Iterable[int]) -> bool:
+    def allows_after(self, op_id: int, placed: Collection[int]) -> bool:
         """True if ``op_id`` may follow the already-ordered ``placed`` ops."""
-        if self.is_unconstrained:
+        if self.is_unconstrained or not placed:
             return True
-        placed = set(placed)
-        if not placed:
-            return True
-        return bool(self.neighbors(op_id) & placed)
+        return not self.neighbors(op_id).isdisjoint(placed)
 
     @classmethod
     def chain(cls, op_ids: Iterable[int]) -> "JoinGraph":

@@ -42,6 +42,10 @@ __all__ = [
 #: Relative tolerance under which two plan costs count as tied.
 _COST_TIE_RTOL = 1e-12
 
+#: Most operators :class:`DPOptimizer` accepts: its per-call tables hold
+#: 2^n entries, so n = 20 already means lists of a million entries.
+MAX_DP_OPERATORS = 20
+
 
 class PointOptimizer(ABC):
     """Return the optimal logical plan at a statistics point.
@@ -147,57 +151,133 @@ class RankOrderOptimizer(PointOptimizer):
 class DPOptimizer(PointOptimizer):
     """Held–Karp subset dynamic program, optimal under any join graph.
 
-    ``dp[mask]`` holds the cheapest (cost, order) processing exactly the
-    operator set ``mask``.  Appending operator ``o`` to ``mask`` adds
-    ``c_o · λ · Π_{i∈mask} σ_i`` — the subset product is independent of
-    order, so the DP is exact.  Complexity O(2^n·n), practical to n≈20.
+    The search keeps, per subset mask, the cheapest (cost, order)
+    processing exactly that operator set.  Appending operator ``o`` to
+    ``mask`` adds ``c_o · Π_{i∈mask} σ_i`` — the subset product is
+    independent of order, so the DP is exact.  Costs are at unit rate:
+    the driving rate λ multiplies every candidate alike, so it is left
+    out and cannot reorder them; only the absolute floor of the 1e-12
+    tie window would see its scale.
+
+    Which operators may extend a subset depends on the join graph, not
+    on the point.  The first search builds a *move table* and keeps it:
+    for every mask, the positions (operators in op-id order) that
+    ``JoinGraph.allows_after`` lets follow it, empty for a mask no valid
+    ordering reaches.  That is 2^n tuples of small ints, O(2^n·n)
+    memory.  Each call then builds the 2^n subset products and relaxes
+    costs over the table, masks ascending and positions ascending, with
+    ``_prefer``'s tie rule inlined; it makes an order tuple only for a
+    candidate that wins or ties.  O(2^n·n) time per call; construction
+    rejects more than :data:`MAX_DP_OPERATORS` operators.
     """
 
-    def _find_best(self, point: Mapping[str, float]) -> LogicalPlan:
-        query = self._query
-        _, sels_by_slot = self._cost_model.resolve(point)
-        ops = sorted(zip(query.operators, sels_by_slot), key=lambda pair: pair[0].op_id)
-        ids = [op.op_id for op, _ in ops]
-        sels = [sel for _, sel in ops]
-        costs = [op.cost_per_tuple for op, _ in ops]
-        n = len(ids)
-        graph = query.join_graph
-
-        # Subset selectivity products, built incrementally.
-        product = [1.0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low_bit = mask & -mask
-            j = low_bit.bit_length() - 1
-            product[mask] = product[mask ^ low_bit] * sels[j]
-
-        dp: list[tuple[float, tuple[int, ...]] | None] = [None] * (1 << n)
-        dp[0] = (0.0, ())
-        for mask in range(1 << n):
-            state = dp[mask]
-            if state is None:
-                continue
-            base_cost, base_order = state
-            placed = [ids[j] for j in range(n) if mask >> j & 1]
-            for j in range(n):
-                if mask >> j & 1:
-                    continue
-                if placed and not graph.allows_after(ids[j], placed):
-                    continue
-                new_mask = mask | (1 << j)
-                candidate = (
-                    base_cost + costs[j] * product[mask],
-                    base_order + (ids[j],),
-                )
-                if _prefer(candidate, dp[new_mask]):
-                    dp[new_mask] = candidate
-
-        final = dp[(1 << n) - 1]
-        if final is None:
+    def __init__(self, query: Query) -> None:
+        n = len(query.operators)
+        if n > MAX_DP_OPERATORS:
             raise ValueError(
-                f"query {query.name!r} has no valid complete ordering "
+                f"DPOptimizer handles at most {MAX_DP_OPERATORS} operators "
+                f"(its tables hold 2^n entries), got {n}"
+            )
+        super().__init__(query)
+        slots = sorted(range(n), key=lambda slot: query.operators[slot].op_id)
+        self._slots = slots
+        self._ids = [query.operators[slot].op_id for slot in slots]
+        self._costs = [query.operators[slot].cost_per_tuple for slot in slots]
+        self._move_table: list[tuple[int, ...]] | None = None
+
+    def _moves(self) -> list[tuple[int, ...]]:
+        """Per subset mask, the positions that may extend it (built once)."""
+        if self._move_table is None:
+            ids = self._ids
+            allows_after = self._query.join_graph.allows_after
+            positions = range(len(ids))
+            reached = [False] * (1 << len(ids))
+            reached[0] = True
+            table: list[tuple[int, ...]] = []
+            for mask in range(len(reached)):
+                if not reached[mask]:
+                    table.append(())
+                    continue
+                placed = [ids[j] for j in positions if mask >> j & 1]
+                moves = tuple([
+                    j for j in positions
+                    if not mask >> j & 1 and allows_after(ids[j], placed)
+                ])
+                for j in moves:
+                    reached[mask | 1 << j] = True
+                table.append(moves)
+            self._move_table = table
+        return self._move_table
+
+    def _find_best(self, point: Mapping[str, float]) -> LogicalPlan:
+        table = self._moves()
+        _, sels_by_slot = self._cost_model.resolve(point)
+        ids = self._ids
+        costs = self._costs
+        size = len(table)
+
+        # Subset selectivity products: product[mask] is
+        # product[mask without its lowest bit j] * σ_j, filled one
+        # lowest-bit stride at a time from the highest position down.
+        product = [1.0] * size
+        for j in reversed(range(len(ids))):
+            sel = sels_by_slot[self._slots[j]]
+            step = 2 << j
+            product[1 << j::step] = [rest * sel for rest in product[::step]]
+
+        # best_order[m] is meaningful once best_cost[m] is set.
+        best_cost: list[float | None] = [None] * size
+        best_order: list[tuple[int, ...]] = [()] * size
+        best_cost[0] = 0.0
+        rtol = _COST_TIE_RTOL
+        for mask, moves in enumerate(table):
+            if not moves:
+                continue
+            base_cost = best_cost[mask]
+            assert base_cost is not None  # a mask with moves is reached
+            base_order = best_order[mask]
+            subset_product = product[mask]
+            for j in moves:
+                new_mask = mask | 1 << j
+                cost = base_cost + costs[j] * subset_product
+                inc_cost = best_cost[new_mask]
+                if inc_cost is not None:
+                    # _prefer inlined: strictly cheaper wins, dearer loses,
+                    # a tie within the relative tolerance goes to the
+                    # smaller order.  Its scale max(|cost|, |inc_cost|, 1)
+                    # is max(larger, 1) when both costs are non-negative,
+                    # the common case, so the first two branches skip
+                    # the abs and max calls.
+                    if cost > inc_cost >= 0.0:
+                        if cost > inc_cost + rtol * (cost if cost > 1.0 else 1.0):
+                            continue
+                    elif inc_cost >= cost >= 0.0:
+                        if cost < inc_cost - rtol * (inc_cost if inc_cost > 1.0 else 1.0):
+                            best_cost[new_mask] = cost
+                            best_order[new_mask] = base_order + (ids[j],)
+                            continue
+                    else:
+                        tol = rtol * max(abs(cost), abs(inc_cost), 1.0)
+                        if cost > inc_cost + tol:
+                            continue
+                        if cost < inc_cost - tol:
+                            best_cost[new_mask] = cost
+                            best_order[new_mask] = base_order + (ids[j],)
+                            continue
+                    order = base_order + (ids[j],)
+                    if order < best_order[new_mask]:
+                        best_cost[new_mask] = cost
+                        best_order[new_mask] = order
+                    continue
+                best_cost[new_mask] = cost
+                best_order[new_mask] = base_order + (ids[j],)
+
+        if best_cost[-1] is None:
+            raise ValueError(
+                f"query {self._query.name!r} has no valid complete ordering "
                 "(disconnected join graph?)"
             )
-        return LogicalPlan(final[1])
+        return LogicalPlan(best_order[-1])
 
 
 class ExhaustiveOrderOptimizer(PointOptimizer):

@@ -66,6 +66,18 @@ class TestJoinGraph:
         graph = JoinGraph.chain([0, 1, 2])
         assert graph.allows_after(2, [])
 
+    def test_operator_outside_the_graph_never_follows(self):
+        graph = JoinGraph.chain([0, 1])
+        assert graph.allows_after(7, [])
+        assert not graph.allows_after(7, [0, 1])
+
+    def test_placed_may_be_any_collection(self):
+        graph = JoinGraph.star(0, [1, 2])
+        for placed in ([0], (0,), {0}, frozenset({0, 2})):
+            assert graph.allows_after(1, placed)
+        for placed in ([2], (2,), {2}, frozenset({1, 2})):
+            assert not graph.allows_after(1, placed)
+
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError, match="self-loop"):
             JoinGraph([(1, 1)])
