@@ -10,7 +10,9 @@ Layered as in the paper:
   ground truth) and its ε-reduction.
 * :mod:`repro.core.weights` — §4.2 slope/distance weight assignment.
 * :mod:`repro.core.partitioning` — ES, RS, WRP (Algorithm 2) and ERP
-  (Algorithm 3) robust logical solution algorithms.
+  (Algorithm 3) robust logical solution algorithms, plus Theorem 1's
+  stopping threshold (:func:`aging_threshold`) and Theorem 2's miss
+  bound, both checked on the real RS.
 * :mod:`repro.core.occurrence` — §5.2 normal occurrence probabilities.
 * :mod:`repro.core.logical` — robust logical solutions, plan regions,
   plan weights.
@@ -22,8 +24,6 @@ Layered as in the paper:
   the exhaustive search take the paper's homogeneous machines; GreedyPhy
   also places onto unequal nodes.
 * :mod:`repro.core.rld` — the end-to-end two-step RLD optimizer.
-* :mod:`repro.core.theory` — Theorem 2's bound and a Monte-Carlo check
-  of Theorems 1–2; Theorem 1's threshold is :func:`aging_threshold`.
 """
 
 from repro.core.correlation import CorrelatedOccurrenceModel
@@ -41,6 +41,7 @@ from repro.core.partitioning import (
     RandomSearch,
     WeightedRobustPartitioning,
     aging_threshold,
+    theorem2_miss_probability_bound,
 )
 from repro.core.physical import (
     Cluster,
@@ -61,11 +62,6 @@ from repro.core.robustness import (
     RobustnessChecker,
     measure_coverage,
     robust_mask,
-    robust_region_of_plan,
-)
-from repro.core.theory import (
-    simulate_uniform_discovery,
-    theorem2_miss_probability_bound,
 )
 from repro.core.weights import RegionWeights, WeightAssigner
 
@@ -75,7 +71,6 @@ __all__ = [
     "compute_plan_diagram",
     "load_solution",
     "save_solution",
-    "simulate_uniform_discovery",
     "solution_from_dict",
     "solution_to_dict",
     "theorem2_miss_probability_bound",
@@ -111,5 +106,4 @@ __all__ = [
     "measure_coverage",
     "opt_prune",
     "robust_mask",
-    "robust_region_of_plan",
 ]

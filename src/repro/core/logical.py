@@ -208,23 +208,6 @@ class RobustLogicalSolution:
         return plan in set(self._plans)
 
     # ------------------------------------------------------------------
-    # Routing (the runtime classifier's decision function)
-    # ------------------------------------------------------------------
-
-    def best_plan_at(self, point: Mapping[str, float]) -> LogicalPlan:
-        """Cheapest plan in the solution at ``point``.
-
-        This is the online classifier's decision (§3 "Robust load
-        executor"): given the latest runtime statistics, route the next
-        batch through the matching robust logical plan.  Ties break
-        toward the lexicographically smaller ordering.
-        """
-        return min(
-            self._plans,
-            key=lambda plan: (self._cost_model.plan_cost(plan, point), plan.order),
-        )
-
-    # ------------------------------------------------------------------
     # Plan cells (the label part of the pass)
     # ------------------------------------------------------------------
 
@@ -263,9 +246,9 @@ class RobustLogicalSolution:
         one at a time in ``plan.order`` rank order against a running
         minimum, and a point's winner moves only to a plan strictly
         cheaper than the best so far, so an exact cost tie keeps the
-        smaller ``plan.order`` — the ``(cost, plan.order)`` key of
-        :meth:`best_plan_at`.  Ranks only grow along the loop, so the
-        winning rank is a running maximum of ``rank × cheaper``.
+        smaller ``plan.order`` — the ``(cost, plan.order)`` key the
+        runtime classifier routes by.  Ranks only grow along the loop,
+        so the winning rank is a running maximum of ``rank × cheaper``.
         """
         pricing = self._cost_model
         first, *rest = self._by_rank

@@ -19,6 +19,10 @@ comparison:
   plan of area ≥ γδ is missed with probability ≤ e^{−γ(1+ε_prob^{-1/2})}
   (Theorem 2).
 
+ES and RS are one probe-and-age loop (``SpacePartitioner._probe``) fed
+grid order or random indices.  RS is the uniform-probe model the
+theorems assume; ``tests/core/test_theory.py`` checks both bounds on it.
+
 All algorithms accept an optional ``max_calls`` budget (the x-axis of
 Figure 11) and report a discovery log of (calls-so-far, plan) pairs.
 """
@@ -29,7 +33,7 @@ import heapq
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -42,6 +46,7 @@ from repro.query.model import Query
 from repro.query.optimizer import PointOptimizer, make_optimizer
 from repro.query.plans import LogicalPlan
 from repro.util.rng import derive_rng
+from repro.util.validation import ensure_in_range, ensure_positive
 
 __all__ = [
     "PartitioningResult",
@@ -51,6 +56,7 @@ __all__ = [
     "WeightedRobustPartitioning",
     "EarlyTerminatedRobustPartitioning",
     "aging_threshold",
+    "theorem2_miss_probability_bound",
 ]
 
 
@@ -68,6 +74,21 @@ def aging_threshold(failure_probability: float, area_bound: float) -> int:
     if not 0 < area_bound <= 1:
         raise ValueError(f"area_bound must be in (0, 1], got {area_bound}")
     return math.ceil((1.0 + failure_probability**-0.5) / area_bound)
+
+
+def theorem2_miss_probability_bound(
+    gamma: float, failure_probability: float
+) -> float:
+    """Theorem 2: P[miss a plan of area ≥ γ·δ] ≤ e^{−γ(1 + ε^{-1/2})}.
+
+    Holds when the search stops on :func:`aging_threshold`'s ``c0`` for
+    the same ε and δ, for any ``0 < γ ≤ 1/δ``.
+    """
+    ensure_positive(gamma, "gamma")
+    ensure_in_range(
+        failure_probability, "failure_probability", 0.0, 1.0, inclusive=False
+    )
+    return math.exp(-gamma * (1.0 + failure_probability**-0.5))
 
 
 @dataclass(frozen=True)
@@ -95,8 +116,51 @@ class PartitioningResult:
         return len(self.solution)
 
 
+class _DiscoveryLog:
+    """Distinct plans in sighting order, each stamped with the number of
+    optimizer calls the run had made when it first saw the plan."""
+
+    def __init__(self, optimizer: PointOptimizer) -> None:
+        self._optimizer = optimizer
+        self._start = optimizer.call_count
+        self._found: dict[LogicalPlan, int] = {}
+
+    @property
+    def calls(self) -> int:
+        """Optimizer calls charged since the log was opened."""
+        return self._optimizer.call_count - self._start
+
+    @property
+    def first_plan(self) -> LogicalPlan:
+        """The earliest plan sighted."""
+        return next(iter(self._found))
+
+    def note(self, plan: LogicalPlan) -> bool:
+        """Record a plan sighting; True when it is new to the log."""
+        if plan in self._found:
+            return False
+        self._found[plan] = self.calls
+        return True
+
+    def solution(
+        self,
+        query: Query,
+        space: ParameterSpace,
+        verified_regions: dict[LogicalPlan, list[Region]] | None = None,
+    ) -> RobustLogicalSolution:
+        """The logged plans as a solution carrying this discovery log."""
+        return RobustLogicalSolution(
+            query,
+            space,
+            list(self._found),
+            verified_regions=verified_regions,
+            discoveries=[PlanDiscovery(plan, at) for plan, at in self._found.items()],
+        )
+
+
 class SpacePartitioner(ABC):
-    """Shared scaffolding: call accounting, discovery log, budgets."""
+    """Shared scaffolding: call accounting, discovery log, budgets, and
+    the probe-and-age loop of the point-probing searches (ES, RS)."""
 
     def __init__(
         self,
@@ -126,10 +190,44 @@ class SpacePartitioner(ABC):
         """The black-box optimizer being charged for calls."""
         return self._optimizer
 
-    def _budget_left(self, start_calls: int) -> bool:
-        if self._max_calls is None:
-            return True
-        return self._optimizer.call_count - start_calls < self._max_calls
+    def _budget_left(self, log: _DiscoveryLog) -> bool:
+        return self._max_calls is None or log.calls < self._max_calls
+
+    def _probe(
+        self, indices: Iterable[tuple[int, ...]], patience: int | None = None
+    ) -> PartitioningResult:
+        """Optimize at each grid index of ``indices`` in turn.
+
+        Stops once ``patience`` consecutive answers bring no new plan
+        (``terminated_early``), when the stream ends, or when the call
+        budget runs out (``budget_exhausted``).  Both stops are checked
+        after the next index is drawn, so a random stream draws one
+        index it never probes.
+        """
+        log = _DiscoveryLog(self._optimizer)
+        misses = 0
+        processed = 0
+        stopped = exhausted = False
+        for index in indices:
+            if patience is not None and misses >= patience:
+                stopped = True
+                break
+            if not self._budget_left(log):
+                exhausted = True
+                break
+            processed += 1
+            if log.note(self._optimizer.optimize(self._space.point_at(index))):
+                misses = 0
+            else:
+                misses += 1
+        return PartitioningResult(
+            solution=log.solution(self._query, self._space),
+            optimizer_calls=log.calls,
+            regions_processed=processed,
+            terminated_early=stopped,
+            budget_exhausted=exhausted,
+            unresolved_regions=0,
+        )
 
     @abstractmethod
     def run(self) -> PartitioningResult:
@@ -144,35 +242,7 @@ class ExhaustiveSearch(SpacePartitioner):
     """
 
     def run(self) -> PartitioningResult:
-        start = self._optimizer.call_count
-        plans: list[LogicalPlan] = []
-        seen: set[LogicalPlan] = set()
-        discoveries: list[PlanDiscovery] = []
-        processed = 0
-        exhausted = False
-        for index in self._space.grid_indices():
-            if not self._budget_left(start):
-                exhausted = True
-                break
-            plan = self._optimizer.optimize(self._space.point_at(index))
-            processed += 1
-            if plan not in seen:
-                seen.add(plan)
-                plans.append(plan)
-                discoveries.append(
-                    PlanDiscovery(plan, self._optimizer.call_count - start)
-                )
-        solution = RobustLogicalSolution(
-            self._query, self._space, plans, discoveries=discoveries
-        )
-        return PartitioningResult(
-            solution=solution,
-            optimizer_calls=self._optimizer.call_count - start,
-            regions_processed=processed,
-            terminated_early=False,
-            budget_exhausted=exhausted,
-            unresolved_regions=0,
-        )
+        return self._probe(self._space.grid_indices())
 
 
 class RandomSearch(SpacePartitioner):
@@ -180,7 +250,8 @@ class RandomSearch(SpacePartitioner):
 
     Equivalent to assigning equal weights to all points: it has no idea
     where undiscovered plans live, so it wastes calls re-finding known
-    plans — the behaviour Figures 10–11 quantify.
+    plans — the behaviour Figures 10–11 quantify.  It is also the
+    uniform-probe model of Theorems 1–2, which are checked on it.
     """
 
     def __init__(
@@ -208,39 +279,7 @@ class RandomSearch(SpacePartitioner):
             yield tuple(int(self._rng.integers(0, s)) for s in shape)
 
     def run(self) -> PartitioningResult:
-        start = self._optimizer.call_count
-        plans: list[LogicalPlan] = []
-        seen: set[LogicalPlan] = set()
-        discoveries: list[PlanDiscovery] = []
-        misses = 0
-        processed = 0
-        exhausted = False
-        for index in self._random_indices():
-            if misses >= self._patience:
-                break
-            if not self._budget_left(start):
-                exhausted = True
-                break
-            plan = self._optimizer.optimize(self._space.point_at(index))
-            processed += 1
-            if plan in seen:
-                misses += 1
-                continue
-            seen.add(plan)
-            plans.append(plan)
-            discoveries.append(PlanDiscovery(plan, self._optimizer.call_count - start))
-            misses = 0
-        solution = RobustLogicalSolution(
-            self._query, self._space, plans, discoveries=discoveries
-        )
-        return PartitioningResult(
-            solution=solution,
-            optimizer_calls=self._optimizer.call_count - start,
-            regions_processed=processed,
-            terminated_early=not exhausted,
-            budget_exhausted=exhausted,
-            unresolved_regions=0,
-        )
+        return self._probe(self._random_indices(), self._patience)
 
 
 @dataclass(frozen=True)
@@ -286,27 +325,15 @@ class WeightedRobustPartitioning(SpacePartitioner):
         self._use_cost_weights = use_cost_weights
 
     def run(self) -> PartitioningResult:
-        start = self._optimizer.call_count
+        log = _DiscoveryLog(self._optimizer)
         checker = RobustnessChecker(self._optimizer, self._epsilon)
         assigner = WeightAssigner(self._space, self._cost_model)
 
-        plans: list[LogicalPlan] = []
-        seen: set[LogicalPlan] = set()
-        discoveries: list[PlanDiscovery] = []
         verified: dict[LogicalPlan, list[Region]] = {}
         misses = 0
         processed = 0
         stopped_early = False
         exhausted = False
-
-        def note_plan(plan: LogicalPlan) -> bool:
-            """Record a plan sighting; True when it is new to the set."""
-            if plan in seen:
-                return False
-            seen.add(plan)
-            plans.append(plan)
-            discoveries.append(PlanDiscovery(plan, self._optimizer.call_count - start))
-            return True
 
         # Largest regions first; sequence number breaks ties deterministically.
         queue: list[tuple[int, int, _QueueEntry]] = []
@@ -323,7 +350,7 @@ class WeightedRobustPartitioning(SpacePartitioner):
             if self.early_termination and misses >= self._age_threshold:
                 stopped_early = True
                 break
-            if not self._budget_left(start):
+            if not self._budget_left(log):
                 exhausted = True
                 break
             _, _, entry = heapq.heappop(queue)
@@ -331,9 +358,9 @@ class WeightedRobustPartitioning(SpacePartitioner):
             check = checker.check_region(region)
             processed += 1
 
-            found_new = note_plan(check.plan)
+            found_new = log.note(check.plan)
             if check.opt_hi != check.plan:
-                found_new = note_plan(check.opt_hi) or found_new
+                found_new = log.note(check.opt_hi) or found_new
             if found_new:
                 misses = 0
             else:
@@ -369,19 +396,12 @@ class WeightedRobustPartitioning(SpacePartitioner):
         while queue:
             _, _, entry = heapq.heappop(queue)
             unresolved += 1
-            fallback = entry.predicted_lo or plans[0]
+            fallback = entry.predicted_lo or log.first_plan
             verified.setdefault(fallback, []).append(entry.region)
 
-        solution = RobustLogicalSolution(
-            self._query,
-            self._space,
-            plans,
-            verified_regions=verified,
-            discoveries=discoveries,
-        )
         return PartitioningResult(
-            solution=solution,
-            optimizer_calls=self._optimizer.call_count - start,
+            solution=log.solution(self._query, self._space, verified),
+            optimizer_calls=log.calls,
             regions_processed=processed,
             terminated_early=stopped_early,
             budget_exhausted=exhausted,

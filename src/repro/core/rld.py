@@ -97,7 +97,6 @@ class RLDSolution:
     partitioning: PartitioningResult
     load_table: PlanLoadTable
     physical: PhysicalPlanResult
-    occurrence: NormalOccurrenceModel = field(repr=False, compare=False, default=None)
     #: Wall-clock seconds per compile stage ("partitioning",
     #: "robustness", "physical"); empty when compiled by an older
     #: pipeline or reloaded from disk.
@@ -215,6 +214,5 @@ class RLDOptimizer:
             partitioning=partitioning,
             load_table=load_table,
             physical=physical,
-            occurrence=occurrence,
             stage_seconds=timer.seconds,
         )

@@ -29,7 +29,7 @@ from repro.core.logical import SCAN_SLAB_ROWS
 from repro.core.parameter_space import GridIndex, ParameterSpace, Region
 from repro.query.optimizer import PointOptimizer
 from repro.query.plans import LogicalPlan
-from repro.util.types import BoolArray, IntArray
+from repro.util.types import BoolArray
 
 if TYPE_CHECKING:
     from repro.core.diagram import PlanDiagram
@@ -40,7 +40,6 @@ __all__ = [
     "coverage_against_sequence",
     "measure_coverage",
     "robust_mask",
-    "robust_region_of_plan",
 ]
 
 
@@ -163,13 +162,6 @@ def measure_coverage(
     for plan in plans:
         covered |= robust_mask(plan, diagram, epsilon)
     return int(np.count_nonzero(covered)) / diagram.space.n_points
-
-
-def robust_region_of_plan(
-    plan: LogicalPlan, diagram: PlanDiagram, epsilon: float
-) -> IntArray:
-    """Exact robust region of one plan: sorted flat indices satisfying Def. 1."""
-    return np.flatnonzero(robust_mask(plan, diagram, epsilon))
 
 
 def coverage_against_sequence(

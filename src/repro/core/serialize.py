@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.logical import PlanDiscovery, RobustLogicalSolution
-from repro.core.occurrence import NormalOccurrenceModel
 from repro.core.parameter_space import Dimension, ParameterSpace
 from repro.core.partitioning import PartitioningResult
 from repro.core.physical import (
@@ -242,7 +241,6 @@ def solution_from_dict(data: dict[str, Any]) -> RLDSolution:
         partitioning=partitioning,
         load_table=table,
         physical=physical,
-        occurrence=NormalOccurrenceModel(space),
     )
 
 

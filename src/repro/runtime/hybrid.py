@@ -127,7 +127,7 @@ class RLDHybridStrategy(RLDStrategy):
         if cold == source:
             return
 
-        plan = self.route(time, stats).plan
+        plan = self._plan_for(stats)
         loads = self._cost_model.operator_loads(plan, stats)
         gap = (utilization[source] - utilization[cold]) * nodes[source].capacity
         candidate = min(

@@ -296,6 +296,14 @@ class RLDStrategy:
         overhead = self._classification_overhead(cost, rate)
         return RoutingDecision(plan=self._plans[index], overhead_seconds=overhead)
 
+    def _plan_for(self, stats: StatPoint) -> LogicalPlan:
+        """The plan :meth:`route` would pick at ``stats``, for decisions
+        that route no batch: no routing counter or memo entry moves."""
+        flat = self._grid_cell(stats)
+        if flat is not None:
+            stats = self._space.point_at(self._space.index_of_flat(flat))
+        return self._plans[self._decide(*self._cost_model.resolve(stats))[0]]
+
     def _classification_overhead(self, cost: float, rate: float) -> float:
         """Charge ≈ ``fraction`` of the batch's expected service seconds,
         given the routed plan's ``cost`` at the batch's statistics and

@@ -64,6 +64,20 @@ def _cli_compile(query):
     return optimizer.solve(query.default_estimates(uncertainty))
 
 
+def _occurrence(solution):
+    """The occurrence model an ``RLDConfig()`` compile weighs plans by."""
+    return NormalOccurrenceModel(
+        solution.space, sigma_fraction=RLDConfig().sigma_fraction
+    )
+
+
+def _cheapest_plan(solution, point):
+    """The runtime classifier's rule: least cost, ties to the smaller
+    ``plan.order``."""
+    cost = solution.cost_model.plan_cost
+    return min(solution.plans, key=lambda plan: (cost(plan, point), plan.order))
+
+
 @pytest.fixture(scope="module")
 def q1_cli():
     """The CLI-default q1 compile (84,035-point space, scanned exactly)."""
@@ -145,11 +159,12 @@ class TestRouting:
     def test_best_plan_is_argmin_cost(self, setup):
         query, space, solution = setup
         model = PlanCostModel(query)
-        for index in space.grid_indices():
-            point = space.point_at(index)
-            chosen = solution.best_plan_at(point)
-            best_cost = min(model.plan_cost(p, point) for p in solution.plans)
-            assert model.plan_cost(chosen, point) == pytest.approx(best_cost)
+        for plan, cells in solution.plan_cells().items():
+            for flat in cells:
+                point = space.point_at(space.index_of_flat(int(flat)))
+                best_cost = min(model.plan_cost(p, point) for p in solution.plans)
+                assert model.plan_cost(plan, point) == pytest.approx(best_cost)
+                assert _cheapest_plan(solution, point) == plan
 
     def test_plan_cells_partition_grid(self, setup):
         _, space, solution = setup
@@ -161,8 +176,8 @@ class TestRouting:
 
     def test_corner_plans_own_their_corners(self, setup):
         query, space, solution = setup
-        lo_plan = solution.best_plan_at(space.full_region().pnt_lo)
-        hi_plan = solution.best_plan_at(space.full_region().pnt_hi)
+        lo_plan = _cheapest_plan(solution, space.full_region().pnt_lo)
+        hi_plan = _cheapest_plan(solution, space.full_region().pnt_hi)
         # The fixture's two plans are the corner optima.
         assert lo_plan == LogicalPlan((3, 2, 1, 0))
         assert hi_plan == LogicalPlan((3, 1, 2, 0))
@@ -234,7 +249,7 @@ class TestScanMatchesOracle:
                 assert cells[plan].tolist() == flat
                 for k in flat:
                     point = space.point_at(space.index_of_flat(k))
-                    assert solution.best_plan_at(point) == plan
+                    assert _cheapest_plan(solution, point) == plan
                 assert weights[plan] == pytest.approx(reference[plan], rel=1e-12)
                 assert solution.worst_case_loads(
                     plan
@@ -447,7 +462,7 @@ class TestFusedPass:
 
         monkeypatch.setattr(np, "unravel_index", counted_unravel)
         PlanLoadTable.from_solution(
-            _fresh(q1_cli.logical), occurrence=q1_cli.occurrence
+            _fresh(q1_cli.logical), occurrence=_occurrence(q1_cli)
         )
         blocks = -(-q1_cli.space.n_points // SCAN_BLOCK_ROWS)
         assert blocks == 11
@@ -459,7 +474,7 @@ class TestFusedPass:
         }
         calls.update(dict.fromkeys(calls, 0))
         PlanLoadTable.from_solution(
-            _fresh(q2_cli.logical), occurrence=q2_cli.occurrence
+            _fresh(q2_cli.logical), occurrence=_occurrence(q2_cli)
         )
         blocks = MAX_SCAN_POINTS // SCAN_BLOCK_ROWS
         assert blocks == 32
@@ -474,9 +489,10 @@ class TestFusedPass:
         # Slabs and blocks bound the exact pass: no temporary spans the
         # 84,035-point grid except the kept labels.
         logical = _fresh(q1_cli.logical)
+        occurrence = _occurrence(q1_cli)
         tracemalloc.start()
         try:
-            PlanLoadTable.from_solution(logical, occurrence=q1_cli.occurrence)
+            PlanLoadTable.from_solution(logical, occurrence=occurrence)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -549,7 +565,8 @@ def golden_record(solution):
     logical = solution.logical
     op_ids = solution.query.operator_ids
     labels = _label_array(logical)
-    weights = logical.plan_weights(solution.occurrence)
+    occurrence = _occurrence(solution)
+    weights = logical.plan_weights(occurrence)
     return {
         "plans": [list(plan.order) for plan in logical.plans],
         "scanned_points": int(len(labels)),
@@ -560,7 +577,7 @@ def golden_record(solution):
             for plan in logical.plans
         ],
         "typical_loads": [
-            [logical.expected_loads(plan, solution.occurrence)[op] for op in op_ids]
+            [logical.expected_loads(plan, occurrence)[op] for op in op_ids]
             for plan in logical.plans
         ],
         "placement": repr(solution.physical.physical_plan),

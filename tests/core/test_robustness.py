@@ -18,7 +18,7 @@ from repro.core import (
     RobustnessChecker,
     compute_plan_diagram,
     measure_coverage,
-    robust_region_of_plan,
+    robust_mask,
 )
 from repro.core.parameter_space import Region
 from repro.core.robustness import coverage_against_sequence
@@ -120,7 +120,7 @@ class TestCoverage:
         oracle = make_optimizer(query)
         diagram = compute_plan_diagram(space, oracle)
         plan = oracle.optimize(space.full_region().pnt_hi)
-        region = robust_region_of_plan(plan, diagram, 0.2)
+        region = np.flatnonzero(robust_mask(plan, diagram, 0.2))
         assert np.array_equal(region, np.unique(region))
         assert np.all((0 <= region) & (region < space.n_points))
 
@@ -129,7 +129,7 @@ class TestCoverage:
         oracle = make_optimizer(query)
         diagram = compute_plan_diagram(space, oracle)
         plan = oracle.optimize(space.full_region().pnt_lo)
-        region = robust_region_of_plan(plan, diagram, epsilon=0.2)
+        region = np.flatnonzero(robust_mask(plan, diagram, 0.2))
         # Everywhere the plan is optimal it is also ε-robust.
         owned = np.flatnonzero(diagram.labels == diagram.plans.index(plan))
         assert np.isin(owned, region).all()
@@ -182,7 +182,7 @@ class TestHarnessMatchesDictOracle:
         space, diagram, optimal, _, model = q1_case
         for plan in diagram.plans:
             for epsilon in self.EPSILONS:
-                region = robust_region_of_plan(plan, diagram, epsilon)
+                region = np.flatnonzero(robust_mask(plan, diagram, epsilon))
                 expected = oracle_covered([plan], space, model, optimal, epsilon)
                 assert region.tolist() == _flat(space, expected)
 

@@ -1,18 +1,101 @@
-"""Tests for the Theorem 1/2 bound utilities and Monte-Carlo checks."""
+"""Theorems 1–2 (§4.3) on the real RandomSearch over exact q1 spaces.
+
+The theorems' model is RS's own: probe uniformly random grid points and
+stop after ``c0 = aging_threshold(ε, δ)`` answers in a row bring no new
+plan.  Each test runs RS over fixed seeds on q1 spaces small enough for
+an exact plan diagram, reads every plan's area from the diagram, and
+checks the bounds with 3σ binomial slack for the finite number of runs.
+
+* Theorem 1: P[the missed plans cover more than δ of the space] ≤ ε.
+* Theorem 2: a plan of area γδ is missed with probability at most
+  e^{−γ(1 + ε^{-1/2})}.
+"""
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import (
+    ParameterSpace,
+    RandomSearch,
     aging_threshold,
-    simulate_uniform_discovery,
+    compute_plan_diagram,
     theorem2_miss_probability_bound,
 )
+from repro.query import make_optimizer
+from repro.workloads import build_q1
+
+#: Theorem 1's ε: the probability the δ guarantee may fail.
+EPSILON = 0.25
+SEEDS = range(300)
+Q1 = build_q1()
+
+
+def _within(rate, bound, trials):
+    """``rate`` respects ``bound`` up to 3σ binomial slack."""
+    sigma = math.sqrt(max(bound * (1 - bound), 1e-12) / trials)
+    return rate <= bound + 3 * sigma
+
+
+def _exact_space(uncertainty, points_per_level):
+    space = ParameterSpace.from_estimates(
+        Q1.default_estimates(uncertainty), points_per_level=points_per_level
+    )
+    diagram = compute_plan_diagram(space, make_optimizer(Q1))
+    cells = np.bincount(diagram.labels, minlength=diagram.cardinality)
+    return space, diagram, cells
+
+
+def _missed(space, diagram, seeds, **search):
+    """One row per seeded RS run: which diagram plans it stopped without."""
+    optimizer = make_optimizer(Q1)
+    rows = []
+    for seed in seeds:
+        found = RandomSearch(
+            Q1, space, optimizer=optimizer, seed=seed, **search
+        ).run().solution
+        rows.append([plan not in found for plan in diagram.plans])
+    return np.array(rows)
+
+
+def _over_delta_rate(cells, missed, delta):
+    """Share of runs whose missed plans cover more than δ of the space."""
+    uncovered = missed.astype(np.int64) @ cells
+    return float(np.mean(uncovered > delta * cells.sum()))
+
+
+@pytest.fixture(scope="module")
+def spaces():
+    """Two exact q1 spaces: 289 cells (11 plans) and 3,125 cells (16)."""
+    small = _exact_space({"sel:1": 4, "sel:3": 4}, 4)
+    large = _exact_space({op.selectivity_param: 2 for op in Q1.operators}, 2)
+    assert (small[0].n_points, small[1].cardinality) == (289, 11)
+    assert (large[0].n_points, large[1].cardinality) == (3125, 16)
+    return small, large
+
+
+@pytest.fixture(scope="module")
+def runs(spaces):
+    """(cells per plan, δ, missed-plan rows) for each checked setting."""
+    small, large = spaces
+    settings = [(small, 0.3), (small, 0.1), (large, 0.3), (large, 0.05)]
+    return [
+        (
+            cells,
+            delta,
+            _missed(
+                space,
+                diagram,
+                SEEDS,
+                failure_probability=EPSILON,
+                area_bound=delta,
+            ),
+        )
+        for (space, diagram, cells), delta in settings
+    ]
 
 
 class TestFormulas:
@@ -41,52 +124,52 @@ class TestFormulas:
 
 
 class TestMonteCarlo:
-    def test_large_area_plan_rarely_missed(self):
-        check = simulate_uniform_discovery(
-            [0.4, 0.3, 0.2, 0.1], target_index=0, trials=1000, seed=1
-        )
-        assert check.bound_holds
-        assert check.empirical_miss_rate <= 0.05
+    """The bounds over seeded runs of the real RandomSearch."""
 
-    def test_theorem2_bound_holds_for_small_plans(self):
-        # A 6%-area plan: γ = 0.2 at δ = 0.3 → bound e^{-0.6} ≈ 0.55.
-        check = simulate_uniform_discovery(
-            [0.06, 0.5, 0.3, 0.14], target_index=0, trials=2000, seed=2
-        )
-        assert check.bound_holds
+    def test_theorem1_uncovered_area_within_delta(self, runs):
+        for cells, delta, missed in runs:
+            rate = _over_delta_rate(cells, missed, delta)
+            assert _within(rate, EPSILON, len(missed)), (delta, rate)
 
-    def test_theorem1_uncovered_area_within_delta(self):
-        # With the default (ε=0.25, δ=0.3) stopping rule, the mean
-        # uncovered area must sit well below δ.
-        check = simulate_uniform_discovery(
-            [0.3, 0.25, 0.2, 0.15, 0.1], trials=2000, seed=3
-        )
-        assert check.mean_uncovered_area <= 0.3
+    def test_large_area_plan_rarely_missed(self, runs):
+        # γ ≥ 1: the bound is at most e^{-3} ≈ 0.05.
+        for cells, delta, missed in runs:
+            area = cells / cells.sum()
+            large = np.flatnonzero(area >= delta)
+            assert len(large) > 0
+            for i in large:
+                bound = theorem2_miss_probability_bound(area[i] / delta, EPSILON)
+                rate = missed[:, i].mean()
+                assert _within(rate, bound, len(missed)), (delta, area[i], rate)
 
-    def test_deterministic_under_seed(self):
-        a = simulate_uniform_discovery([0.5, 0.5], trials=200, seed=9)
-        b = simulate_uniform_discovery([0.5, 0.5], trials=200, seed=9)
-        assert a.empirical_miss_rate == b.empirical_miss_rate
+    def test_theorem2_bound_holds_for_small_plans(self, runs):
+        for cells, delta, missed in runs:
+            area = cells / cells.sum()
+            for i in np.flatnonzero(area < delta):
+                bound = theorem2_miss_probability_bound(area[i] / delta, EPSILON)
+                rate = missed[:, i].mean()
+                assert _within(rate, bound, len(missed)), (delta, area[i], rate)
 
-    def test_validation(self):
-        with pytest.raises(ValueError, match="not be empty"):
-            simulate_uniform_discovery([])
-        with pytest.raises(ValueError, match="> 1"):
-            simulate_uniform_discovery([0.9, 0.9])
-        with pytest.raises(IndexError):
-            simulate_uniform_discovery([0.5], target_index=3)
+    def test_short_patience_fails_theorem1(self, spaces):
+        # Negative control: stopping after 2 idle answers, far below
+        # c0 = 10 at δ = 0.3, leaves more than δ uncovered too often.
+        space, diagram, cells = spaces[0]
+        assert aging_threshold(EPSILON, 0.3) == 10
+        missed = _missed(space, diagram, SEEDS, patience=2)
+        rate = _over_delta_rate(cells, missed, 0.3)
+        assert not _within(rate, EPSILON, len(missed)), rate
 
+    def test_deterministic_under_seed(self, spaces):
+        space = spaces[0][0]
+        a, b = (RandomSearch(Q1, space, seed=9).run() for _ in range(2))
+        assert a.solution.discoveries == b.solution.discoveries
+        assert a.optimizer_calls == b.optimizer_calls
 
-@settings(max_examples=10, deadline=None)
-@given(
-    area=st.floats(min_value=0.15, max_value=0.45),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-def test_theorem2_bound_property(area, seed):
-    """Property: the empirical miss rate never exceeds the Theorem 2 bound."""
-    rest = 1.0 - area
-    others = [rest * 0.5, rest * 0.3, rest * 0.2]
-    check = simulate_uniform_discovery(
-        [area] + others, target_index=0, trials=600, seed=seed
-    )
-    assert check.bound_holds
+    def test_validation(self, spaces):
+        space = spaces[0][0]
+        with pytest.raises(ValueError, match="failure_probability"):
+            aging_threshold(1.0, 0.3)
+        with pytest.raises(ValueError, match="area_bound"):
+            aging_threshold(0.25, 0.0)
+        with pytest.raises(ValueError, match="max_calls"):
+            RandomSearch(Q1, space, max_calls=0)

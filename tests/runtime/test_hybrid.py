@@ -75,6 +75,20 @@ class TestRuntimeBehaviour:
         ).run(120.0)
         assert report.migrations >= 1
 
+    def test_migration_ticks_route_no_batch(self, solution):
+        # A migration decision looks the routed plan up without counting
+        # a routing-table hit or miss for a batch that does not exist.
+        query = solution.query
+        strategy = RLDHybridStrategy(
+            solution, saturation_threshold=0.8, cooldown_seconds=10.0
+        )
+        workload = Workload(query, rate_profile=ConstantRate(4.0))
+        report = StreamSimulator(
+            query, solution.cluster, strategy, workload, seed=3
+        ).run(120.0)
+        assert report.migrations >= 1
+        assert strategy.table_hits + strategy.table_misses == report.batches_injected
+
     def test_routing_identical_to_pure_rld(self, solution):
         pure = RLDStrategy(solution)
         hybrid = RLDHybridStrategy(solution)
