@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     ParameterSpace,
@@ -173,3 +175,26 @@ class TestMonteCarlo:
             aging_threshold(0.25, 0.0)
         with pytest.raises(ValueError, match="max_calls"):
             RandomSearch(Q1, space, max_calls=0)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    delta=st.floats(min_value=0.05, max_value=0.45),
+    large=st.booleans(),
+    first_seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_theorem2_bound_property(spaces, delta, large, first_seed):
+    """Property: no plan is missed more often than Theorem 2 allows."""
+    space, diagram, cells = spaces[large]
+    missed = _missed(
+        space,
+        diagram,
+        range(first_seed, first_seed + 200),
+        failure_probability=EPSILON,
+        area_bound=delta,
+    )
+    area = cells / cells.sum()
+    for i, plan_area in enumerate(area):
+        bound = theorem2_miss_probability_bound(plan_area / delta, EPSILON)
+        rate = missed[:, i].mean()
+        assert _within(rate, bound, len(missed)), (delta, plan_area, rate)
